@@ -14,7 +14,8 @@ from emomsase.dataio import (
     derive_labels, make_synthetic,
 )
 from emomsase.evaluate import (
-    Sample, decision_fuse, group_kfold, loso, results_rows, run_experiment,
+    Sample, decision_fuse, group_kfold, loso, report_dict, results_rows,
+    run_experiment,
 )
 from emomsase.model import ModelConfig
 from emomsase.train import TrainConfig
@@ -64,5 +65,5 @@ for fusion in ("modality", "sum"):
           f"mean recall {result.mean_recall:.3f}")
 
 print("\nsummary rows as written to results.csv:")
-for row in results_rows([result]):
+for row in results_rows(report_dict([result])["experiments"]):
     print(f"  {row}")

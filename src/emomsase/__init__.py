@@ -20,7 +20,7 @@ from .evaluate import (FoldResult, SplitPlan, decision_fuse, group_kfold,
 from .gradcheck import grad_check, micro_config
 from .model import EmoMsase, ModelConfig
 from .preprocess import WindowedTensor, preprocess_channel
-from .train import AdamW, TrainConfig, TrainLog, cross_entropy, fit
+from .train import AdamW, TrainConfig, TrainLog, fit
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "AdamW", "BoundaryPolicy", "EmoMsase", "FoldResult", "LabelCase",
     "ModelConfig", "Param", "RawRecording", "SamRating", "SplitPlan",
     "SyntheticSpec", "Tape", "TrainConfig", "TrainLog", "Var",
-    "WindowedTensor", "binarize_rating", "cross_entropy", "decision_fuse",
+    "WindowedTensor", "binarize_rating", "decision_fuse",
     "derive_labels", "fit", "grad_check", "group_kfold", "loso",
     "make_synthetic", "metrics", "micro_config", "preprocess_channel",
     "run_experiment",

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evaluate, preprocess
+from .autodiff import NonFiniteActivationError
 from .dataio import BoundaryPolicy, LabelCase, LabelLookup
 from .gradcheck import grad_check, micro_config
 from .model import ModelConfig, VARIANTS
@@ -338,21 +339,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.report)
     if not path.is_file():
         raise UsageError(f"report not found: {path}")
-    data = json.loads(path.read_text())
-    rows = []
-    for exp in data.get("experiments", []):
-        rows.append((exp["combination"], exp["label_case"],
-                     f"{exp['dimension']}_accuracy", exp["mean_accuracy"]))
-        rows.append((exp["combination"], exp["label_case"],
-                     f"{exp['dimension']}_recall", exp["mean_recall"]))
+    experiments = json.loads(path.read_text()).get("experiments", [])
+    rows = evaluate.results_rows(experiments)
     width = max((len(r[0]) for r in rows), default=10)
     print(f"{'combination':<{width}}  {'label_case':<10}  {'metric':<18}  value")
     for combo, case, metric, value in rows:
         print(f"{combo:<{width}}  {case:<10}  {metric:<18}  {value:.4f}")
     if args.out is not None:
-        lines = ["combination,label_case,metric,value"]
-        lines.extend(f"{c},{case},{m},{v!r}" for c, case, m, v in rows)
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(evaluate.results_csv(experiments))
         print(f"rewrote {args.out}")
     return 0
 
@@ -428,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (dataio.DataError, preprocess.PreprocessError, evaluate.EvaluateError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, NonFiniteActivationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -340,23 +340,25 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
     )
 
 
-def results_rows(results: list[ExperimentResult]) -> list[tuple[str, str, str, float]]:
-    """Flatten experiment results into (combination, label_case, metric, value)."""
-    rows = []
-    for r in results:
-        rows.append((r.combination, r.label_case,
-                     f"{r.dimension}_accuracy", r.mean_accuracy))
-        rows.append((r.combination, r.label_case,
-                     f"{r.dimension}_recall", r.mean_recall))
-    return rows
+def results_rows(experiments: list[dict]) -> list[tuple[str, str, str, float]]:
+    """Flatten ``report_dict`` experiments into (combination, label_case,
+    metric, value) rows."""
+    return [(exp["combination"], exp["label_case"], f"{exp['dimension']}_{stat}",
+             exp[f"mean_{stat}"])
+            for exp in experiments for stat in ("accuracy", "recall")]
+
+
+def results_csv(experiments: list[dict]) -> str:
+    """The summary CSV text for ``report_dict`` experiments."""
+    lines = ["combination,label_case,metric,value"]
+    lines.extend(f"{c},{case},{metric},{value!r}"
+                 for c, case, metric, value in results_rows(experiments))
+    return "\n".join(lines) + "\n"
 
 
 def write_results_csv(path, results: list[ExperimentResult]) -> None:
-    lines = ["combination,label_case,metric,value"]
-    lines.extend(f"{c},{case},{metric},{value!r}"
-                 for c, case, metric, value in results_rows(results))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(results_csv(report_dict(results)["experiments"]))
 
 
 def report_dict(results: list[ExperimentResult]) -> dict:

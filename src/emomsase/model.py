@@ -8,7 +8,8 @@ Per domain, modality CAVs stack into an (M, 3H) block that a
 squeeze-and-excitation gate recalibrates; all blocks then flatten into a
 softmax classifier.
 
-Variants:
+Variants (``VARIANT_SPECS``) differ only in the attention scales they pool
+and whether they recalibrate; each builds just the parameters it uses:
   lstmsa     single-scale attention only, CAV length H, no recalibration
   lstmmsa    three scales, no recalibration
   emomsase   three scales plus squeeze-and-excitation (the full model)
@@ -17,19 +18,30 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteActivationError, Param, ShapeMismatchError, Tape, Var
 
-VARIANT_LSTMSA = "lstmsa"
-VARIANT_LSTMMSA = "lstmmsa"
-VARIANT_FULL = "emomsase"
-VARIANTS = (VARIANT_LSTMSA, VARIANT_LSTMMSA, VARIANT_FULL)
-
 N_LSTM_LAYERS = 2
-MERGE_FACTORS = (2, 3)  # half and third temporal resolution
+# Attention scales, finest first: name -> timestep merge factor.
+SCALES = (("short", 1), ("medium", 2), ("long", 3))
+MERGE_FACTORS = tuple(f for _, f in SCALES if f > 1)  # half and third resolution
+
+
+class VariantSpec(NamedTuple):
+    scales: tuple[str, ...]  # attention scales pooled, a prefix of SCALES
+    se: bool                 # squeeze-and-excitation per domain
+
+
+VARIANT_SPECS = {
+    "lstmsa": VariantSpec(scales=("short",), se=False),
+    "lstmmsa": VariantSpec(scales=("short", "medium", "long"), se=False),
+    "emomsase": VariantSpec(scales=("short", "medium", "long"), se=True),
+}
+VARIANTS = tuple(VARIANT_SPECS)
 
 
 class SequenceTooShortError(ValueError):
@@ -49,7 +61,7 @@ class ModelConfig:
     hidden_size: int = 128
     se_reduction: int = 4
     n_classes: int = 2
-    variant: str = VARIANT_FULL
+    variant: str = "emomsase"
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +77,8 @@ class ModelConfig:
             for ch in channels:
                 if ch not in self.feature_sizes:
                     raise ValueError(f"no feature size for channel {ch!r}")
-        cav = 3 * self.hidden_size
-        if self.se_reduction < 1 or cav % self.se_reduction != 0:
+        cav = self.cav_length
+        if self.spec.se and (self.se_reduction < 1 or cav % self.se_reduction != 0):
             raise ValueError(
                 f"reduction {self.se_reduction} must divide the CAV length {cav}")
 
@@ -75,8 +87,12 @@ class ModelConfig:
         return tuple(ch for _, chs in self.domain_channels for ch in chs)
 
     @property
+    def spec(self) -> VariantSpec:
+        return VARIANT_SPECS[self.variant]
+
+    @property
     def cav_length(self) -> int:
-        return self.hidden_size if self.variant == VARIANT_LSTMSA else 3 * self.hidden_size
+        return len(self.spec.scales) * self.hidden_size
 
     def restrict(self, domains: list[str]) -> "ModelConfig":
         """Keep only the named domains (used for per-domain decision fusion)."""
@@ -100,11 +116,14 @@ class LstmStack:
 
 @dataclass
 class AttentionContexts:
-    """One learnable context vector per temporal scale."""
+    """One learnable context vector per pooled temporal scale."""
 
     u_short: Param
-    u_medium: Param
-    u_long: Param
+    u_medium: Param | None = None
+    u_long: Param | None = None
+
+    def parameters(self) -> list[Param]:
+        return [u for u in (self.u_short, self.u_medium, self.u_long) if u is not None]
 
 
 @dataclass
@@ -189,17 +208,18 @@ def merge_timesteps(tape: Tape, hidden: Var, factor: int) -> Var:
 
 
 def msa(tape: Tape, hidden: Var, contexts: AttentionContexts) -> Cav:
-    """Multi-scale attention: pool at full, half and third resolution."""
-    if hidden.value.shape[1] < 3:
-        raise SequenceTooShortError(
-            "multi-scale attention needs at least 3 timesteps")
-    _, v_short = scale_attention(tape, hidden, contexts.u_short)
-    _, v_medium = scale_attention(
-        tape, merge_timesteps(tape, hidden, 2), contexts.u_medium)
-    _, v_long = scale_attention(
-        tape, merge_timesteps(tape, hidden, 3), contexts.u_long)
-    combined = ad.concat(tape, [v_short, v_medium, v_long], axis=-1)
-    return Cav(v_short=v_short, v_medium=v_medium, v_long=v_long, combined=combined)
+    """Multi-scale attention: pool at full, half and third resolution, for
+    each scale that has a context vector, and concatenate the results."""
+    pooled = {}
+    for scale, factor in SCALES:
+        u = getattr(contexts, f"u_{scale}")
+        if u is not None:
+            seq = hidden if factor == 1 else merge_timesteps(tape, hidden, factor)
+            _, pooled[scale] = scale_attention(tape, seq, u)
+    parts = list(pooled.values())
+    combined = parts[0] if len(parts) == 1 else ad.concat(tape, parts, axis=-1)
+    return Cav(v_short=pooled["short"], v_medium=pooled.get("medium"),
+               v_long=pooled.get("long"), combined=combined)
 
 
 def se_recalibrate(tape: Tape, stacked: Var, se: SeBlock) -> Var:
@@ -240,45 +260,43 @@ class EmoMsase:
         rng = np.random.default_rng(config.seed)
         h = config.hidden_size
         cav_len = config.cav_length
-        se_hidden = (3 * h) // config.se_reduction
 
         self.stacks: dict[str, LstmStack] = {}
         self.contexts: dict[str, AttentionContexts] = {}
         self.se_blocks: dict[str, SeBlock] = {}
-        n_modalities = 0
         for domain, channels in config.domain_channels:
             for ch in channels:
                 self.stacks[ch] = init_lstm_stack(
                     rng, ch, config.feature_sizes[ch], h)
-                self.contexts[ch] = AttentionContexts(
-                    u_short=Param(f"{ch}/attn/u_short", _uniform_init(rng, (h,), h)),
-                    u_medium=Param(f"{ch}/attn/u_medium", _uniform_init(rng, (h,), h)),
-                    u_long=Param(f"{ch}/attn/u_long", _uniform_init(rng, (h,), h)),
+                self.contexts[ch] = AttentionContexts(**{
+                    f"u_{scale}": Param(f"{ch}/attn/u_{scale}",
+                                        _uniform_init(rng, (h,), h))
+                    for scale in config.spec.scales})
+            if config.spec.se:
+                se_hidden = cav_len // config.se_reduction
+                self.se_blocks[domain] = SeBlock(
+                    w1=Param(f"{domain}/se/w1",
+                             _uniform_init(rng, (cav_len, se_hidden), cav_len)),
+                    w2=Param(f"{domain}/se/w2",
+                             _uniform_init(rng, (se_hidden, cav_len), se_hidden)),
                 )
-                n_modalities += 1
-            # Allocated for every variant; simply left out of the graph when
-            # the variant does not recalibrate, so its gradients stay zero.
-            self.se_blocks[domain] = SeBlock(
-                w1=Param(f"{domain}/se/w1",
-                         _uniform_init(rng, (cav_len, se_hidden), cav_len)),
-                w2=Param(f"{domain}/se/w2",
-                         _uniform_init(rng, (se_hidden, cav_len), se_hidden)),
-            )
-        in_dim = n_modalities * cav_len
+        in_dim = len(config.channels) * cav_len
         self.head = ClassifierHead(
             w=Param("head/w", _uniform_init(rng, (in_dim, config.n_classes), in_dim)),
             b=Param("head/b", np.zeros(config.n_classes)),
         )
 
+    def channel_parameters(self, channel: str) -> list[Param]:
+        """The LSTM weights and attention contexts of one modality branch."""
+        params = [p for layer in self.stacks[channel].layers
+                  for p in (layer.wx, layer.wh, layer.b)]
+        return params + self.contexts[channel].parameters()
+
     def parameters(self) -> list[Param]:
-        params: list[Param] = []
-        for ch in self.config.channels:
-            for layer in self.stacks[ch].layers:
-                params.extend([layer.wx, layer.wh, layer.b])
-            ctx = self.contexts[ch]
-            params.extend([ctx.u_short, ctx.u_medium, ctx.u_long])
-        for domain, _ in self.config.domain_channels:
-            params.extend([self.se_blocks[domain].w1, self.se_blocks[domain].w2])
+        params = [p for ch in self.config.channels
+                  for p in self.channel_parameters(ch)]
+        for se in self.se_blocks.values():
+            params.extend([se.w1, se.w2])
         params.extend([self.head.w, self.head.b])
         return params
 
@@ -292,9 +310,6 @@ class EmoMsase:
             raise ShapeMismatchError(
                 f"{channel}: expected (B, T, {expected_f}), got {x.value.shape}")
         hidden = lstm_features(tape, x, self.stacks[channel])
-        if self.config.variant == VARIANT_LSTMSA:
-            _, pooled = scale_attention(tape, hidden, self.contexts[channel].u_short)
-            return pooled
         return msa(tape, hidden, self.contexts[channel]).combined
 
     def classify(self, tape: Tape, cavs: dict[str, Var]) -> Var:
@@ -302,7 +317,7 @@ class EmoMsase:
         blocks = []
         for domain, channels in self.config.domain_channels:
             block = ad.stack_rows(tape, [cavs[ch] for ch in channels])
-            if self.config.variant == VARIANT_FULL:
+            if self.config.spec.se:
                 block = se_recalibrate(tape, block, self.se_blocks[domain])
             blocks.append(block)
         return fuse_and_classify(tape, blocks, self.head)

@@ -16,8 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .model import EmoMsase
 
-CROSS_ENTROPY_EPS = 1e-12
-
 
 class TrainError(ValueError):
     pass
@@ -32,10 +30,6 @@ class DivergedLossError(TrainError):
 
 
 class NonFiniteGradientError(TrainError):
-    pass
-
-
-class InvalidClassError(TrainError):
     pass
 
 
@@ -95,15 +89,6 @@ class LabeledSet:
         return {ch: x[idx] for ch, x in self.inputs.items()}
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log probability of the true class for one probability row."""
-    probs = np.asarray(probs)
-    if label < 0 or label >= probs.shape[-1]:
-        raise InvalidClassError(
-            f"class {label} outside 0..{probs.shape[-1] - 1}")
-    return float(-np.log(probs[label] + CROSS_ENTROPY_EPS))
-
-
 class AdamW:
     """Adam moments with weight decay applied directly to the weights.
 
@@ -143,8 +128,7 @@ def evaluate_loss(model: EmoMsase, data: LabeledSet,
                   batch_size: int = 128) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of the model on a labelled set."""
     probs = model.predict(data.inputs, batch_size=batch_size)
-    picked = probs[np.arange(len(data)), data.labels]
-    loss = float(-np.log(picked + CROSS_ENTROPY_EPS).mean())
+    loss = float(ad.nll_mean(ad.Tape(), ad.leaf(probs), data.labels).value)
     acc = float((probs.argmax(axis=1) == data.labels).mean())
     return loss, acc
 

@@ -250,13 +250,23 @@ def test_nll_mean_value_and_gradient():
         probs_val.copy(), eps=1e-7)
     npt.assert_allclose(probs.grad, fd, atol=1e-6)
 
+    def single(row, label):
+        return float(ad.nll_mean(Tape(), Var(np.array([row])),
+                                 np.array([label])).value)
+
+    npt.assert_allclose(single([0.5, 0.5], 0), np.log(2.0))
+    npt.assert_allclose(single([1.0, 0.0], 0), 0.0, atol=1e-11)
+    # the epsilon keeps a zero-probability true class finite
+    assert single([1.0, 0.0], 1) == pytest.approx(-np.log(1e-12))
+
 
 def test_nll_mean_rejects_bad_labels():
     probs = Var(np.array([[0.5, 0.5]]))
     with pytest.raises(ShapeMismatchError):
         ad.nll_mean(Tape(), probs, np.array([0, 1]))
-    with pytest.raises(ShapeMismatchError):
-        ad.nll_mean(Tape(), probs, np.array([2]))
+    for label in (2, -1):  # outside the class range
+        with pytest.raises(ShapeMismatchError):
+            ad.nll_mean(Tape(), probs, np.array([label]))
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,19 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {})
     data = tmp_path / "data"
     cache = tmp_path / "cache2"
-    main(["synth", "--config", cfg, "--out", str(data), "--participants", "3"])
+    main(["synth", "--config", cfg, "--out", str(data), "--participants", "6"])
     main(["preprocess", "--config", cfg, "--data", str(data),
           "--cache", str(cache)])
     assert main(["run", "--config", cfg, "--cache", str(cache),
                  "--ratings", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "out")]) == 1
     capsys.readouterr()
+    # a diverging step turns the activations non-finite
+    huge_lr = _write_config(tmp_path, {"train": {"learning_rate": 1e200}})
+    assert main(["run", "--config", huge_lr, "--cache", str(cache),
+                 "--ratings", str(data / "ratings.csv"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "error: non-finite" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

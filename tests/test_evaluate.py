@@ -279,7 +279,7 @@ def test_results_serialization(tmp_path):
     split = group_kfold(_pids(6), k=3, seed=2)
     result = run_experiment(samples, labels, config, split, train_config=tc)
 
-    rows = results_rows([result])
+    rows = results_rows(report_dict([result])["experiments"])
     assert [r[2] for r in rows] == ["valence_accuracy", "valence_recall"]
 
     path = tmp_path / "results.csv"

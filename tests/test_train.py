@@ -4,13 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from emomsase import autodiff as ad
 from emomsase import train as train_mod
-from emomsase.autodiff import Param
+from emomsase.autodiff import Param, ShapeMismatchError
 from emomsase.model import EmoMsase, ModelConfig
 from emomsase.train import (
-    AdamW, EmptySplitError, InvalidClassError, LabeledSet,
-    NonFiniteGradientError, TrainConfig, TrainError, cross_entropy,
-    evaluate_loss, fit,
+    AdamW, EmptySplitError, LabeledSet, NonFiniteGradientError, TrainConfig,
+    TrainError, evaluate_loss, fit,
 )
 
 from reference_impls import adamw_steps_reference
@@ -37,7 +37,7 @@ def _toy_set(n, seed=0, t_len=6, f_dim=3):
 
 
 # ---------------------------------------------------------------------------
-# Config and loss
+# Config and data
 # ---------------------------------------------------------------------------
 
 def test_train_config_validation():
@@ -50,14 +50,19 @@ def test_train_config_validation():
     TrainConfig(patience=0)  # stopping immediately on the first bad epoch is legal
 
 
+def _cross_entropy(probs, label):
+    """Training loss of one probability row against one class index."""
+    return float(ad.nll_mean(ad.Tape(), ad.leaf(np.array([probs])),
+                             np.array([label])).value)
+
+
 def test_cross_entropy_values():
-    npt.assert_allclose(cross_entropy(np.array([0.5, 0.5]), 0), np.log(2.0))
-    npt.assert_allclose(cross_entropy(np.array([1.0, 0.0]), 0), 0.0, atol=1e-11)
+    npt.assert_allclose(_cross_entropy([0.5, 0.5], 0), np.log(2.0))
+    npt.assert_allclose(_cross_entropy([1.0, 0.0], 0), 0.0, atol=1e-11)
     # the epsilon keeps a zero-probability true class finite
-    assert cross_entropy(np.array([1.0, 0.0]), 1) == pytest.approx(
-        -np.log(1e-12))
-    with pytest.raises(InvalidClassError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
+    assert _cross_entropy([1.0, 0.0], 1) == pytest.approx(-np.log(1e-12))
+    with pytest.raises(ShapeMismatchError):
+        _cross_entropy([0.5, 0.5], 2)
 
 
 def test_labeled_set_validation():
