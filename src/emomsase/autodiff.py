@@ -7,8 +7,9 @@ backpropagation through time in one step.  Everything is float64.
 
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
-and replays the closures in reverse.  Sequence tensors are batch-first
-(B, T, F).
+and replays the closures in reverse.  An inference tape
+(``recording=False``) keeps no closures and no per-step LSTM cache, and
+cannot be replayed.  Sequence tensors are batch-first (B, T, F).
 """
 
 from __future__ import annotations
@@ -54,17 +55,22 @@ class Param(Var):
 
 
 class Tape:
-    """Ordered record of backward closures for one forward pass."""
+    """Ordered record of backward closures for one forward pass, or with
+    ``recording=False`` an inference tape that records nothing."""
 
-    def __init__(self):
+    def __init__(self, recording: bool = True):
+        self.recording = recording
         self._steps = []
         self._consumed = False
 
     def record(self, backward_fn) -> None:
-        self._steps.append(backward_fn)
+        if self.recording:
+            self._steps.append(backward_fn)
 
     def backward(self, out: Var, seed: float = 1.0) -> None:
         """Seed d(out) and propagate gradients back to every reachable leaf."""
+        if not self.recording:
+            raise TapeConsumedError("an inference tape recorded nothing to replay")
         if self._consumed:
             raise TapeConsumedError("tape already replayed; rerun the forward pass")
         self._consumed = True
@@ -314,7 +320,8 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
         tc = np.tanh(c)
         h = o * tc
         hs[:, t, :] = h
-        cache.append((sig, g, c_prev, tc, h_prev))
+        if tape.recording:
+            cache.append((sig, g, c_prev, tc, h_prev))
         h_prev, c_prev = h, c
     out = Var(hs)
 

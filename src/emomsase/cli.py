@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evaluate, preprocess
-from .autodiff import NonFiniteActivationError
+from .autodiff import NonFiniteActivationError, TapeConsumedError
 from .dataio import BoundaryPolicy, LabelCase, LabelLookup
 from .gradcheck import grad_check, micro_config
 from .model import ModelConfig, VARIANTS
@@ -422,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (dataio.DataError, preprocess.PreprocessError, evaluate.EvaluateError,
-            ValueError, OSError, NonFiniteActivationError) as exc:
+            ValueError, OSError, NonFiniteActivationError, TapeConsumedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

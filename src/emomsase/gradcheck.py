@@ -106,7 +106,7 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
     tape.backward(loss)
 
     # Pooled per-modality feature values at the unperturbed parameters.
-    base_tape = ad.Tape()
+    base_tape = ad.Tape(recording=False)
     base_cavs = {
         ch: model.modality_cav(base_tape, ad.leaf(batch[ch]), ch).value
         for ch in config.channels
@@ -114,7 +114,7 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
     owner = _param_owner(model)
 
     def loss_at(touched: str | None) -> float:
-        tape = ad.Tape()
+        tape = ad.Tape(recording=False)
         cavs = {}
         for ch in config.channels:
             if ch == touched:

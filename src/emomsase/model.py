@@ -322,12 +322,14 @@ class EmoMsase:
             blocks.append(block)
         return fuse_and_classify(tape, blocks, self.head)
 
-    def forward(self, batch: dict[str, np.ndarray]) -> tuple[Var, Tape]:
-        """Class probabilities (B, C) for a batch of per-channel tensors."""
+    def forward(self, batch: dict[str, np.ndarray],
+                recording: bool = True) -> tuple[Var, Tape]:
+        """Class probabilities (B, C) for a batch of per-channel tensors,
+        recorded for backward unless ``recording=False``."""
         missing = [ch for ch in self.config.channels if ch not in batch]
         if missing:
             raise ShapeMismatchError(f"batch is missing channel(s) {missing}")
-        tape = Tape()
+        tape = Tape(recording)
         cavs = {ch: self.modality_cav(tape, ad.leaf(batch[ch]), ch)
                 for ch in self.config.channels}
         probs = self.classify(tape, cavs)
@@ -336,11 +338,18 @@ class EmoMsase:
         return probs, tape
 
     def predict(self, inputs: dict[str, np.ndarray], batch_size: int = 128) -> np.ndarray:
-        """Probabilities (N, C) for stacked inputs, evaluated in chunks."""
-        n = next(iter(inputs.values())).shape[0]
+        """Probabilities (N, C) for stacked inputs, evaluated in chunks on
+        inference tapes; zero samples give an empty (0, C) array."""
+        if batch_size < 1:
+            raise ValueError(f"predict batch size must be at least 1, got {batch_size}")
+        rows = {ch: x.shape[0] for ch, x in inputs.items()}
+        if len(set(rows.values())) > 1:
+            raise ShapeMismatchError(f"channels disagree on the sample count: {rows}")
+        n = max(rows.values(), default=0)
         chunks = []
-        for start in range(0, n, batch_size):
+        # zero samples still run one empty chunk, so the batch checks apply
+        for start in range(0, max(n, 1), batch_size):
             part = {ch: x[start:start + batch_size] for ch, x in inputs.items()}
-            probs, _ = self.forward(part)
+            probs, _ = self.forward(part, recording=False)
             chunks.append(probs.value)
         return np.concatenate(chunks, axis=0)

@@ -128,9 +128,9 @@ def evaluate_loss(model: EmoMsase, data: LabeledSet,
                   batch_size: int = 128) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of the model on a labelled set."""
     probs = model.predict(data.inputs, batch_size=batch_size)
-    loss = float(ad.nll_mean(ad.Tape(), ad.leaf(probs), data.labels).value)
+    loss = ad.nll_mean(ad.Tape(recording=False), ad.leaf(probs), data.labels)
     acc = float((probs.argmax(axis=1) == data.labels).mean())
-    return loss, acc
+    return float(loss.value), acc
 
 
 def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,

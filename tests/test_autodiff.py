@@ -6,6 +6,8 @@ central differences of the same forward computation.  The LSTM forward is
 additionally pinned to a step-by-step scalar reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -279,6 +281,41 @@ def test_tape_single_use():
     tape.backward(out)
     with pytest.raises(TapeConsumedError):
         tape.backward(out)
+
+
+def test_inference_tape_keeps_nothing_and_refuses_backward():
+    rng = np.random.default_rng(30)
+    x = ad.leaf(rng.standard_normal((3, 5, 2)))
+    wx = Param("wx", rng.standard_normal((2, 16)))
+    wh = Param("wh", rng.standard_normal((4, 16)))
+    b = Param("b", rng.standard_normal(16))
+    train, infer = Tape(), Tape(recording=False)
+    expected = ad.softmax(train, ad.lstm_layer(train, x, wx, wh, b))
+    out = ad.softmax(infer, ad.lstm_layer(infer, x, wx, wh, b))
+    assert np.array_equal(out.value, expected.value)
+    assert len(train._steps) == 2 and infer._steps == []
+    with pytest.raises(TapeConsumedError, match="inference tape"):
+        infer.backward(out)
+    for p in (wx, wh, b):
+        assert not p.grad.any(), p.name
+
+
+def test_lstm_keeps_no_cache_on_inference_tape():
+    rng = np.random.default_rng(31)
+    x = ad.leaf(rng.standard_normal((64, 30, 8)))
+    wx = Param("wx", 0.1 * rng.standard_normal((8, 64)))
+    wh = Param("wh", 0.1 * rng.standard_normal((16, 64)))
+    b = Param("b", np.zeros(64))
+
+    def traced_peak(recording):
+        tracemalloc.start()
+        try:
+            ad.lstm_layer(Tape(recording), x, wx, wh, b)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the per-step cache is the bulk of the recording peak (ratio ~0.66)
+    assert traced_peak(False) < 0.8 * traced_peak(True)
 
 
 def test_param_accumulates_across_tapes():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from emomsase import autodiff as ad
 from emomsase import dataio
 from emomsase.cli import main
 
@@ -146,7 +147,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_runtime_errors_exit_1(tmp_path, capsys):
+def test_runtime_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["preprocess", "--data", str(tmp_path / "missing"),
                  "--cache", str(tmp_path / "cache")]) == 1
     assert main(["report", "--report", str(tmp_path / "none.json")]) == 2
@@ -166,6 +167,12 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
                  "--ratings", str(data / "ratings.csv"),
                  "--out", str(tmp_path / "out")]) == 1
     assert "error: non-finite" in capsys.readouterr().err
+    # a replayed (or inference) tape is a runtime error, not a traceback
+    def replayed(tape, out, seed=1.0):
+        raise ad.TapeConsumedError("tape already replayed")
+    monkeypatch.setattr(ad.Tape, "backward", replayed)
+    assert main(["gradcheck", "--seeds", "1"]) == 1
+    assert "error: tape already replayed" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

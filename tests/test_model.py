@@ -1,9 +1,12 @@
 """Classifier graph tests: LSTM stacking, attention scales, SE gating,
 variants and the assembled model."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomsase import autodiff as ad
 from emomsase.autodiff import Param, ShapeMismatchError, Tape, Var
@@ -307,3 +310,69 @@ def test_predict_chunking_matches_single_pass():
     chunked = model.predict(inputs, batch_size=3)
     npt.assert_allclose(whole, chunked, atol=1e-12)
     assert whole.shape == (7, 2)
+
+
+def _inputs(cfg, n, seed, timesteps=6):
+    rng = np.random.default_rng(seed)
+    return {ch: rng.standard_normal((n, timesteps, cfg.feature_sizes[ch]))
+            for ch in cfg.channels}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 11), batch_size=st.integers(1, 5))
+def test_predict_is_forward_bit_for_bit(variant, n, batch_size):
+    """The inference tape runs the training graph on the same chunks."""
+    model = EmoMsase(_micro_config(variant=variant))
+    inputs = _inputs(model.config, n, seed=n)
+    expected = np.concatenate([
+        model.forward({ch: x[s:s + batch_size] for ch, x in inputs.items()})[0].value
+        for s in range(0, n, batch_size)])
+    assert np.array_equal(model.predict(inputs, batch_size=batch_size), expected)
+
+
+def test_predict_leaves_gradients_and_tape_empty():
+    model = EmoMsase(_micro_config())
+    rng = np.random.default_rng(12)
+    for p in model.parameters():
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    before = [p.grad.copy() for p in model.parameters()]
+    inputs = _inputs(model.config, 5, seed=13)
+    model.predict(inputs, batch_size=2)
+    for p, g in zip(model.parameters(), before):
+        assert np.array_equal(p.grad, g), p.name
+    _, tape = model.forward(inputs, recording=False)
+    assert tape._steps == []
+    assert model.forward(inputs)[1]._steps
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_peak_memory_is_a_fraction_of_forward():
+    """No backward closures or per-step LSTM caches survive inference."""
+    model = EmoMsase(_micro_config(hidden=16))
+    batch = _inputs(model.config, 64, seed=14, timesteps=30)
+    predict_peak = _traced_peak(lambda: model.predict(batch, batch_size=64))
+    forward_peak = _traced_peak(lambda: model.forward(batch))
+    assert predict_peak < forward_peak / 3
+
+
+def test_predict_rejects_bad_input_and_accepts_none():
+    model = EmoMsase(_micro_config())
+    inputs = _inputs(model.config, 6, seed=15)
+    # a short first channel whose length the batch size divides
+    ragged = dict(inputs, ACC_Z=inputs["ACC_Z"][:4])
+    for bad in (ragged, dict(inputs, EDA=inputs["EDA"][:5])):
+        with pytest.raises(ShapeMismatchError, match="sample count"):
+            model.predict(bad, batch_size=2)
+    with pytest.raises(ValueError, match="batch size must be at least 1"):
+        model.predict(inputs, batch_size=0)
+    empty = model.predict(_inputs(model.config, 0, seed=16))
+    assert empty.shape == (0, 2)
