@@ -36,7 +36,7 @@ print(f"z-scored: mean {normed.mean():+.2e}, std {normed.std():.6f}")
 
 # 3. the emotional response builds up while watching, so keep only the
 #    final 40 s of the trace
-tail = take_tail(normed, ecg.sample_rate_hz)
+tail = take_tail(normed, int(round(40.0 * ecg.sample_rate_hz)))
 print(f"tail: {tail.shape[0]} samples "
       f"({tail.shape[0] / ecg.sample_rate_hz:.0f} s)")
 

@@ -198,30 +198,23 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     cache_dir = settings["cache"]
     if cache_dir is None:
         raise UsageError(f"no cache directory (use --cache or ${CACHE_ENV})")
+    recordings = dataio.load_recordings(data_dir)
+    for rec in recordings:  # refuse an unpiped channel before writing anything
+        preprocess.chain_for(rec.channel)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-
-    recordings = dataio.load_recordings(data_dir)
-    stats: dict[str, dict] = {}
+    counts: dict[str, list[int]] = {}
     for rec in recordings:
-        key = preprocess.tensor_cache_key(rec)
-        stem = cache_dir / key
-        stat = stats.setdefault(rec.channel, {"n": 0, "hits": 0, "shape": None})
-        stat["n"] += 1
+        stem = cache_dir / preprocess.tensor_cache_key(rec)
+        count = counts.setdefault(rec.channel, [0, 0])  # recordings, hits
+        count[0] += 1
         if stem.with_suffix(".bin").is_file() and stem.with_suffix(".json").is_file():
-            stat["hits"] += 1
-            if stat["shape"] is None:
-                stat["shape"] = (preprocess.expected_timesteps(rec.channel),
-                                 preprocess.feature_size(rec.channel))
+            count[1] += 1
             continue
-        tensor = preprocess.preprocess_channel(rec)
-        preprocess.save_tensor(tensor, stem)
-        stat["shape"] = tensor.values.shape
-    for channel in sorted(stats):
-        s = stats[channel]
-        t, f = s["shape"]
-        print(f"{channel}: {s['n']} recordings -> {t}x{f} "
-              f"({s['hits']} cached)")
+        preprocess.save_tensor(preprocess.preprocess_channel(rec), stem)
+    for channel, (n, hits) in sorted(counts.items()):
+        print(f"{channel}: {n} recordings -> {preprocess.expected_timesteps(channel)}x"
+              f"{preprocess.feature_size(channel)} ({hits} cached)")
     return 0
 
 

@@ -517,15 +517,25 @@ def load_recordings(data_dir: Path, manifest_path: Path | None = None) -> list[R
     with open(manifest_path, newline="") as fh:
         for row in csv.DictReader(fh):
             fpath = data_dir / row["file"]
+            channel, rate = row["channel"], float(row["sample_rate_hz"])
+            if channel not in CHANNEL_CATALOG:
+                raise DataError(f"{fpath}: unknown channel {channel!r}")
+            domain, native_hz = CHANNEL_CATALOG[channel]
+            if row["domain"] != domain.value:
+                raise DataError(f"{fpath}: {channel} belongs to domain "
+                                f"{domain.value}, manifest says {row['domain']!r}")
+            if native_hz is not None and rate != native_hz:
+                raise RateMismatchError(f"{fpath}: {channel} runs at {native_hz:g} Hz, "
+                                        f"manifest declares {rate:g} Hz")
             if not fpath.is_file():
                 raise MissingFileError(f"recording not found: {fpath}")
             ts, values = _read_sensor_csv(fpath)
             rec = RawRecording(
                 participant_id=row["participant_id"],
                 video_id=row["video_id"],
-                domain=Domain(row["domain"]),
-                channel=row["channel"],
-                sample_rate_hz=float(row["sample_rate_hz"]),
+                domain=domain,
+                channel=channel,
+                sample_rate_hz=rate,
                 timestamps_ms=ts,
                 values=values,
             )

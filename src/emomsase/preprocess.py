@@ -1,27 +1,18 @@
 """Signal conditioning: filtering, resampling, normalization, windowing.
 
-Every channel runs the same pipeline shape: condition (filter and/or
-resample) -> z-score over the full stream -> keep the trailing 40 s ->
-slice into 2 s windows with 50% overlap.  Eye traces skip filtering and
-window the last 2000 coordinates with a 200-sample window instead.
-
-The per-channel conditioning steps:
-  accelerometers       band-pass 0.5-20 Hz
-  ECG                  band-pass 0.5-45 Hz
-  EDA                  upsample 4 -> 64 Hz, then low-pass 0.5 Hz
-  BVP                  band-pass 0.5-4 Hz
-  TEMP                 upsample to 64 Hz if slower, 1 s moving average
-  eye positions        none
-
-All filters are 4th-order Butterworth applied forward and backward, so the
-net phase response is zero.  Windowed output shapes are fixed by the chain:
-39x128 at 64 Hz, 39x512 at 256 Hz, 19x200 for eye traces.
+``CHAINS`` maps each piped channel to its conditioning chain, and
+``preprocess_channel`` runs every chain through the same steps: upsample
+to the working rate, Butterworth-filter or smooth, z-score over the full
+stream, keep the tail, then cut windows with 50% overlap.  Tensor shapes
+and the cache key are read from the same row.  Filters are 4th-order
+Butterworth applied forward and backward, so the net phase is zero.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,14 +25,12 @@ from .dataio import EYE_CHANNELS, RawRecording
 TAIL_SECONDS = 40.0
 WINDOW_SECONDS = 2.0
 OVERLAP = 0.5
-ALIGNED_RATE_HZ = 64.0
 EYE_TAIL_SAMPLES = 2000
 EYE_WINDOW_SAMPLES = 200
 FILTER_ORDER = 4
 
 BAND_PASS = "bandpass"
 LOW_PASS = "lowpass"
-MOVING_AVERAGE = "moving_average"
 
 
 class PreprocessError(ValueError):
@@ -78,23 +67,20 @@ class UnsupportedChannelError(PreprocessError):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Conditioning step description: a Butterworth band or a moving average."""
+    """A Butterworth band-pass or low-pass filter."""
 
     kind: str
     low_hz: float | None = None
     high_hz: float | None = None
     order: int = FILTER_ORDER
-    window_len: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (BAND_PASS, LOW_PASS, MOVING_AVERAGE):
+        if self.kind not in (BAND_PASS, LOW_PASS):
             raise PreprocessError(f"unknown filter kind {self.kind!r}")
         if self.kind == BAND_PASS and (self.low_hz is None or self.high_hz is None):
             raise PreprocessError("band-pass needs both cutoffs")
         if self.kind == LOW_PASS and self.high_hz is None:
             raise PreprocessError("low-pass needs a cutoff")
-        if self.kind == MOVING_AVERAGE and not self.window_len:
-            raise PreprocessError("moving average needs a window length")
 
 
 def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> np.ndarray:
@@ -110,13 +96,11 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
                 f"band {spec.low_hz}-{spec.high_hz} Hz invalid at {rate_hz} Hz")
         b, a = butter(spec.order, [spec.low_hz, spec.high_hz],
                       btype="bandpass", fs=rate_hz)
-    elif spec.kind == LOW_PASS:
+    else:
         if not (0.0 < spec.high_hz < rate_hz / 2.0):
             raise CutoffOutOfRangeError(
                 f"cutoff {spec.high_hz} Hz invalid at {rate_hz} Hz")
         b, a = butter(spec.order, spec.high_hz, btype="lowpass", fs=rate_hz)
-    else:
-        raise PreprocessError(f"butterworth_filter cannot apply {spec.kind!r}")
     padlen = 3 * spec.order
     if signal.shape[0] <= padlen:
         raise SignalTooShortError(
@@ -174,24 +158,12 @@ def zscore(signal: np.ndarray) -> np.ndarray:
     return (signal - signal.mean()) / std
 
 
-def take_tail(signal: np.ndarray, rate_hz: float, seconds: float = TAIL_SECONDS) -> np.ndarray:
-    """Keep the trailing ``seconds`` worth of samples."""
+def take_tail(signal: np.ndarray, n: int) -> np.ndarray:
+    """Keep the last ``n`` samples."""
     signal = np.asarray(signal)
-    need = int(round(seconds * rate_hz))
-    if signal.shape[0] < need:
-        raise RecordingTooShortError(
-            f"need {need} samples for the trailing {seconds:g} s, "
-            f"got {signal.shape[0]}")
-    return signal[-need:]
-
-
-def take_tail_coords(coords: np.ndarray, n: int = EYE_TAIL_SAMPLES) -> np.ndarray:
-    """Keep the last ``n`` coordinate samples of an eye trace."""
-    coords = np.asarray(coords)
-    if coords.shape[0] < n:
-        raise RecordingTooShortError(
-            f"need {n} coordinates, got {coords.shape[0]}")
-    return coords[-n:]
+    if signal.shape[0] < n:
+        raise RecordingTooShortError(f"need {n} samples, got {signal.shape[0]}")
+    return signal[signal.shape[0] - n:]
 
 
 @dataclass
@@ -233,79 +205,83 @@ def segment(signal: np.ndarray, window_samples: int, overlap: float = OVERLAP,
     return WindowedTensor(values=np.ascontiguousarray(windows), source=source)
 
 
-# Conditioning chain per channel; eye channels are handled separately.
-_BAND = {
-    "ACC_X": (0.5, 20.0), "ACC_Y": (0.5, 20.0), "ACC_Z": (0.5, 20.0),
-    "LAT_ACC": (0.5, 20.0), "LONG_ACC": (0.5, 20.0), "VERT_ACC": (0.5, 20.0),
-    "ECG1": (0.5, 45.0), "ECG2": (0.5, 45.0),
-    "BVP": (0.5, 4.0),
+@dataclass(frozen=True)
+class Chain:
+    """How one channel is conditioned before windowing.
+
+    ``rate_hz`` is the rate the stream is filtered and windowed at; slower
+    streams are upsampled to it.  None marks a sample-indexed eye trace,
+    whose declared rate is ignored.  ``tail`` and ``window`` count samples.
+    """
+
+    rate_hz: float | None
+    filter: FilterSpec | None
+    smooth_len: int | None
+    tail: int
+    window: int
+
+
+def _sensor(rate_hz: float, spec: FilterSpec | None = None,
+            smooth_len: int | None = None) -> Chain:
+    return Chain(rate_hz, spec, smooth_len, tail=int(round(TAIL_SECONDS * rate_hz)),
+                 window=int(round(WINDOW_SECONDS * rate_hz)))
+
+
+_MOTION = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=20.0)
+_ECG = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=45.0)
+
+CHAINS: dict[str, Chain] = {
+    "ACC_X": _sensor(64.0, _MOTION),
+    "ACC_Y": _sensor(64.0, _MOTION),
+    "ACC_Z": _sensor(64.0, _MOTION),
+    "BVP": _sensor(64.0, FilterSpec(BAND_PASS, low_hz=0.5, high_hz=4.0)),
+    "EDA": _sensor(64.0, FilterSpec(LOW_PASS, high_hz=0.5)),
+    "TEMP": _sensor(64.0, smooth_len=64),  # 1 s moving average
+    "LAT_ACC": _sensor(256.0, _MOTION),
+    "LONG_ACC": _sensor(256.0, _MOTION),
+    "VERT_ACC": _sensor(256.0, _MOTION),
+    "ECG1": _sensor(256.0, _ECG),
+    "ECG2": _sensor(256.0, _ECG),
+    **{ch: Chain(None, None, None, EYE_TAIL_SAMPLES, EYE_WINDOW_SAMPLES)
+       for ch in EYE_CHANNELS},
 }
 
-# Rate of the stream that finally gets windowed (after any resampling).
-_WORKING_RATE_HZ = {
-    "ACC_X": 64.0, "ACC_Y": 64.0, "ACC_Z": 64.0,
-    "BVP": 64.0, "EDA": 64.0, "TEMP": 64.0,
-    "LAT_ACC": 256.0, "LONG_ACC": 256.0, "VERT_ACC": 256.0,
-    "ECG1": 256.0, "ECG2": 256.0,
-}
+
+def chain_for(channel: str) -> Chain:
+    """The channel's row of ``CHAINS``; UnsupportedChannelError if it has none."""
+    try:
+        return CHAINS[channel]
+    except KeyError:
+        raise UnsupportedChannelError(
+            f"no conditioning chain for channel {channel!r}") from None
 
 
 def feature_size(channel: str) -> int:
     """Window length (features per timestep) the chain produces for a channel."""
-    if channel in EYE_CHANNELS:
-        return EYE_WINDOW_SAMPLES
-    if channel in _WORKING_RATE_HZ:
-        return int(WINDOW_SECONDS * _WORKING_RATE_HZ[channel])
-    raise UnsupportedChannelError(f"no conditioning chain for channel {channel!r}")
+    return chain_for(channel).window
 
 
 def expected_timesteps(channel: str) -> int:
     """Window count the chain produces for a channel (39 sensor, 19 eye)."""
-    if channel in EYE_CHANNELS:
-        return (EYE_TAIL_SAMPLES - EYE_WINDOW_SAMPLES) // (EYE_WINDOW_SAMPLES // 2) + 1
-    # tail/window/hop all scale with the rate, so the count does not.
-    return int((TAIL_SECONDS - WINDOW_SECONDS) / (WINDOW_SECONDS * (1.0 - OVERLAP))) + 1
+    chain = chain_for(channel)
+    hop = int(round(chain.window * (1.0 - OVERLAP)))
+    return (chain.tail - chain.window) // hop + 1
 
 
 def preprocess_channel(rec: RawRecording) -> WindowedTensor:
     """Run one recording through its channel's full conditioning chain."""
-    source = (rec.participant_id, rec.video_id, rec.channel)
-    ch = rec.channel
+    chain = chain_for(rec.channel)
     x = np.asarray(rec.values, dtype=np.float64)
-    rate = float(rec.sample_rate_hz)
-
-    if ch in EYE_CHANNELS:
-        x = zscore(x)
-        x = take_tail_coords(x)
-        tensor = segment(x, EYE_WINDOW_SAMPLES, source=source)
-    elif ch in _BAND:
-        low, high = _BAND[ch]
-        x = butterworth_filter(x, rate, FilterSpec(BAND_PASS, low_hz=low, high_hz=high))
-        x = zscore(x)
-        x = take_tail(x, rate)
-        tensor = segment(x, int(round(WINDOW_SECONDS * rate)), source=source)
-    elif ch == "EDA":
-        x = upsample(x, rate, ALIGNED_RATE_HZ)
-        x = butterworth_filter(x, ALIGNED_RATE_HZ, FilterSpec(LOW_PASS, high_hz=0.5))
-        x = zscore(x)
-        x = take_tail(x, ALIGNED_RATE_HZ)
-        tensor = segment(x, int(round(WINDOW_SECONDS * ALIGNED_RATE_HZ)), source=source)
-    elif ch == "TEMP":
-        if rate < ALIGNED_RATE_HZ:
-            x = upsample(x, rate, ALIGNED_RATE_HZ)
-        x = moving_average(x, int(round(ALIGNED_RATE_HZ)))  # 1 s window
-        x = zscore(x)
-        x = take_tail(x, ALIGNED_RATE_HZ)
-        tensor = segment(x, int(round(WINDOW_SECONDS * ALIGNED_RATE_HZ)), source=source)
-    else:
-        raise UnsupportedChannelError(f"no conditioning chain for channel {ch!r}")
-
-    expected = (expected_timesteps(ch), feature_size(ch))
-    if tensor.values.shape != expected:
-        raise PreprocessError(
-            f"{ch}: windowed shape {tensor.values.shape} != expected {expected}")
+    if chain.rate_hz is not None and rec.sample_rate_hz != chain.rate_hz:
+        x = upsample(x, float(rec.sample_rate_hz), chain.rate_hz)
+    if chain.filter is not None:
+        x = butterworth_filter(x, chain.rate_hz, chain.filter)
+    if chain.smooth_len is not None:
+        x = moving_average(x, chain.smooth_len)
+    x = take_tail(zscore(x), chain.tail)
+    tensor = segment(x, chain.window, source=(rec.participant_id, rec.video_id, rec.channel))
     if not np.all(np.isfinite(tensor.values)):
-        raise PreprocessError(f"{ch}: non-finite values after conditioning")
+        raise PreprocessError(f"{rec.channel}: non-finite values after conditioning")
     return tensor
 
 
@@ -317,23 +293,32 @@ _MAGIC_DTYPE = "<f8"
 
 
 def tensor_cache_key(rec: RawRecording) -> str:
-    """Content hash identifying one recording + chain version in the cache."""
+    """Content hash of one recording and the chain that conditions it."""
     h = hashlib.sha256()
     h.update(f"{rec.participant_id}|{rec.video_id}|{rec.channel}|"
-             f"{rec.sample_rate_hz!r}|v1|".encode())
+             f"{rec.sample_rate_hz!r}|v1|{chain_for(rec.channel)!r}|{OVERLAP!r}|".encode())
     h.update(rec.timestamps_ms.astype("<i8").tobytes())
     h.update(rec.values.astype(_MAGIC_DTYPE).tobytes())
     return h.hexdigest()[:20]
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``path`` via a temporary sibling, so it never exists half-written."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
     """Write ``stem``.bin (uint32 T,F then float64 row-major, little-endian)
-    and a JSON sidecar with the source metadata."""
+    and, last, a JSON sidecar with the source metadata."""
     stem = Path(stem)
     t, f = tensor.values.shape
-    with open(stem.with_suffix(".bin"), "wb") as fh:
-        fh.write(struct.pack("<II", t, f))
-        fh.write(tensor.values.astype(_MAGIC_DTYPE).tobytes())
+    _write_atomic(stem.with_suffix(".bin"),
+                  struct.pack("<II", t, f) + tensor.values.astype(_MAGIC_DTYPE).tobytes())
     src = tensor.source or ("", "", "")
     sidecar = {
         "participant_id": src[0],
@@ -343,7 +328,8 @@ def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
         "window_len": f,
         "dtype": _MAGIC_DTYPE,
     }
-    stem.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    _write_atomic(stem.with_suffix(".json"),
+                  (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
 
 
 def load_tensor(stem: Path) -> WindowedTensor:

@@ -1,13 +1,16 @@
 """Command-line workflows: synth, preprocess, run, gradcheck, report."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from emomsase import autodiff as ad
-from emomsase import dataio
+from emomsase import dataio, preprocess
 from emomsase.cli import main
 
 EYE_ONLY = {
@@ -66,6 +69,71 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "b"),
                  "--participants", "2"]) == 0
     assert "for 2 participants" in capsys.readouterr().out
+
+
+def test_chain_edit_invalidates_the_cache(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, {})
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    main(["synth", "--config", cfg, "--out", str(data), "--participants", "3"])
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 0
+    row = preprocess.CHAINS["L_EP_Y"]
+    monkeypatch.setitem(preprocess.CHAINS, "L_EP_Y",
+                        dataclasses.replace(row, tail=row.tail + 100))
+    capsys.readouterr()
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 0
+    assert "L_EP_Y: 39 recordings -> 20x200 (0 cached)" in capsys.readouterr().out
+    # old and new tensors now sit side by side; training on them is refused
+    assert main(["run", "--config", cfg, "--cache", str(cache),
+                 "--ratings", str(data / "ratings.csv"),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate tensors" in err and "clear the cache" in err
+
+
+def test_unpiped_channel_writes_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {})
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    main(["synth", "--config", cfg, "--out", str(data), "--participants", "1"])
+    n = 512  # 2 s of GSR, which the trunk unit records but no chain conditions
+    gsr = dataio.RawRecording(
+        participant_id="p01", video_id="video01", domain=dataio.Domain.TRUNK,
+        channel="GSR", sample_rate_hz=256.0,
+        timestamps_ms=np.round(np.arange(n) * 1000.0 / 256.0).astype(np.int64),
+        values=np.zeros(n))
+    dataio.write_recording_csv(gsr, data / "gsr.csv")
+    with open(data / "manifest.csv", "a") as fh:
+        fh.write("gsr.csv,p01,video01,Trunk,GSR,256.0\n")
+    capsys.readouterr()
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 1
+    assert "no conditioning chain for channel 'GSR'" in capsys.readouterr().err
+    assert list(cache.glob("*")) == []
+
+
+def test_interrupted_sidecar_write_is_a_miss(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, {})
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    main(["synth", "--config", cfg, "--out", str(data), "--participants", "1"])
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(".json"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 1
+    # the binary landed, its sidecar did not, and no temporary file is left
+    assert [p.suffix for p in cache.iterdir()] == [".bin"]
+    monkeypatch.setattr(os, "replace", real_replace)
+    capsys.readouterr()
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 0
+    assert "L_EP_Y: 13 recordings -> 19x200 (0 cached)" in capsys.readouterr().out
+    assert len(list(cache.glob("*.json"))) == 13
 
 
 def test_run_then_report_round_trip(tmp_path, capsys):
@@ -161,6 +229,14 @@ def test_runtime_errors_exit_1(tmp_path, capsys, monkeypatch):
                  "--ratings", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "out")]) == 1
     capsys.readouterr()
+    # a manifest row that disagrees with the channel catalogue
+    bad = tmp_path / "bad_manifest"
+    bad.mkdir()
+    (bad / "manifest.csv").write_text(
+        "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
+        "x.csv,p01,video01,Trunk,L_EP_Y,1.0\n")
+    assert main(["preprocess", "--data", str(bad), "--cache", str(cache)]) == 1
+    assert "x.csv: L_EP_Y belongs to domain Head" in capsys.readouterr().err
     # a diverging step turns the activations non-finite
     huge_lr = _write_config(tmp_path, {"train": {"learning_rate": 1e200}})
     assert main(["run", "--config", huge_lr, "--cache", str(cache),

@@ -279,6 +279,32 @@ def test_load_recordings_missing_files(tmp_path):
         dataio.load_recordings(tmp_path)
 
 
+def _manifest_row(tmp_path, domain, channel, rate):
+    """A one-row manifest whose sensor file would fail to parse."""
+    (tmp_path / "rec.csv").write_text("timestamp_ms,value\nnot,numbers\n")
+    (tmp_path / "manifest.csv").write_text(
+        "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
+        f"rec.csv,p01,video01,{domain},{channel},{rate}\n")
+
+
+def test_load_recordings_rejects_unknown_channel(tmp_path):
+    _manifest_row(tmp_path, "Trunk", "SPO2", 64.0)
+    with pytest.raises(DataError, match=r"rec\.csv: unknown channel 'SPO2'"):
+        dataio.load_recordings(tmp_path)
+
+
+def test_load_recordings_rejects_domain_disagreement(tmp_path):
+    _manifest_row(tmp_path, "Trunk", "EDA", 4.0)
+    with pytest.raises(DataError, match=r"rec\.csv: EDA belongs to domain Peripheral"):
+        dataio.load_recordings(tmp_path)
+
+
+def test_load_recordings_rejects_rate_off_native(tmp_path):
+    _manifest_row(tmp_path, "Trunk", "ECG1", 128.0)
+    with pytest.raises(RateMismatchError, match=r"rec\.csv: ECG1 runs at 256 Hz"):
+        dataio.load_recordings(tmp_path)
+
+
 def test_level_codes():
     assert dataio.level_code("valence", LOW) == "LV"
     assert dataio.level_code("valence", HIGH) == "HV"

@@ -1,17 +1,20 @@
 """Signal conditioning tests against loop-based and filter-design oracles."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomsase import dataio, preprocess
 from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
 from emomsase.preprocess import (
-    BAND_PASS, LOW_PASS, CutoffOutOfRangeError, FilterSpec, NonIntegerHopError,
-    PreprocessError, RecordingTooShortError, SignalTooShortError,
-    WindowLargerThanSignalError, ZeroVarianceError, butterworth_filter,
-    expected_timesteps, feature_size, load_tensor, moving_average,
-    preprocess_channel, save_tensor, segment, take_tail, take_tail_coords,
+    BAND_PASS, CHAINS, LOW_PASS, CutoffOutOfRangeError, FilterSpec,
+    NonIntegerHopError, PreprocessError, RecordingTooShortError,
+    SignalTooShortError, WindowLargerThanSignalError, ZeroVarianceError,
+    butterworth_filter, expected_timesteps, feature_size, load_tensor,
+    moving_average, preprocess_channel, save_tensor, segment, take_tail,
     tensor_cache_key, upsample, zscore,
 )
 
@@ -175,15 +178,15 @@ def test_zscore_population_moments():
 
 def test_take_tail_lengths():
     x = np.arange(3000.0)
-    tail = take_tail(x, 64.0)
+    tail = take_tail(x, 2560)  # 40 s at 64 Hz
     assert tail.shape == (2560,)
     npt.assert_array_equal(tail, x[-2560:])
     with pytest.raises(RecordingTooShortError):
-        take_tail(np.zeros(2559), 64.0)
-    eye = take_tail_coords(np.arange(2500.0))
+        take_tail(np.zeros(2559), 2560)
+    eye = take_tail(np.arange(2500.0), 2000)
     assert eye.shape == (2000,)
     with pytest.raises(RecordingTooShortError):
-        take_tail_coords(np.zeros(1999))
+        take_tail(np.zeros(1999), 2000)
 
 
 def test_segment_layout_and_counts():
@@ -204,6 +207,50 @@ def test_segment_rejects_bad_geometry():
         segment(np.zeros(100), 3)  # hop would be 1.5
     with pytest.raises(PreprocessError):
         segment(np.zeros(100), 0)
+
+
+# Properties over random lengths and rates
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, hop=st.integers(1, 64), extra=st.integers(0, 400))
+def test_segment_rows_are_hop_spaced_slices(seed, hop, extra):
+    window = 2 * hop
+    x = np.random.default_rng(seed).standard_normal(window + extra)
+    tensor = segment(x, window)
+    assert tensor.n_windows == count_windows_reference(x.shape[0], window, hop)
+    for t in range(tensor.n_windows):
+        npt.assert_array_equal(tensor.values[t], x[t * hop:t * hop + window])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, n=st.integers(1, 200), from_hz=st.integers(1, 64),
+       ratio=st.floats(1.0, 20.0))
+def test_upsample_length_and_values(seed, n, from_hz, ratio):
+    to_hz = from_hz * ratio
+    x = np.random.default_rng(seed).standard_normal(n)
+    got = upsample(x, float(from_hz), to_hz)
+    assert got.shape == (int(round(n * to_hz / from_hz)),)
+    npt.assert_allclose(got, upsample_reference(x, from_hz, to_hz), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, n=st.integers(2, 500), scale=st.floats(0.5, 10.0),
+       offset=st.floats(-10.0, 10.0))
+def test_zscore_moments(seed, n, scale, offset):
+    z = zscore(offset + scale * np.random.default_rng(seed).standard_normal(n))
+    assert abs(z.mean()) <= 1e-12
+    assert abs(z.std() - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 300), extra=st.integers(0, 300))
+def test_take_tail_keeps_the_last_n(n, extra):
+    x = np.arange(float(n + extra))
+    npt.assert_array_equal(take_tail(x, n), x[extra:])
+    with pytest.raises(RecordingTooShortError):
+        take_tail(x, n + extra + 1)
 
 
 def test_expected_shapes_per_channel():
@@ -235,6 +282,43 @@ def test_preprocess_channel_full_chain_shapes():
                                        feature_size(rec.channel))
         assert np.all(np.isfinite(tensor.values))
         assert tensor.source == (rec.participant_id, rec.video_id, rec.channel)
+
+
+def test_every_piped_channel_has_a_chain():
+    assert set(dataio.CHANNEL_CATALOG) - set(CHAINS) == {"GSR"}
+    assert set(CHAINS) <= set(dataio.CHANNEL_CATALOG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(channel=st.sampled_from(sorted(CHAINS)), seed=_seeds, extra=st.floats(0.0, 1.0))
+def test_every_chain_gives_its_declared_shape(channel, seed, extra):
+    chain = CHAINS[channel]
+    rate = dataio.synth_rate(channel)
+    # the shortest stream that still fills the tail at the working rate
+    shortest = chain.tail if chain.rate_hz is None else int(
+        np.ceil(chain.tail * rate / chain.rate_hz))
+    n = shortest + int(extra * shortest)
+    rec = dataio.RawRecording(
+        participant_id="p01", video_id="video01",
+        domain=dataio.CHANNEL_CATALOG[channel][0], channel=channel,
+        sample_rate_hz=rate,
+        timestamps_ms=np.round(np.arange(n) * 1000.0 / rate).astype(np.int64),
+        values=np.random.default_rng(seed).standard_normal(n))
+    tensor = preprocess_channel(rec)
+    assert tensor.values.shape == (expected_timesteps(channel), feature_size(channel))
+
+
+def test_temp_faster_than_working_rate_is_refused():
+    # windowing a 128 Hz stream with the 64 Hz geometry would yield 1 s
+    # windows over a 20 s tail under the usual 39x128 shape
+    n = 60 * 128
+    rec = dataio.RawRecording(
+        participant_id="p01", video_id="video01", domain=dataio.Domain.PERIPHERAL,
+        channel="TEMP", sample_rate_hz=128.0,
+        timestamps_ms=np.round(np.arange(n) * 1000.0 / 128.0).astype(np.int64),
+        values=np.random.default_rng(0).standard_normal(n))
+    with pytest.raises(PreprocessError, match="downsample"):
+        preprocess_channel(rec)
 
 
 def test_preprocess_channel_rejects_unknown_channel():
@@ -272,6 +356,19 @@ def test_cache_key_depends_on_content_and_identity():
         channel=rec.channel, sample_rate_hz=rec.sample_rate_hz,
         timestamps_ms=rec.timestamps_ms, values=rec.values)
     assert tensor_cache_key(renamed) != key
+
+
+def test_cache_key_follows_the_chain(monkeypatch):
+    rec = _one_recording(channel="ACC_Z")
+    key = tensor_cache_key(rec)
+    row = CHAINS["ACC_Z"]
+    monkeypatch.setitem(CHAINS, "ACC_Z", dataclasses.replace(
+        row, filter=dataclasses.replace(row.filter, low_hz=0.4)))
+    assert tensor_cache_key(rec) != key
+    monkeypatch.setitem(CHAINS, "ACC_Z", dataclasses.replace(row, tail=row.tail - 64))
+    assert tensor_cache_key(rec) != key
+    monkeypatch.setitem(CHAINS, "ACC_Z", row)
+    assert tensor_cache_key(rec) == key
 
 
 def test_tensor_save_load_round_trip(tmp_path):
