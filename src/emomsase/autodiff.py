@@ -8,8 +8,15 @@ backpropagation through time in one step.  Everything is float64.
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
 and replays the closures in reverse.  An inference tape
-(``recording=False``) keeps no closures and no per-step LSTM cache, and
+(``recording=False``) keeps no closures and no per-step LSTM state, and
 cannot be replayed.  Sequence tensors are batch-first (B, T, F).
+
+Inside, the LSTM layer is time-major, (T, B, .): the input projection of
+every step is one (T*B, F) product, gates and states go into preallocated
+arrays, and the layer returns its hidden states as a (B, T, H) view.  Only
+the recurrence runs step by step.  Its backward fills one (T, B, 4H) array
+of gate gradients, then takes the weight, bias and input gradients each as
+one product or sum over all T*B rows.
 """
 
 from __future__ import annotations
@@ -151,10 +158,22 @@ def reshape(tape: Tape, x: Var, shape: tuple) -> Var:
     return out
 
 
+def _tanh_gates(z: np.ndarray, n_sigmoid: int) -> np.ndarray:
+    """Activate ``z`` in place with one tanh call and return it.
+
+    The first ``n_sigmoid`` columns must arrive halved and leave as
+    sigmoids, sigma(z) = tanh(z/2)/2 + 1/2; the rest leave as tanh.  No
+    finite input overflows, and a saturated sigmoid is exactly 0 or 1.
+    """
+    np.tanh(z, out=z)
+    s = z[..., :n_sigmoid]
+    s *= 0.5
+    s += 0.5
+    return z
+
+
 def sigmoid(tape: Tape, x: Var) -> Var:
-    # the exponential argument is kept non-positive so it cannot overflow
-    ev = np.exp(-np.abs(x.value))
-    y = np.where(x.value >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
+    y = _tanh_gates(0.5 * x.value, x.value.shape[-1])
     out = Var(y)
 
     def back():
@@ -286,9 +305,11 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     """One LSTM layer over a full (B, T, F) sequence, hidden size H.
 
     Gate blocks in ``wx``/``wh``/``b`` are ordered input, forget, output,
-    cell-candidate, so one sigmoid covers the first three blocks and one
-    tanh the last.  State starts at zero.  Returns the hidden sequence
-    (B, T, H); the backward closure runs full backpropagation through time.
+    cell-candidate.  State starts at zero.  Returns the hidden sequence
+    (B, T, H) as a view of time-major (T, B, H) storage; the backward
+    closure runs full backpropagation through time.  The three sigmoid
+    blocks of the weights enter halved (exact in binary floating point), so
+    one tanh per step activates all 4H gate columns in place.
     """
     bsz, t_len, f_in = x.value.shape
     if wx.value.shape[0] != f_in:
@@ -297,63 +318,72 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     h_dim = wx.value.shape[1] // 4
     if wx.value.shape[1] != 4 * h_dim or wh.value.shape != (h_dim, 4 * h_dim):
         raise ShapeMismatchError("LSTM weights must pack 4 gate blocks")
-    h3 = 3 * h_dim
+    h2, h3 = 2 * h_dim, 3 * h_dim
 
-    whv = wh.value
-    pre = x.value.reshape(bsz * t_len, f_in) @ wx.value
-    pre = pre.reshape(bsz, t_len, 4 * h_dim) + b.value
+    half = np.ones(4 * h_dim)
+    half[:h3] = 0.5
+    xs = x.value.transpose(1, 0, 2).reshape(t_len * bsz, f_in)
+    act = (xs @ (wx.value * half)).reshape(t_len, bsz, 4 * h_dim)
+    act += b.value * half
+    wh_half = wh.value * half
 
-    hs = np.empty((bsz, t_len, h_dim))
-    cache = []
-    h_prev = np.zeros((bsz, h_dim))
-    c_prev = np.zeros((bsz, h_dim))
+    # row t + 1 holds the state after step t, row 0 the zero start; an
+    # inference tape keeps c in a two-row ring and tanh(c) in one row
+    ring = t_len + 1 if tape.recording else 2
+    hs = np.zeros((t_len + 1, bsz, h_dim))
+    cs = np.zeros((ring, bsz, h_dim))
+    tcs = np.empty((ring - 1, bsz, h_dim))
+    rec = np.empty((bsz, 4 * h_dim))
+    ig = np.empty((bsz, h_dim))
     for t in range(t_len):
-        z = pre[:, t, :] + h_prev @ whv
-        zs = z[:, :h3]
-        ez = np.exp(-np.abs(zs))
-        sig = np.where(zs >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-        g = np.tanh(z[:, h3:])
-        i = sig[:, :h_dim]
-        f = sig[:, h_dim:2 * h_dim]
-        o = sig[:, 2 * h_dim:]
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs[:, t, :] = h
-        if tape.recording:
-            cache.append((sig, g, c_prev, tc, h_prev))
-        h_prev, c_prev = h, c
-    out = Var(hs)
+        z = act[t]
+        np.matmul(hs[t], wh_half, out=rec)
+        z += rec
+        _tanh_gates(z, h3)
+        c = cs[(t + 1) % ring]
+        np.multiply(z[:, h_dim:h2], cs[t % ring], out=c)
+        np.multiply(z[:, :h_dim], z[:, h3:], out=ig)
+        c += ig
+        tc = np.tanh(c, out=tcs[t % (ring - 1)])
+        np.multiply(z[:, h2:h3], tc, out=hs[t + 1])
+    out = Var(hs[1:].transpose(1, 0, 2))
 
     def back():
-        d_pre = np.empty((bsz, t_len, 4 * h_dim))
-        d_wh = np.zeros_like(whv)
-        wh_t = whv.T
+        dhs = out.grad.transpose(1, 0, 2).copy()
+        dzs = np.empty_like(act)
+        d_gate = np.empty((bsz, 4 * h_dim))
+        dh_dc = np.empty((bsz, h_dim))
+        dc = np.zeros((bsz, h_dim))
         dh_next = np.zeros((bsz, h_dim))
-        dc_next = np.zeros((bsz, h_dim))
+        wh_t = wh.value.T
         for t in range(t_len - 1, -1, -1):
-            sig, g, c_prev_t, tc, h_prev_t = cache[t]
-            i = sig[:, :h_dim]
-            f = sig[:, h_dim:2 * h_dim]
-            o = sig[:, 2 * h_dim:]
-            dh = out.grad[:, t, :] + dh_next
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            dz = d_pre[:, t, :]
-            dz[:, :h_dim] = dc * g
-            dz[:, h_dim:2 * h_dim] = dc * c_prev_t
-            dz[:, 2 * h_dim:h3] = do
-            dz[:, :h3] *= sig * (1.0 - sig)
-            dz[:, h3:] = (dc * i) * (1.0 - g * g)
-            dc_next = dc * f
-            d_wh += h_prev_t.T @ dz
-            dh_next = dz @ wh_t
-        flat = d_pre.reshape(bsz * t_len, 4 * h_dim)
-        _acc(wx, x.value.reshape(bsz * t_len, f_in).T @ flat)
-        _acc(wh, d_wh)
+            gates, tc, dz, dh = act[t], tcs[t], dzs[t], dhs[t]
+            # local derivatives while this step's rows are in cache (one pass
+            # over all T at once was slower): sigma(1 - sigma), 1 - g^2, and
+            # o(1 - tanh(c)^2), the path from dh to dc
+            np.subtract(1.0, gates[:, :h3], out=d_gate[:, :h3])
+            d_gate[:, :h3] *= gates[:, :h3]
+            np.multiply(gates[:, h3:], gates[:, h3:], out=d_gate[:, h3:])
+            np.subtract(1.0, d_gate[:, h3:], out=d_gate[:, h3:])
+            np.multiply(tc, tc, out=dh_dc)
+            np.subtract(1.0, dh_dc, out=dh_dc)
+            dh_dc *= gates[:, h2:h3]
+            dh += dh_next
+            np.multiply(dh, tc, out=dz[:, h2:h3])
+            dh *= dh_dc
+            dc += dh
+            np.multiply(dc, gates[:, h3:], out=dz[:, :h_dim])
+            np.multiply(dc, cs[t], out=dz[:, h_dim:h2])
+            np.multiply(dc, gates[:, :h_dim], out=dz[:, h3:])
+            dz *= d_gate
+            dc *= gates[:, h_dim:h2]
+            np.matmul(dz, wh_t, out=dh_next)
+        flat = dzs.reshape(t_len * bsz, 4 * h_dim)
+        _acc(wx, xs.T @ flat)
+        _acc(wh, hs[:-1].reshape(t_len * bsz, h_dim).T @ flat)
         _acc(b, flat.sum(axis=0))
         if x.requires_grad:
-            _acc(x, (flat @ wx.value.T).reshape(bsz, t_len, f_in))
+            _acc(x, (flat @ wx.value.T).reshape(t_len, bsz, f_in).transpose(1, 0, 2))
     tape.record(back)
     return out
 

@@ -517,7 +517,12 @@ def load_recordings(data_dir: Path, manifest_path: Path | None = None) -> list[R
     with open(manifest_path, newline="") as fh:
         for row in csv.DictReader(fh):
             fpath = data_dir / row["file"]
-            channel, rate = row["channel"], float(row["sample_rate_hz"])
+            channel, raw_rate = row["channel"], row["sample_rate_hz"]
+            try:
+                rate = float(raw_rate)
+            except (TypeError, ValueError):
+                raise DataError(f"{fpath}: sample_rate_hz {raw_rate!r} "
+                                "is not a number") from None
             if channel not in CHANNEL_CATALOG:
                 raise DataError(f"{fpath}: unknown channel {channel!r}")
             domain, native_hz = CHANNEL_CATALOG[channel]

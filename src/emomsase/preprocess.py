@@ -273,6 +273,10 @@ def preprocess_channel(rec: RawRecording) -> WindowedTensor:
     chain = chain_for(rec.channel)
     x = np.asarray(rec.values, dtype=np.float64)
     if chain.rate_hz is not None and rec.sample_rate_hz != chain.rate_hz:
+        if rec.sample_rate_hz > chain.rate_hz:
+            raise PreprocessError(
+                f"{rec.participant_id}/{rec.video_id}/{rec.channel}: cannot downsample "
+                f"{rec.sample_rate_hz:g} Hz to the {chain.rate_hz:g} Hz working rate")
         x = upsample(x, float(rec.sample_rate_hz), chain.rate_hz)
     if chain.filter is not None:
         x = butterworth_filter(x, chain.rate_hz, chain.filter)

@@ -110,18 +110,31 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
+        # both bias corrections fold into two scalars:
+        # lr * m_hat / (sqrt(v_hat) + eps) = step * m / (sqrt(v) / root_c2 + eps)
+        step = self.lr / (1.0 - self.beta1 ** self.t)
+        root_c2 = np.sqrt(1.0 - self.beta2 ** self.t)
+        decay = self.lr * self.weight_decay
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient for {p.name}")
+            s = np.empty_like(g)  # the one temporary, reused by every update below
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.value -= self.lr * self.weight_decay * p.value
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v += s
+            np.multiply(p.value, decay, out=s)
+            p.value -= s
+            np.sqrt(v, out=s)
+            s /= root_c2
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= step
+            p.value -= s
 
 
 def evaluate_loss(model: EmoMsase, data: LabeledSet,

@@ -37,6 +37,50 @@ def lstm_sequence_reference(x, wx, wh, b):
     return out
 
 
+def lstm_backward_reference(x, wx, wh, b, d_out):
+    """Gradients of sum(d_out * hidden) for one LSTM layer, by BPTT written
+    out sample by sample and step by step.
+
+    Same gate layout as ``lstm_sequence_reference``.  Returns the gradients
+    with respect to (x, wx, wh, b).
+    """
+    bsz, t_len, _ = x.shape
+    h_dim = wx.shape[1] // 4
+    dx, dwx = np.zeros_like(x), np.zeros_like(wx)
+    dwh, db = np.zeros_like(wh), np.zeros_like(b)
+    for bi in range(bsz):
+        hs, cs, gates = [np.zeros(h_dim)], [np.zeros(h_dim)], []
+        for t in range(t_len):
+            z = x[bi, t] @ wx + hs[-1] @ wh + b
+            i_gate = 1.0 / (1.0 + np.exp(-z[0:h_dim]))
+            f_gate = 1.0 / (1.0 + np.exp(-z[h_dim:2 * h_dim]))
+            o_gate = 1.0 / (1.0 + np.exp(-z[2 * h_dim:3 * h_dim]))
+            g_cand = np.tanh(z[3 * h_dim:4 * h_dim])
+            cs.append(f_gate * cs[-1] + i_gate * g_cand)
+            hs.append(o_gate * np.tanh(cs[-1]))
+            gates.append((i_gate, f_gate, o_gate, g_cand))
+        dh_next = np.zeros(h_dim)
+        dc_next = np.zeros(h_dim)
+        for t in reversed(range(t_len)):
+            i_gate, f_gate, o_gate, g_cand = gates[t]
+            tanh_c = np.tanh(cs[t + 1])
+            dh = d_out[bi, t] + dh_next
+            dc = dc_next + dh * o_gate * (1.0 - tanh_c ** 2)
+            dz = np.concatenate([
+                dc * g_cand * i_gate * (1.0 - i_gate),
+                dc * cs[t] * f_gate * (1.0 - f_gate),
+                dh * tanh_c * o_gate * (1.0 - o_gate),
+                dc * i_gate * (1.0 - g_cand ** 2),
+            ])
+            dwx += np.outer(x[bi, t], dz)
+            dwh += np.outer(hs[t], dz)
+            db += dz
+            dx[bi, t] = wx @ dz
+            dh_next = wh @ dz
+            dc_next = dc * f_gate
+    return dx, dwx, dwh, db
+
+
 # ---------------------------------------------------------------------------
 # Attention and squeeze-and-excitation
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each backward test projects the op output to a scalar with a fixed random
 matrix, replays the tape, and compares every input gradient against
 central differences of the same forward computation.  The LSTM forward is
-additionally pinned to a step-by-step scalar reference.
+additionally pinned to a step-by-step scalar reference, and its backward
+to a per-sample BPTT reference over random shapes.
 """
 
 import tracemalloc
@@ -11,14 +12,15 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emomsase import autodiff as ad
 from emomsase.autodiff import (
     Param, ShapeMismatchError, Tape, TapeConsumedError, Var,
 )
 
-from reference_impls import fd_gradient, lstm_sequence_reference, \
-    merge_timesteps_reference
+from reference_impls import fd_gradient, lstm_backward_reference, \
+    lstm_sequence_reference, merge_timesteps_reference
 
 
 def _project(out_value, r):
@@ -232,6 +234,75 @@ def test_lstm_shape_errors():
     with pytest.raises(ShapeMismatchError):
         ad.lstm_layer(Tape(), Var(np.zeros((2, 4, 3))), Var(np.zeros((3, 8))),
                       Var(np.zeros((3, 8))), Var(np.zeros(8)))
+
+
+_lstm_shapes = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+                         st.integers(1, 5))
+
+
+def _lstm_draw(seed, shape, scale=0.5):
+    bsz, t_len, f_in, h_dim = shape
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((bsz, t_len, f_in)),
+            scale * rng.standard_normal((f_in, 4 * h_dim)),
+            scale * rng.standard_normal((h_dim, 4 * h_dim)),
+            scale * rng.standard_normal(4 * h_dim),
+            rng.standard_normal((bsz, t_len, h_dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=_lstm_shapes)
+@example(seed=0, shape=(1, 1, 1, 1))  # B = 1 and T = 1 always run
+@example(seed=1, shape=(1, 6, 3, 2))
+@example(seed=2, shape=(4, 1, 3, 2))
+def test_lstm_backward_matches_bptt_reference(seed, shape):
+    x, wx, wh, b, d_out = _lstm_draw(seed, shape)
+    vs = [Var(a) for a in (x, wx, wh, b)]
+    tape = Tape()
+    out = ad.lstm_layer(tape, *vs)
+    out.grad = d_out  # replay by hand with this output gradient
+    for step in reversed(tape._steps):
+        step()
+    for v, ref, name in zip(vs, lstm_backward_reference(x, wx, wh, b, d_out),
+                            ("x", "wx", "wh", "b")):
+        npt.assert_allclose(v.grad, ref, rtol=0, atol=1e-10, err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=_lstm_shapes)
+def test_lstm_inference_tape_forward_is_recording_forward(seed, shape):
+    x, wx, wh, b, _ = _lstm_draw(seed, shape)
+    vs = [Var(a) for a in (x, wx, wh, b)]
+    recorded = ad.lstm_layer(Tape(), *vs).value
+    inferred = ad.lstm_layer(Tape(recording=False), *vs).value
+    assert np.array_equal(inferred, recorded)
+
+
+def test_lstm_saturated_gates_stay_exact_and_finite():
+    # pre-activations of +-1e3 push every sigmoid gate to exactly 0 or 1 and
+    # the candidate to exactly +-1, with no overflow or underflow anywhere
+    rng = np.random.default_rng(7)
+    bsz, t_len, f_in, h_dim = 3, 5, 2, 4
+    x = Var(rng.standard_normal((bsz, t_len, f_in)))
+    wx = Var(0.1 * rng.standard_normal((f_in, 4 * h_dim)))
+    wh = Var(0.1 * rng.standard_normal((h_dim, 4 * h_dim)))
+    b = Var(1e3 * rng.choice([-1.0, 1.0], 4 * h_dim))
+    with np.errstate(all="raise"):
+        tape = Tape()
+        out = ad.lstm_layer(tape, x, wx, wh, b)
+        tape.backward(out)
+        gates = ad.sigmoid(Tape(), Var(b.value)).value
+    assert set(np.unique(gates)) <= {0.0, 1.0}
+    on = b.value > 0
+    i_gate, f_gate, o_gate = (on[k * h_dim:(k + 1) * h_dim] for k in range(3))
+    g_cand = np.where(on[3 * h_dim:], 1.0, -1.0)
+    c = np.zeros(h_dim)
+    for t in range(t_len):
+        c = f_gate * c + i_gate * g_cand
+        expected = o_gate * np.tanh(c)
+        npt.assert_array_equal(out.value[:, t], np.broadcast_to(expected, (bsz, h_dim)))
+    for v in (x, wx, wh, b):
+        assert np.isfinite(v.grad).all()
 
 
 # ---------------------------------------------------------------------------

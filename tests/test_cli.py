@@ -237,6 +237,12 @@ def test_runtime_errors_exit_1(tmp_path, capsys, monkeypatch):
         "x.csv,p01,video01,Trunk,L_EP_Y,1.0\n")
     assert main(["preprocess", "--data", str(bad), "--cache", str(cache)]) == 1
     assert "x.csv: L_EP_Y belongs to domain Head" in capsys.readouterr().err
+    # a sample rate that is not a number
+    (bad / "manifest.csv").write_text(
+        "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
+        "x.csv,p01,video01,Head,L_EP_Y,fast\n")
+    assert main(["preprocess", "--data", str(bad), "--cache", str(cache)]) == 1
+    assert "x.csv: sample_rate_hz 'fast' is not a number" in capsys.readouterr().err
     # a diverging step turns the activations non-finite
     huge_lr = _write_config(tmp_path, {"train": {"learning_rate": 1e200}})
     assert main(["run", "--config", huge_lr, "--cache", str(cache),

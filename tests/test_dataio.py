@@ -305,6 +305,12 @@ def test_load_recordings_rejects_rate_off_native(tmp_path):
         dataio.load_recordings(tmp_path)
 
 
+def test_load_recordings_rejects_non_numeric_rate(tmp_path):
+    _manifest_row(tmp_path, "Head", "L_EP_X", "fast")
+    with pytest.raises(DataError, match=r"rec\.csv: sample_rate_hz 'fast' is not a number"):
+        dataio.load_recordings(tmp_path)
+
+
 def test_level_codes():
     assert dataio.level_code("valence", LOW) == "LV"
     assert dataio.level_code("valence", HIGH) == "HV"

@@ -317,7 +317,8 @@ def test_temp_faster_than_working_rate_is_refused():
         channel="TEMP", sample_rate_hz=128.0,
         timestamps_ms=np.round(np.arange(n) * 1000.0 / 128.0).astype(np.int64),
         values=np.random.default_rng(0).standard_normal(n))
-    with pytest.raises(PreprocessError, match="downsample"):
+    with pytest.raises(PreprocessError,
+                       match=r"p01/video01/TEMP: cannot downsample 128 Hz to the 64 Hz"):
         preprocess_channel(rec)
 
 
