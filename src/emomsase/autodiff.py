@@ -2,8 +2,14 @@
 
 Covers exactly the primitives the classifier graph needs: dense products,
 elementwise nonlinearities, softmax, attention-style pooling, concatenation,
-broadcast multiply, and a fused LSTM layer whose backward pass runs
-backpropagation through time in one step.  Everything is float64.
+broadcast multiply, a fused LSTM layer whose backward pass runs
+backpropagation through time in one step, and a log-sum-exp cross-entropy.
+
+The compute dtype belongs to the tape: float64 by default, float32 for the
+train steps of ``fit``.  An op reads every input cast to its tape's dtype
+and allocates in that dtype, so its output and the gradients it passes back
+are of that dtype too.  A ``Param`` is float64 master storage: its value is
+cast when an op reads it, and its float64 ``grad`` upcasts what arrives.
 
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
@@ -36,24 +42,32 @@ class TapeConsumedError(RuntimeError):
     pass
 
 
+COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Var:
-    """A value in the computation graph with a gradient slot."""
+    """A value in the computation graph with a gradient slot.
+
+    A float32 or float64 value keeps its dtype; anything else becomes float64.
+    """
 
     __slots__ = ("value", "grad", "requires_grad")
 
     def __init__(self, value: np.ndarray, requires_grad: bool = True):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype in COMPUTE_DTYPES else value.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
 
 
 class Param(Var):
-    """Named trainable leaf with persistent gradient storage."""
+    """Named trainable leaf: float64 master weights with a float64 gradient
+    that every backward accumulates into in place."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value: np.ndarray):
-        super().__init__(value)
+        super().__init__(np.asarray(value, dtype=np.float64))
         self.name = name
         self.grad = np.zeros_like(self.value)
 
@@ -63,12 +77,20 @@ class Param(Var):
 
 class Tape:
     """Ordered record of backward closures for one forward pass, or with
-    ``recording=False`` an inference tape that records nothing."""
+    ``recording=False`` an inference tape that records nothing.  Every op on
+    the tape computes in ``dtype``."""
 
-    def __init__(self, recording: bool = True):
+    def __init__(self, recording: bool = True, dtype=np.float64):
+        if np.dtype(dtype) not in COMPUTE_DTYPES:
+            raise TypeError(f"a tape computes in float32 or float64, not {dtype}")
         self.recording = recording
+        self.dtype = np.dtype(dtype)
         self._steps = []
         self._consumed = False
+
+    def read(self, var: Var) -> np.ndarray:
+        """The value of ``var`` in the tape's dtype (no copy if it already is)."""
+        return var.value.astype(self.dtype, copy=False)
 
     def record(self, backward_fn) -> None:
         if self.recording:
@@ -87,9 +109,18 @@ class Tape:
 
 
 def _acc(var: Var, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``var.grad``.
+
+    A Param owns its float64 gradient, so the sum goes in place (and upcasts
+    a float32 gradient).  Any other grad may be a view of another node's
+    gradient (``reshape``, ``stack_rows``, ``concat``), so it is never
+    written into: a second contribution makes a new array.
+    """
     if not var.requires_grad:
         return
-    if var.grad is None:
+    if isinstance(var, Param):
+        var.grad += grad
+    elif var.grad is None:
         var.grad = grad
     else:
         var.grad = var.grad + grad
@@ -111,7 +142,7 @@ def leaf(value: np.ndarray) -> Var:
 
 
 def add(tape: Tape, a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value)
+    out = Var(tape.read(a) + tape.read(b))
 
     def back():
         _acc(a, _unbroadcast(out.grad, a.value.shape))
@@ -121,11 +152,12 @@ def add(tape: Tape, a: Var, b: Var) -> Var:
 
 
 def mul(tape: Tape, a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value)
+    av, bv = tape.read(a), tape.read(b)
+    out = Var(av * bv)
 
     def back():
-        _acc(a, _unbroadcast(out.grad * b.value, a.value.shape))
-        _acc(b, _unbroadcast(out.grad * a.value, b.value.shape))
+        _acc(a, _unbroadcast(out.grad * bv, av.shape))
+        _acc(b, _unbroadcast(out.grad * av, bv.shape))
     tape.record(back)
     return out
 
@@ -137,20 +169,21 @@ def matmul(tape: Tape, x: Var, w: Var) -> Var:
     if x.value.shape[1] != w.value.shape[0]:
         raise ShapeMismatchError(
             f"inner dimensions differ: {x.value.shape} @ {w.value.shape}")
-    out = Var(x.value @ w.value)
+    xv, wv = tape.read(x), tape.read(w)
+    out = Var(xv @ wv)
 
     def back():
         if x.requires_grad:
-            _acc(x, out.grad @ w.value.T)
+            _acc(x, out.grad @ wv.T)
         if w.requires_grad:
-            _acc(w, x.value.T @ out.grad)
+            _acc(w, xv.T @ out.grad)
     tape.record(back)
     return out
 
 
 def reshape(tape: Tape, x: Var, shape: tuple) -> Var:
     old = x.value.shape
-    out = Var(x.value.reshape(shape))
+    out = Var(tape.read(x).reshape(shape))
 
     def back():
         _acc(x, out.grad.reshape(old))
@@ -173,7 +206,7 @@ def _tanh_gates(z: np.ndarray, n_sigmoid: int) -> np.ndarray:
 
 
 def sigmoid(tape: Tape, x: Var) -> Var:
-    y = _tanh_gates(0.5 * x.value, x.value.shape[-1])
+    y = _tanh_gates(0.5 * tape.read(x), x.value.shape[-1])
     out = Var(y)
 
     def back():
@@ -183,7 +216,7 @@ def sigmoid(tape: Tape, x: Var) -> Var:
 
 
 def tanh(tape: Tape, x: Var) -> Var:
-    y = np.tanh(x.value)
+    y = np.tanh(tape.read(x))
     out = Var(y)
 
     def back():
@@ -193,8 +226,9 @@ def tanh(tape: Tape, x: Var) -> Var:
 
 
 def relu(tape: Tape, x: Var) -> Var:
-    mask = x.value > 0
-    out = Var(np.where(mask, x.value, 0.0))
+    xv = tape.read(x)
+    mask = xv > 0
+    out = Var(np.where(mask, xv, 0.0))
 
     def back():
         _acc(x, out.grad * mask)
@@ -204,8 +238,8 @@ def relu(tape: Tape, x: Var) -> Var:
 
 def softmax(tape: Tape, x: Var) -> Var:
     """Softmax over the last axis, shift-stabilized."""
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    xv = tape.read(x)
+    e = np.exp(xv - xv.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = Var(y)
 
@@ -219,7 +253,7 @@ def softmax(tape: Tape, x: Var) -> Var:
 def concat(tape: Tape, parts: list[Var], axis: int = -1) -> Var:
     if not parts:
         raise ShapeMismatchError("nothing to concatenate")
-    out = Var(np.concatenate([p.value for p in parts], axis=axis))
+    out = Var(np.concatenate([tape.read(p) for p in parts], axis=axis))
     sizes = [p.value.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -234,7 +268,7 @@ def stack_rows(tape: Tape, parts: list[Var]) -> Var:
     """Stack (B, L) vectors into (B, M, L) along a new middle axis."""
     if not parts:
         raise ShapeMismatchError("nothing to stack")
-    out = Var(np.stack([p.value for p in parts], axis=1))
+    out = Var(np.stack([tape.read(p) for p in parts], axis=1))
 
     def back():
         for i, p in enumerate(parts):
@@ -245,7 +279,7 @@ def stack_rows(tape: Tape, parts: list[Var]) -> Var:
 
 def mean_axis(tape: Tape, x: Var, axis: int) -> Var:
     n = x.value.shape[axis]
-    out = Var(x.value.mean(axis=axis))
+    out = Var(tape.read(x).mean(axis=axis))
 
     def back():
         _acc(x, np.repeat(np.expand_dims(out.grad / n, axis), n, axis=axis))
@@ -258,22 +292,24 @@ def dot_last(tape: Tape, x: Var, u: Var) -> Var:
     if x.value.shape[-1] != u.value.shape[0]:
         raise ShapeMismatchError(
             f"cannot contract {x.value.shape} with {u.value.shape}")
-    out = Var(x.value @ u.value)
+    xv, uv = tape.read(x), tape.read(u)
+    out = Var(xv @ uv)
 
     def back():
-        _acc(x, out.grad[..., None] * u.value)
-        _acc(u, np.einsum("bt,bth->h", out.grad, x.value))
+        _acc(x, out.grad[..., None] * uv)
+        _acc(u, np.einsum("bt,bth->h", out.grad, xv))
     tape.record(back)
     return out
 
 
 def weighted_sum(tape: Tape, weights: Var, x: Var) -> Var:
     """Pool (B, T, H) rows with per-row weights (B, T) into (B, H)."""
-    out = Var(np.matmul(weights.value[:, None, :], x.value)[:, 0, :])
+    wv, xv = tape.read(weights), tape.read(x)
+    out = Var(np.matmul(wv[:, None, :], xv)[:, 0, :])
 
     def back():
-        _acc(weights, np.matmul(x.value, out.grad[..., None])[:, :, 0])
-        _acc(x, weights.value[..., None] * out.grad[:, None, :])
+        _acc(weights, np.matmul(xv, out.grad[..., None])[:, :, 0])
+        _acc(x, wv[..., None] * out.grad[:, None, :])
     tape.record(back)
     return out
 
@@ -288,13 +324,14 @@ def merge_pairs_mean(tape: Tape, x: Var, factor: int) -> Var:
     if t_out < 1:
         raise ShapeMismatchError(f"cannot merge {t} timesteps by {factor}")
     kept = t_out * factor
-    total = x.value[:, 0:kept:factor, :].copy()
+    xv = tape.read(x)
+    total = xv[:, 0:kept:factor, :].copy()
     for off in range(1, factor):
-        total += x.value[:, off:kept:factor, :]
+        total += xv[:, off:kept:factor, :]
     out = Var(total / factor)
 
     def back():
-        g = np.zeros((b, t, h))
+        g = np.zeros((b, t, h), xv.dtype)
         g[:, :kept, :] = np.repeat(out.grad / factor, factor, axis=1)
         _acc(x, g)
     tape.record(back)
@@ -319,22 +356,24 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     if wx.value.shape[1] != 4 * h_dim or wh.value.shape != (h_dim, 4 * h_dim):
         raise ShapeMismatchError("LSTM weights must pack 4 gate blocks")
     h2, h3 = 2 * h_dim, 3 * h_dim
+    dtype = tape.dtype
+    wxv, whv = tape.read(wx), tape.read(wh)
 
-    half = np.ones(4 * h_dim)
+    half = np.ones(4 * h_dim, dtype)
     half[:h3] = 0.5
-    xs = x.value.transpose(1, 0, 2).reshape(t_len * bsz, f_in)
-    act = (xs @ (wx.value * half)).reshape(t_len, bsz, 4 * h_dim)
-    act += b.value * half
-    wh_half = wh.value * half
+    xs = tape.read(x).transpose(1, 0, 2).reshape(t_len * bsz, f_in)
+    act = (xs @ (wxv * half)).reshape(t_len, bsz, 4 * h_dim)
+    act += tape.read(b) * half
+    wh_half = whv * half
 
     # row t + 1 holds the state after step t, row 0 the zero start; an
     # inference tape keeps c in a two-row ring and tanh(c) in one row
     ring = t_len + 1 if tape.recording else 2
-    hs = np.zeros((t_len + 1, bsz, h_dim))
-    cs = np.zeros((ring, bsz, h_dim))
-    tcs = np.empty((ring - 1, bsz, h_dim))
-    rec = np.empty((bsz, 4 * h_dim))
-    ig = np.empty((bsz, h_dim))
+    hs = np.zeros((t_len + 1, bsz, h_dim), dtype)
+    cs = np.zeros((ring, bsz, h_dim), dtype)
+    tcs = np.empty((ring - 1, bsz, h_dim), dtype)
+    rec = np.empty((bsz, 4 * h_dim), dtype)
+    ig = np.empty((bsz, h_dim), dtype)
     for t in range(t_len):
         z = act[t]
         np.matmul(hs[t], wh_half, out=rec)
@@ -349,13 +388,13 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     out = Var(hs[1:].transpose(1, 0, 2))
 
     def back():
-        dhs = out.grad.transpose(1, 0, 2).copy()
+        dhs = out.grad.transpose(1, 0, 2).astype(dtype, order="C")
         dzs = np.empty_like(act)
-        d_gate = np.empty((bsz, 4 * h_dim))
-        dh_dc = np.empty((bsz, h_dim))
-        dc = np.zeros((bsz, h_dim))
-        dh_next = np.zeros((bsz, h_dim))
-        wh_t = wh.value.T
+        d_gate = np.empty((bsz, 4 * h_dim), dtype)
+        dh_dc = np.empty((bsz, h_dim), dtype)
+        dc = np.zeros((bsz, h_dim), dtype)
+        dh_next = np.zeros((bsz, h_dim), dtype)
+        wh_t = whv.T
         for t in range(t_len - 1, -1, -1):
             gates, tc, dz, dh = act[t], tcs[t], dzs[t], dhs[t]
             # local derivatives while this step's rows are in cache (one pass
@@ -383,29 +422,36 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
         _acc(wh, hs[:-1].reshape(t_len * bsz, h_dim).T @ flat)
         _acc(b, flat.sum(axis=0))
         if x.requires_grad:
-            _acc(x, (flat @ wx.value.T).reshape(t_len, bsz, f_in).transpose(1, 0, 2))
+            _acc(x, (flat @ wxv.T).reshape(t_len, bsz, f_in).transpose(1, 0, 2))
     tape.record(back)
     return out
 
 
-def nll_mean(tape: Tape, probs: Var, labels: np.ndarray, eps: float = 1e-12) -> Var:
-    """Mean negative log probability of the true classes.
+def softmax_cross_entropy(tape: Tape, logits: Var, labels: np.ndarray) -> Var:
+    """Mean cross-entropy of (B, C) class logits against class indices.
 
-    ``probs`` is (B, C) rows of class probabilities, ``labels`` the class
-    indices; each row contributes -log(p[label] + eps).
+    Each row contributes log(sum exp z) - z[label], computed from the
+    max-shifted logits, so the loss stays finite and its gradient,
+    (softmax - onehot) / B, exact for any finite logits.
     """
     labels = np.asarray(labels)
-    bsz, n_classes = probs.value.shape
+    bsz, n_classes = logits.value.shape
     if labels.shape != (bsz,):
         raise ShapeMismatchError(f"expected {bsz} labels, got {labels.shape}")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeMismatchError("label index outside the class range")
-    picked = probs.value[np.arange(bsz), labels]
-    out = Var(-np.log(picked + eps).mean())
+    z = tape.read(logits)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    with np.errstate(under="ignore"):  # exp(0) = 1 is in every row, so a 0 is exact
+        e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    rows = np.arange(bsz)
+    out = Var(np.mean(np.log(total) - shifted[rows, labels]))
 
     def back():
-        g = np.zeros_like(probs.value)
-        g[np.arange(bsz), labels] = -out.grad / (bsz * (picked + eps))
-        _acc(probs, g)
+        g = e / total[:, None]
+        g[rows, labels] -= 1.0
+        g *= out.grad / bsz
+        _acc(logits, g)
     tape.record(back)
     return out

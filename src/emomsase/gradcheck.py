@@ -100,8 +100,7 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
     }
     labels = rng.integers(0, config.n_classes, size=batch_size)
 
-    probs, tape = model.forward(batch)
-    loss = ad.nll_mean(tape, probs, labels)
+    loss, tape = model.forward(batch, labels=labels)
     model.zero_grad()
     tape.backward(loss)
 
@@ -121,8 +120,8 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
                 cavs[ch] = model.modality_cav(tape, ad.leaf(batch[ch]), ch)
             else:
                 cavs[ch] = ad.leaf(base_cavs[ch])
-        out = model.classify(tape, cavs)
-        return float(ad.nll_mean(tape, out, labels).value)
+        logits = model.classify(tape, cavs)
+        return float(ad.softmax_cross_entropy(tape, logits, labels).value)
 
     entries = []
     for param in model.parameters():

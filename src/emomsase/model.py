@@ -238,7 +238,7 @@ def se_recalibrate(tape: Tape, stacked: Var, se: SeBlock) -> Var:
 
 
 def fuse_and_classify(tape: Tape, domain_blocks: list[Var], head: ClassifierHead) -> Var:
-    """Concatenate (B, M_d, L) blocks over modalities and softmax-classify."""
+    """Concatenate (B, M_d, L) blocks over modalities into (B, C) class logits."""
     if not domain_blocks:
         raise ShapeMismatchError("no domain blocks to fuse")
     fused = domain_blocks[0] if len(domain_blocks) == 1 else ad.concat(
@@ -248,8 +248,7 @@ def fuse_and_classify(tape: Tape, domain_blocks: list[Var], head: ClassifierHead
         raise ShapeMismatchError(
             f"fused width {m * l} does not match head input {head.w.value.shape[0]}")
     flat = ad.reshape(tape, fused, (b, m * l))
-    logits = ad.add(tape, ad.matmul(tape, flat, head.w), head.b)
-    return ad.softmax(tape, logits)
+    return ad.add(tape, ad.matmul(tape, flat, head.w), head.b)
 
 
 class EmoMsase:
@@ -313,7 +312,8 @@ class EmoMsase:
         return msa(tape, hidden, self.contexts[channel]).combined
 
     def classify(self, tape: Tape, cavs: dict[str, Var]) -> Var:
-        """Stack per-modality CAVs per domain, recalibrate, fuse, classify."""
+        """Stack per-modality CAVs per domain, recalibrate, fuse, and score
+        into class logits."""
         blocks = []
         for domain, channels in self.config.domain_channels:
             block = ad.stack_rows(tape, [cavs[ch] for ch in channels])
@@ -322,34 +322,51 @@ class EmoMsase:
             blocks.append(block)
         return fuse_and_classify(tape, blocks, self.head)
 
-    def forward(self, batch: dict[str, np.ndarray],
-                recording: bool = True) -> tuple[Var, Tape]:
-        """Class probabilities (B, C) for a batch of per-channel tensors,
-        recorded for backward unless ``recording=False``."""
+    def logits(self, tape: Tape, batch: dict[str, np.ndarray]) -> Var:
+        """Class logits (B, C) for a batch of per-channel tensors, on ``tape``:
+        the one node that probabilities and the loss both read."""
         missing = [ch for ch in self.config.channels if ch not in batch]
         if missing:
             raise ShapeMismatchError(f"batch is missing channel(s) {missing}")
-        tape = Tape(recording)
         cavs = {ch: self.modality_cav(tape, ad.leaf(batch[ch]), ch)
                 for ch in self.config.channels}
-        probs = self.classify(tape, cavs)
-        if not np.all(np.isfinite(probs.value)):
-            raise NonFiniteActivationError("non-finite class probabilities")
-        return probs, tape
+        logits = self.classify(tape, cavs)
+        if not np.all(np.isfinite(logits.value)):
+            raise NonFiniteActivationError("non-finite class logits")
+        return logits
 
-    def predict(self, inputs: dict[str, np.ndarray], batch_size: int = 128) -> np.ndarray:
-        """Probabilities (N, C) for stacked inputs, evaluated in chunks on
-        inference tapes; zero samples give an empty (0, C) array."""
+    def forward(self, batch: dict[str, np.ndarray], recording: bool = True,
+                dtype=np.float64, labels: np.ndarray | None = None) -> tuple[Var, Tape]:
+        """Class probabilities (B, C) for a batch of per-channel tensors, on a
+        new tape that computes in ``dtype`` and records for backward unless
+        ``recording=False``.  Given ``labels``, the mean cross-entropy of the
+        logits instead: the training loss."""
+        tape = Tape(recording, dtype)
+        logits = self.logits(tape, batch)
+        if labels is not None:
+            return ad.softmax_cross_entropy(tape, logits, labels), tape
+        return ad.softmax(tape, logits), tape
+
+    def _chunks(self, inputs: dict[str, np.ndarray], batch_size: int):
+        """Stacked inputs in slices of ``batch_size`` rows, once both check out."""
         if batch_size < 1:
             raise ValueError(f"predict batch size must be at least 1, got {batch_size}")
         rows = {ch: x.shape[0] for ch, x in inputs.items()}
         if len(set(rows.values())) > 1:
             raise ShapeMismatchError(f"channels disagree on the sample count: {rows}")
         n = max(rows.values(), default=0)
-        chunks = []
         # zero samples still run one empty chunk, so the batch checks apply
         for start in range(0, max(n, 1), batch_size):
-            part = {ch: x[start:start + batch_size] for ch, x in inputs.items()}
-            probs, _ = self.forward(part, recording=False)
-            chunks.append(probs.value)
-        return np.concatenate(chunks, axis=0)
+            yield {ch: x[start:start + batch_size] for ch, x in inputs.items()}
+
+    def predict(self, inputs: dict[str, np.ndarray], batch_size: int = 128) -> np.ndarray:
+        """Probabilities (N, C) for stacked inputs, evaluated in chunks on
+        float64 inference tapes; zero samples give an empty (0, C) array."""
+        return np.concatenate([self.forward(part, recording=False)[0].value
+                               for part in self._chunks(inputs, batch_size)], axis=0)
+
+    def predict_logits(self, inputs: dict[str, np.ndarray],
+                       batch_size: int = 128) -> np.ndarray:
+        """Class logits (N, C) of the same chunks ``predict`` evaluates."""
+        return np.concatenate([self.logits(Tape(recording=False), part).value
+                               for part in self._chunks(inputs, batch_size)], axis=0)

@@ -15,6 +15,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,18 @@ class FilterSpec:
             raise PreprocessError("low-pass needs a cutoff")
 
 
+@lru_cache(maxsize=32)  # the chains use 4 designs
+def _butter_design(spec: FilterSpec, rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, a) coefficients of one filter at one rate, designed once and
+    shared read-only."""
+    if spec.kind == BAND_PASS:
+        b, a = butter(spec.order, [spec.low_hz, spec.high_hz], btype="bandpass", fs=rate_hz)
+    else:
+        b, a = butter(spec.order, spec.high_hz, btype="lowpass", fs=rate_hz)
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> np.ndarray:
     """Zero-phase Butterworth filtering (applied forward then backward).
 
@@ -94,18 +107,15 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
         if not (0.0 < spec.low_hz < spec.high_hz < rate_hz / 2.0):
             raise CutoffOutOfRangeError(
                 f"band {spec.low_hz}-{spec.high_hz} Hz invalid at {rate_hz} Hz")
-        b, a = butter(spec.order, [spec.low_hz, spec.high_hz],
-                      btype="bandpass", fs=rate_hz)
-    else:
-        if not (0.0 < spec.high_hz < rate_hz / 2.0):
-            raise CutoffOutOfRangeError(
-                f"cutoff {spec.high_hz} Hz invalid at {rate_hz} Hz")
-        b, a = butter(spec.order, spec.high_hz, btype="lowpass", fs=rate_hz)
+    elif not (0.0 < spec.high_hz < rate_hz / 2.0):
+        raise CutoffOutOfRangeError(
+            f"cutoff {spec.high_hz} Hz invalid at {rate_hz} Hz")
     padlen = 3 * spec.order
     if signal.shape[0] <= padlen:
         raise SignalTooShortError(
             f"need more than {padlen} samples for order {spec.order}, "
             f"got {signal.shape[0]}")
+    b, a = _butter_design(spec, rate_hz)
     return filtfilt(b, a, signal, padlen=padlen)
 
 

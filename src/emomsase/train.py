@@ -139,10 +139,11 @@ class AdamW:
 
 def evaluate_loss(model: EmoMsase, data: LabeledSet,
                   batch_size: int = 128) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy of the model on a labelled set."""
-    probs = model.predict(data.inputs, batch_size=batch_size)
-    loss = ad.nll_mean(ad.Tape(recording=False), ad.leaf(probs), data.labels)
-    acc = float((probs.argmax(axis=1) == data.labels).mean())
+    """Mean cross-entropy and accuracy of the model on a labelled set, both
+    from float64 logits."""
+    logits = model.predict_logits(data.inputs, batch_size=batch_size)
+    loss = ad.softmax_cross_entropy(ad.Tape(recording=False), ad.leaf(logits), data.labels)
+    acc = float((logits.argmax(axis=1) == data.labels).mean())
     return float(loss.value), acc
 
 
@@ -151,7 +152,9 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
     """Train in place and return the model restored to its best-epoch weights.
 
     Batches come from a seeded shuffle each epoch; a short final batch is
-    kept.  Stops early once validation loss has failed to improve for more
+    kept.  Each step runs forward and backward on a float32 tape; the
+    weights, their gradients, the AdamW moments and the validation loss stay
+    float64.  Stops early once validation loss has failed to improve for more
     than ``patience`` consecutive epochs.
     """
     if len(train_set) == 0 or len(val_set) == 0:
@@ -170,8 +173,8 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            probs, tape = model.forward(train_set.take(idx))
-            loss = ad.nll_mean(tape, probs, train_set.labels[idx])
+            loss, tape = model.forward(train_set.take(idx), dtype=np.float32,
+                                       labels=train_set.labels[idx])
             if not np.isfinite(loss.value):
                 raise DivergedLossError(f"training loss diverged at epoch {epoch}")
             model.zero_grad()

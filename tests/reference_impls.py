@@ -6,6 +6,8 @@ The package computes the same quantities with fused batched numpy (and
 scipy for the filter design); tests compare the two routes.
 """
 
+import math
+
 import numpy as np
 
 
@@ -313,6 +315,28 @@ def majority_brute_force(binary_votes):
     if n_high * 2 > n:
         return 1, n_high / n
     return 0, (n - n_high) / n
+
+
+# ---------------------------------------------------------------------------
+# Loss
+# ---------------------------------------------------------------------------
+
+def cross_entropy_reference(logits, labels):
+    """Mean cross-entropy of logit rows and its gradient, row by row with
+    Python floats: log Z = m + log(sum exp(z - m)) for the row maximum m,
+    each row's loss is log Z - z[label], and d/dz is (exp(z - log Z) -
+    onehot) / B."""
+    bsz = len(logits)
+    losses = []
+    grad = np.zeros((bsz, len(logits[0])))
+    for i, (row, label) in enumerate(zip(logits, labels)):
+        row = [float(z) for z in row]
+        m = max(row)
+        log_z = m + math.log(math.fsum(math.exp(z - m) for z in row))
+        losses.append(log_z - row[label])
+        for j, z in enumerate(row):
+            grad[i, j] = (math.exp(z - log_z) - (1.0 if j == label else 0.0)) / bsz
+    return math.fsum(losses) / bsz, grad
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from emomsase.autodiff import (
     Param, ShapeMismatchError, Tape, TapeConsumedError, Var,
 )
 
-from reference_impls import fd_gradient, lstm_backward_reference, \
-    lstm_sequence_reference, merge_timesteps_reference
+from reference_impls import cross_entropy_reference, fd_gradient, \
+    lstm_backward_reference, lstm_sequence_reference, merge_timesteps_reference
 
 
 def _project(out_value, r):
@@ -309,37 +309,74 @@ def test_lstm_saturated_gates_stay_exact_and_finite():
 # Loss
 # ---------------------------------------------------------------------------
 
-def test_nll_mean_value_and_gradient():
-    probs_val = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+def test_softmax_cross_entropy_value_and_gradient():
+    logits_val = np.array([[0.7, -0.3], [0.2, 1.8], [0.5, 0.5]])
     labels = np.array([0, 1, 1])
     tape = Tape()
-    probs = Var(probs_val)
-    loss = ad.nll_mean(tape, probs, labels)
-    expected = -np.mean(np.log(np.array([0.7, 0.8, 0.5]) + 1e-12))
-    npt.assert_allclose(loss.value, expected, atol=1e-14)
+    logits = Var(logits_val)
+    loss = ad.softmax_cross_entropy(tape, logits, labels)
+    expected, _ = cross_entropy_reference(logits_val, labels)
+    npt.assert_allclose(loss.value, expected, rtol=1e-15)
     tape.backward(loss)
     fd = fd_gradient(
-        lambda p: float(ad.nll_mean(Tape(), Var(p), labels).value),
-        probs_val.copy(), eps=1e-7)
-    npt.assert_allclose(probs.grad, fd, atol=1e-6)
+        lambda z: float(ad.softmax_cross_entropy(Tape(), Var(z), labels).value),
+        logits_val.copy(), eps=1e-6)
+    npt.assert_allclose(logits.grad, fd, atol=1e-9)
 
     def single(row, label):
-        return float(ad.nll_mean(Tape(), Var(np.array([row])),
-                                 np.array([label])).value)
+        return float(ad.softmax_cross_entropy(Tape(), Var(np.array([row])),
+                                              np.array([label])).value)
 
-    npt.assert_allclose(single([0.5, 0.5], 0), np.log(2.0))
-    npt.assert_allclose(single([1.0, 0.0], 0), 0.0, atol=1e-11)
-    # the epsilon keeps a zero-probability true class finite
-    assert single([1.0, 0.0], 1) == pytest.approx(-np.log(1e-12))
+    npt.assert_allclose(single([0.0, 0.0], 0), np.log(2.0))
+    assert single([800.0, -800.0], 0) == 0.0
+    # a confidently wrong row costs its logit gap, with no ceiling
+    assert single([800.0, -800.0], 1) == 1600.0
 
 
-def test_nll_mean_rejects_bad_labels():
-    probs = Var(np.array([[0.5, 0.5]]))
+def test_softmax_cross_entropy_rejects_bad_labels():
+    logits = Var(np.array([[0.5, 0.5]]))
     with pytest.raises(ShapeMismatchError):
-        ad.nll_mean(Tape(), probs, np.array([0, 1]))
+        ad.softmax_cross_entropy(Tape(), logits, np.array([0, 1]))
     for label in (2, -1):  # outside the class range
         with pytest.raises(ShapeMismatchError):
-            ad.nll_mean(Tape(), probs, np.array([label]))
+            ad.softmax_cross_entropy(Tape(), logits, np.array([label]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bsz=st.integers(1, 6),
+       n_classes=st.integers(2, 5), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+def test_softmax_cross_entropy_matches_reference(seed, bsz, n_classes, scale):
+    rng = np.random.default_rng(seed)
+    z = scale * rng.standard_normal((bsz, n_classes))
+    labels = rng.integers(0, n_classes, size=bsz)
+    tape = Tape()
+    logits = Var(z)
+    loss = ad.softmax_cross_entropy(tape, logits, labels)
+    tape.backward(loss)
+    ref_loss, ref_grad = cross_entropy_reference(z, labels)
+    # both routes take differences of numbers as large as the logits, so
+    # the loss and each probability carry rounding of about eps * scale
+    atol = 1e-14 * max(1.0, scale)
+    npt.assert_allclose(loss.value, ref_loss, rtol=1e-12, atol=atol)
+    npt.assert_allclose(logits.grad, ref_grad, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_cross_entropy_is_exact_at_huge_logits(dtype):
+    # a float32 softmax underflows to exactly 0 at a gap of about 104, so a
+    # probability-space loss would saturate here; the log-sum-exp one is the
+    # gap itself, and its gradient (softmax - onehot) / B is exact
+    z = np.array([[1e3, -1e3], [-1e3, 1e3], [1e3, -1e3]], dtype=dtype)
+    labels = np.array([0, 0, 1])
+    with np.errstate(all="raise"):
+        tape = Tape(dtype=dtype)
+        logits = Var(z)
+        loss = ad.softmax_cross_entropy(tape, logits, labels)
+        tape.backward(loss)
+    assert loss.value.dtype == dtype and loss.value == pytest.approx(4e3 / 3, rel=1e-6)
+    expected = np.array([[0.0, 0.0], [-1.0, 1.0], [1.0, -1.0]], dtype=dtype) / 3
+    assert logits.grad.dtype == dtype
+    npt.assert_array_equal(logits.grad, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +436,49 @@ def test_param_accumulates_across_tapes():
     npt.assert_allclose(w.grad, 2.0 * np.ones((2, 2)))
     w.zero_grad()
     npt.assert_array_equal(w.grad, np.zeros((2, 2)))
+
+
+def test_shared_intermediate_sums_its_gradients_without_mutating_upstream():
+    # concat of one node with itself hands that node two views of one
+    # gradient; only a Param may be accumulated into in place
+    rng = np.random.default_rng(32)
+    x = ad.leaf(rng.standard_normal((4, 3)))
+    w = Param("w", rng.standard_normal((3, 2)))
+    tape = Tape()
+    h = ad.matmul(tape, x, w)
+    both = ad.concat(tape, [h, h], axis=-1)
+    r = rng.standard_normal((4, 4))
+    both.grad = r.copy()
+    for step in reversed(tape._steps):
+        step()
+    npt.assert_array_equal(both.grad, r)
+    npt.assert_array_equal(h.grad, r[:, :2] + r[:, 2:])
+    npt.assert_allclose(w.grad, x.value.T @ (r[:, :2] + r[:, 2:]), rtol=1e-14)
+
+
+def test_float32_tape_computes_in_float32_over_float64_params():
+    rng = np.random.default_rng(33)
+    x = Var(rng.standard_normal((3, 7, 4)))
+    params = [Param("wx", 0.3 * rng.standard_normal((4, 8))),
+              Param("wh", 0.3 * rng.standard_normal((2, 8))),
+              Param("b", 0.3 * rng.standard_normal(8))]
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        x.grad = None
+        for p in params:
+            p.zero_grad()
+        tape = Tape(dtype=dtype)
+        out = ad.lstm_layer(tape, x, *params)
+        merged = ad.merge_pairs_mean(tape, out, 3)
+        tape.backward(merged)
+        # one float64 buffer anywhere would upcast these silently
+        assert out.value.dtype == dtype and merged.value.dtype == dtype
+        assert out.grad.dtype == dtype and x.grad.dtype == dtype
+        for p in params:
+            assert p.value.dtype == np.float64 and p.grad.dtype == np.float64
+        grads[dtype] = [x.grad.copy()] + [p.grad.copy() for p in params]
+    for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+        npt.assert_allclose(g32, g64, rtol=0, atol=1e-5)
 
 
 def test_values_are_float64():

@@ -112,6 +112,24 @@ def test_filter_rejects_bad_cutoffs_and_short_signals():
         FilterSpec("highpass", low_hz=0.5)
 
 
+def test_conditioning_designs_each_filter_once(monkeypatch):
+    designs = []
+    butter = preprocess.butter
+
+    def counted(order, cutoff, btype, fs):
+        designs.append((order, tuple(np.atleast_1d(cutoff)), btype, fs))
+        return butter(order, cutoff, btype=btype, fs=fs)
+
+    monkeypatch.setattr(preprocess, "butter", counted)
+    preprocess._butter_design.cache_clear()
+    recs, _ = make_synthetic(SyntheticSpec(
+        n_participants=1, seed=3, class_separation=1.0,
+        channels=default_synth_channels()))
+    for rec in recs:
+        preprocess_channel(rec)
+    assert designs and len(designs) == len(set(designs)), designs
+
+
 # ---------------------------------------------------------------------------
 # Moving average, upsampling, z-score
 # ---------------------------------------------------------------------------

@@ -50,17 +50,17 @@ def test_train_config_validation():
     TrainConfig(patience=0)  # stopping immediately on the first bad epoch is legal
 
 
-def _cross_entropy(probs, label):
-    """Training loss of one probability row against one class index."""
-    return float(ad.nll_mean(ad.Tape(), ad.leaf(np.array([probs])),
-                             np.array([label])).value)
+def _cross_entropy(logits, label):
+    """Training loss of one logit row against one class index."""
+    return float(ad.softmax_cross_entropy(ad.Tape(), ad.leaf(np.array([logits])),
+                                          np.array([label])).value)
 
 
 def test_cross_entropy_values():
-    npt.assert_allclose(_cross_entropy([0.5, 0.5], 0), np.log(2.0))
-    npt.assert_allclose(_cross_entropy([1.0, 0.0], 0), 0.0, atol=1e-11)
-    # the epsilon keeps a zero-probability true class finite
-    assert _cross_entropy([1.0, 0.0], 1) == pytest.approx(-np.log(1e-12))
+    npt.assert_allclose(_cross_entropy([0.0, 0.0], 0), np.log(2.0))
+    assert _cross_entropy([40.0, 0.0], 0) == 0.0  # log(1 + e^-40) rounds to 0
+    # a confidently wrong row costs its logit gap: no ceiling, no epsilon
+    assert _cross_entropy([40.0, 0.0], 1) == 40.0
     with pytest.raises(ShapeMismatchError):
         _cross_entropy([0.5, 0.5], 2)
 
@@ -163,6 +163,40 @@ def test_fit_is_deterministic():
     assert log1.val_loss == log2.val_loss
     for a, b in zip(m1.parameters(), m2.parameters()):
         npt.assert_array_equal(a.value, b.value)
+
+
+def test_fit_steps_in_float32_over_float64_master_state(monkeypatch):
+    optimizers = []
+
+    class RecordedAdamW(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(train_mod, "AdamW", RecordedAdamW)
+    model = EmoMsase(_tiny_config())
+    step_dtypes = []
+    forward = model.forward
+
+    def recorded_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        step_dtypes.append(out[1].dtype)
+        return out
+
+    model.forward = recorded_forward
+    train_set = _toy_set(8, seed=9)
+    model, log = fit(model, train_set, _toy_set(4, seed=10),
+                     TrainConfig(max_epochs=2, patience=2, batch_size=4))
+    assert step_dtypes == [np.float32] * 4
+    (opt,) = optimizers
+    assert opt.t == 4
+    for p in model.parameters():  # restored best-epoch weights and last grads
+        assert p.value.dtype == np.float64 and p.grad.dtype == np.float64, p.name
+    for moment in opt._m + opt._v:
+        assert moment.dtype == np.float64
+    del model.forward
+    assert model.forward(train_set.inputs, dtype=np.float32)[0].value.dtype == np.float32
+    assert model.forward(train_set.inputs)[0].value.dtype == np.float64
 
 
 def _scripted_fit(monkeypatch, val_sequence, **config_kw):
