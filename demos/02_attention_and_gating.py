@@ -28,7 +28,7 @@ hidden = lstm_features(tape, x, model.stacks[channel])
 print(f"hidden sequence: {hidden.value.shape} (batch, timesteps, units)")
 
 # pooling weights form a probability distribution over timesteps
-weights, pooled = scale_attention(tape, hidden, model.contexts[channel].u_short)
+weights, pooled = scale_attention(tape, hidden, model.contexts[channel]["short"])
 print(f"full-scale attention weights: {np.round(weights.value[0], 3)} "
       f"(sum {weights.value[0].sum():.9f})")
 
@@ -38,7 +38,7 @@ for factor, name in ((2, "pairs"), (3, "triples")):
           f"-> {merged.value.shape[1]}")
 
 cav = msa(tape, hidden, model.contexts[channel])
-print(f"feature vector per channel: {cav.combined.value.shape[1]} values "
+print(f"feature vector per channel: {cav.value.shape[1]} values "
       f"(3 scales x {hidden.value.shape[2]} units)\n")
 
 # stack both Peripheral channels and let the SE block rescale them

@@ -215,16 +215,6 @@ def sigmoid(tape: Tape, x: Var) -> Var:
     return out
 
 
-def tanh(tape: Tape, x: Var) -> Var:
-    y = np.tanh(tape.read(x))
-    out = Var(y)
-
-    def back():
-        _acc(x, out.grad * (1.0 - y * y))
-    tape.record(back)
-    return out
-
-
 def relu(tape: Tape, x: Var) -> Var:
     xv = tape.read(x)
     mask = xv > 0

@@ -204,8 +204,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, list[int]] = {}
+    keys = set()
     for rec in recordings:
         stem = cache_dir / preprocess.tensor_cache_key(rec)
+        keys.add(stem.name)
         count = counts.setdefault(rec.channel, [0, 0])  # recordings, hits
         count[0] += 1
         if stem.with_suffix(".bin").is_file() and stem.with_suffix(".json").is_file():
@@ -215,6 +217,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     for channel, (n, hits) in sorted(counts.items()):
         print(f"{channel}: {n} recordings -> {preprocess.expected_timesteps(channel)}x"
               f"{preprocess.feature_size(channel)} ({hits} cached)")
+    sources = {(rec.participant_id, rec.video_id, rec.channel) for rec in recordings}
+    pruned = preprocess.prune_stale_tensors(cache_dir, keys, sources)
+    if pruned:
+        print(f"pruned {pruned} stale tensor(s)")
     return 0
 
 
@@ -266,7 +272,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     train_cfg = _train_config(settings)
 
     results = []
-    all_logs = []
     for dimension in dimensions:
         lookup = LabelLookup(assignments, dimension)
         covered = lookup.participants()
@@ -284,7 +289,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             kept, lookup, model_cfg, split,
             fusion=settings["fusion"], train_config=train_cfg)
         results.append(result)
-        all_logs.append((dimension, result))
 
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,10 +296,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     evaluate.write_report_json(out_dir / "report.json", results)
     log_dir = out_dir / "logs"
     log_dir.mkdir(exist_ok=True)
-    for dimension, result in all_logs:
+    for result in results:
         for fold_logs, fold in zip(result.train_logs, result.fold_results):
             for name, log in fold_logs.items():
-                path = log_dir / f"{dimension}_fold{fold.fold_index}_{name}.csv"
+                path = log_dir / f"{result.dimension}_fold{fold.fold_index}_{name}.csv"
                 lines = ["epoch,train_loss,val_loss,val_accuracy"]
                 lines.extend(
                     f"{e + 1},{tl!r},{vl!r},{va!r}"

@@ -506,12 +506,11 @@ def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0].astype(np.int64), data[:, 1]
 
 
-def load_recordings(data_dir: Path, manifest_path: Path | None = None) -> list[RawRecording]:
-    """Load and validate every recording named by a manifest."""
+def load_recordings(data_dir: Path) -> list[RawRecording]:
+    """Load and validate every recording named by ``data_dir``/manifest.csv."""
     data_dir = Path(data_dir)
-    if manifest_path is None:
-        manifest_path = data_dir / "manifest.csv"
-    if not Path(manifest_path).is_file():
+    manifest_path = data_dir / "manifest.csv"
+    if not manifest_path.is_file():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     recordings = []
     with open(manifest_path, newline="") as fh:

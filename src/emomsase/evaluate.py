@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import HIGH, LabelLookup
-from .model import EmoMsase, ModelConfig
+from .model import N_CLASSES, EmoMsase, ModelConfig
 from .train import LabeledSet, TrainConfig, TrainLog, fit
 
-SCHEME_KFOLD = "kfold5"
 SCHEME_LOSO = "loso"
 
 FUSION_MODALITY = "modality"
@@ -287,41 +286,30 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
     if fusion in (FUSION_SUM, FUSION_MAX) and len(domains) < 2:
         raise NoClassifiersError("decision fusion needs at least two domains")
 
+    members = ({"model": model_config} if fusion == FUSION_MODALITY
+               else {d: model_config.restrict([d]) for d in domains})
     fold_results = []
     fold_logs = []
     for fold in split.folds:
         fold.check_disjoint()  # belt and braces before any training
-        model_cfg = _fold_seeded(model_config, fold.index)
         train_cfg = _fold_seeded(train_config, fold.index)
         logs: dict[str, TrainLog] = {}
-        if fusion == FUSION_MODALITY:
-            model = EmoMsase(model_cfg)
-            tr = build_labeled_set(samples, labels, model_cfg.channels, fold.train)
-            va = build_labeled_set(samples, labels, model_cfg.channels, fold.val)
-            te = build_labeled_set(samples, labels, model_cfg.channels, fold.test)
-            model, logs["model"] = fit(model, tr, va, train_cfg)
-            probs = model.predict(te.inputs)
-            result = _result_from_classes(
-                probs.argmax(axis=1), te.labels, model_cfg.n_classes, fold.index)
+        probs = []
+        for name, cfg in members.items():
+            cfg = _fold_seeded(cfg, fold.index)
+            # rebinding ``model`` first frees the last member's weights before this fit
+            model = EmoMsase(cfg)
+            tr = build_labeled_set(samples, labels, cfg.channels, fold.train)
+            va = build_labeled_set(samples, labels, cfg.channels, fold.val)
+            te = build_labeled_set(samples, labels, cfg.channels, fold.test)
+            model, logs[name] = fit(model, tr, va, train_cfg)
+            probs.append(model.predict(te.inputs))
+        if len(probs) == 1:
+            predicted = probs[0].argmax(axis=1)
         else:
-            rule = FUSION_SUM if fusion == FUSION_SUM else FUSION_MAX
-            per_domain_probs = []
-            te_labels = None
-            for domain in domains:
-                cfg_d = _fold_seeded(model_config.restrict([domain]), fold.index)
-                model = EmoMsase(cfg_d)
-                tr = build_labeled_set(samples, labels, cfg_d.channels, fold.train)
-                va = build_labeled_set(samples, labels, cfg_d.channels, fold.val)
-                te = build_labeled_set(samples, labels, cfg_d.channels, fold.test)
-                model, logs[domain] = fit(model, tr, va, train_cfg)
-                per_domain_probs.append(model.predict(te.inputs))
-                te_labels = te.labels
-            fused = np.array([
-                decision_fuse([p[i] for p in per_domain_probs], rule).class_index
-                for i in range(te_labels.shape[0])
-            ])
-            result = _result_from_classes(
-                fused, te_labels, model_config.n_classes, fold.index)
+            predicted = np.array([decision_fuse([p[i] for p in probs], fusion).class_index
+                                  for i in range(te.labels.shape[0])])
+        result = _result_from_classes(predicted, te.labels, N_CLASSES, fold.index)
         result.train_participants = fold.train
         result.val_participants = fold.val
         result.test_participants = fold.test

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import EmoMsase, ModelConfig
+from .model import N_CLASSES, EmoMsase, ModelConfig
 
 # Relative error denominators are floored so that finite-difference roundoff
 # on near-zero gradients is not amplified into spurious failures.
@@ -54,15 +54,16 @@ class GradCheckReport:
         return lines
 
 
-def micro_config(hidden_size: int = 4, feature_size: int = 3,
-                 variant: str = "emomsase", seed: int = 0) -> ModelConfig:
-    """A two-domain, two-modality-per-domain model small enough to check fast."""
+def micro_config(hidden_size: int = 4, variant: str = "emomsase",
+                 seed: int = 0) -> ModelConfig:
+    """A two-domain, two-modality-per-domain model, 3 features per window,
+    small enough to check fast."""
     return ModelConfig(
         domain_channels=(
             ("Peripheral", ("ACC_Z", "EDA")),
             ("Trunk", ("LAT_ACC", "ECG1")),
         ),
-        feature_sizes={ch: feature_size for ch in ("ACC_Z", "EDA", "LAT_ACC", "ECG1")},
+        feature_sizes={ch: 3 for ch in ("ACC_Z", "EDA", "LAT_ACC", "ECG1")},
         hidden_size=hidden_size,
         se_reduction=4,
         variant=variant,
@@ -78,14 +79,13 @@ def _param_owner(model: EmoMsase) -> dict[int, str]:
 
 
 def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
-               epsilon: float = 1e-4, seed: int = 0, batch_size: int = 2,
-               timesteps: int = 6) -> GradCheckReport:
+               epsilon: float = 1e-4, seed: int = 0) -> GradCheckReport:
     """Compare analytic and central finite-difference gradients per parameter.
 
-    The batch (inputs and labels) is drawn from ``seed``; the model's own
-    weights come from the config seed.  Relative error per entry is
-    |analytic - fd| / max(|analytic|, |fd|, 1e-4); entries where both routes
-    are below 1e-10 count as exact zeros with error 0.
+    The batch, 2 samples of 6 windows and their labels, is drawn from
+    ``seed``; the model's own weights come from the config seed.  Relative
+    error per entry is |analytic - fd| / max(|analytic|, |fd|, 1e-4); entries
+    where both routes are below 1e-10 count as exact zeros with error 0.
 
     Finite-difference evaluations reuse the pooled feature vectors of
     modalities the perturbed parameter cannot reach (they are unchanged by
@@ -94,11 +94,9 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
     """
     model = EmoMsase(config)
     rng = np.random.default_rng(seed)
-    batch = {
-        ch: rng.standard_normal((batch_size, timesteps, config.feature_sizes[ch]))
-        for ch in config.channels
-    }
-    labels = rng.integers(0, config.n_classes, size=batch_size)
+    batch = {ch: rng.standard_normal((2, 6, config.feature_sizes[ch]))
+             for ch in config.channels}
+    labels = rng.integers(0, N_CLASSES, size=2)
 
     loss, tape = model.forward(batch, labels=labels)
     model.zero_grad()

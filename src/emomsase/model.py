@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import NonFiniteActivationError, Param, ShapeMismatchError, Tape, Var
 
 N_LSTM_LAYERS = 2
+N_CLASSES = 2  # every label is Low or High
 # Attention scales, finest first: name -> timestep merge factor.
 SCALES = (("short", 1), ("medium", 2), ("long", 3))
 MERGE_FACTORS = tuple(f for _, f in SCALES if f > 1)  # half and third resolution
@@ -60,15 +61,14 @@ class ModelConfig:
     feature_sizes: dict[str, int]
     hidden_size: int = 128
     se_reduction: int = 4
-    n_classes: int = 2
     variant: str = "emomsase"
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.hidden_size < 1 or self.n_classes < 2:
-            raise ValueError("hidden size and class count must be positive")
+        if self.hidden_size < 1:
+            raise ValueError("hidden size must be positive")
         if not self.domain_channels:
             raise ValueError("need at least one domain")
         for domain, channels in self.domain_channels:
@@ -110,23 +110,6 @@ class LstmLayerParams:
 
 
 @dataclass
-class LstmStack:
-    layers: tuple[LstmLayerParams, ...]
-
-
-@dataclass
-class AttentionContexts:
-    """One learnable context vector per pooled temporal scale."""
-
-    u_short: Param
-    u_medium: Param | None = None
-    u_long: Param | None = None
-
-    def parameters(self) -> list[Param]:
-        return [u for u in (self.u_short, self.u_medium, self.u_long) if u is not None]
-
-
-@dataclass
 class SeBlock:
     """Squeeze-and-excitation gate over a domain's modality stack."""
 
@@ -140,23 +123,13 @@ class ClassifierHead:
     b: Param
 
 
-@dataclass
-class Cav:
-    """Attention-pooled feature vectors for one modality batch."""
-
-    v_short: Var
-    v_medium: Var | None
-    v_long: Var | None
-    combined: Var  # (B, H) or (B, 3H)
-
-
 def _uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
 def init_lstm_stack(rng: np.random.Generator, name: str, f_in: int,
-                    hidden: int) -> LstmStack:
+                    hidden: int) -> tuple[LstmLayerParams, ...]:
     """Two LSTM layers; biases start at zero except the forget gate at +1."""
     layers = []
     width = f_in
@@ -171,15 +144,15 @@ def init_lstm_stack(rng: np.random.Generator, name: str, f_in: int,
             b=Param(f"{name}/lstm{layer}/b", b0),
         ))
         width = hidden
-    return LstmStack(layers=tuple(layers))
+    return tuple(layers)
 
 
-def lstm_features(tape: Tape, x: Var, stack: LstmStack) -> Var:
+def lstm_features(tape: Tape, x: Var, layers: tuple[LstmLayerParams, ...]) -> Var:
     """Hidden sequence (B, T, H) of the top LSTM layer for windowed input x."""
     if x.value.ndim != 3:
         raise ShapeMismatchError(f"expected (B, T, F) input, got {x.value.shape}")
     h = x
-    for layer in stack.layers:
+    for layer in layers:
         h = ad.lstm_layer(tape, h, layer.wx, layer.wh, layer.b)
     return h
 
@@ -207,19 +180,16 @@ def merge_timesteps(tape: Tape, hidden: Var, factor: int) -> Var:
     return ad.merge_pairs_mean(tape, hidden, factor)
 
 
-def msa(tape: Tape, hidden: Var, contexts: AttentionContexts) -> Cav:
+def msa(tape: Tape, hidden: Var, contexts: dict[str, Param]) -> Var:
     """Multi-scale attention: pool at full, half and third resolution, for
-    each scale that has a context vector, and concatenate the results."""
-    pooled = {}
+    each scale that has a context vector, and concatenate the results, finest
+    first, into the CAV (B, H per scale)."""
+    parts = []
     for scale, factor in SCALES:
-        u = getattr(contexts, f"u_{scale}")
-        if u is not None:
+        if scale in contexts:
             seq = hidden if factor == 1 else merge_timesteps(tape, hidden, factor)
-            _, pooled[scale] = scale_attention(tape, seq, u)
-    parts = list(pooled.values())
-    combined = parts[0] if len(parts) == 1 else ad.concat(tape, parts, axis=-1)
-    return Cav(v_short=pooled["short"], v_medium=pooled.get("medium"),
-               v_long=pooled.get("long"), combined=combined)
+            parts.append(scale_attention(tape, seq, contexts[scale])[1])
+    return parts[0] if len(parts) == 1 else ad.concat(tape, parts, axis=-1)
 
 
 def se_recalibrate(tape: Tape, stacked: Var, se: SeBlock) -> Var:
@@ -260,17 +230,16 @@ class EmoMsase:
         h = config.hidden_size
         cav_len = config.cav_length
 
-        self.stacks: dict[str, LstmStack] = {}
-        self.contexts: dict[str, AttentionContexts] = {}
+        self.stacks: dict[str, tuple[LstmLayerParams, ...]] = {}
+        self.contexts: dict[str, dict[str, Param]] = {}  # channel -> scale -> u
         self.se_blocks: dict[str, SeBlock] = {}
         for domain, channels in config.domain_channels:
             for ch in channels:
                 self.stacks[ch] = init_lstm_stack(
                     rng, ch, config.feature_sizes[ch], h)
-                self.contexts[ch] = AttentionContexts(**{
-                    f"u_{scale}": Param(f"{ch}/attn/u_{scale}",
-                                        _uniform_init(rng, (h,), h))
-                    for scale in config.spec.scales})
+                self.contexts[ch] = {
+                    scale: Param(f"{ch}/attn/u_{scale}", _uniform_init(rng, (h,), h))
+                    for scale in config.spec.scales}
             if config.spec.se:
                 se_hidden = cav_len // config.se_reduction
                 self.se_blocks[domain] = SeBlock(
@@ -281,15 +250,15 @@ class EmoMsase:
                 )
         in_dim = len(config.channels) * cav_len
         self.head = ClassifierHead(
-            w=Param("head/w", _uniform_init(rng, (in_dim, config.n_classes), in_dim)),
-            b=Param("head/b", np.zeros(config.n_classes)),
+            w=Param("head/w", _uniform_init(rng, (in_dim, N_CLASSES), in_dim)),
+            b=Param("head/b", np.zeros(N_CLASSES)),
         )
 
     def channel_parameters(self, channel: str) -> list[Param]:
         """The LSTM weights and attention contexts of one modality branch."""
-        params = [p for layer in self.stacks[channel].layers
+        params = [p for layer in self.stacks[channel]
                   for p in (layer.wx, layer.wh, layer.b)]
-        return params + self.contexts[channel].parameters()
+        return params + list(self.contexts[channel].values())
 
     def parameters(self) -> list[Param]:
         params = [p for ch in self.config.channels
@@ -309,7 +278,7 @@ class EmoMsase:
             raise ShapeMismatchError(
                 f"{channel}: expected (B, T, {expected_f}), got {x.value.shape}")
         hidden = lstm_features(tape, x, self.stacks[channel])
-        return msa(tape, hidden, self.contexts[channel]).combined
+        return msa(tape, hidden, self.contexts[channel])
 
     def classify(self, tape: Tape, cavs: dict[str, Var]) -> Var:
         """Stack per-modality CAVs per domain, recalibrate, fuse, and score
@@ -335,13 +304,13 @@ class EmoMsase:
             raise NonFiniteActivationError("non-finite class logits")
         return logits
 
-    def forward(self, batch: dict[str, np.ndarray], recording: bool = True,
-                dtype=np.float64, labels: np.ndarray | None = None) -> tuple[Var, Tape]:
+    def forward(self, batch: dict[str, np.ndarray], dtype=np.float64,
+                labels: np.ndarray | None = None) -> tuple[Var, Tape]:
         """Class probabilities (B, C) for a batch of per-channel tensors, on a
-        new tape that computes in ``dtype`` and records for backward unless
-        ``recording=False``.  Given ``labels``, the mean cross-entropy of the
-        logits instead: the training loss."""
-        tape = Tape(recording, dtype)
+        new tape that computes in ``dtype`` and records for backward.  Given
+        ``labels``, the mean cross-entropy of the logits instead: the training
+        loss."""
+        tape = Tape(dtype=dtype)
         logits = self.logits(tape, batch)
         if labels is not None:
             return ad.softmax_cross_entropy(tape, logits, labels), tape
@@ -359,14 +328,16 @@ class EmoMsase:
         for start in range(0, max(n, 1), batch_size):
             yield {ch: x[start:start + batch_size] for ch, x in inputs.items()}
 
-    def predict(self, inputs: dict[str, np.ndarray], batch_size: int = 128) -> np.ndarray:
-        """Probabilities (N, C) for stacked inputs, evaluated in chunks on
-        float64 inference tapes; zero samples give an empty (0, C) array."""
-        return np.concatenate([self.forward(part, recording=False)[0].value
-                               for part in self._chunks(inputs, batch_size)], axis=0)
-
     def predict_logits(self, inputs: dict[str, np.ndarray],
                        batch_size: int = 128) -> np.ndarray:
-        """Class logits (N, C) of the same chunks ``predict`` evaluates."""
+        """Class logits (N, C) for stacked inputs, evaluated in chunks of
+        ``batch_size`` rows on float64 inference tapes."""
         return np.concatenate([self.logits(Tape(recording=False), part).value
                                for part in self._chunks(inputs, batch_size)], axis=0)
+
+    def predict(self, inputs: dict[str, np.ndarray], batch_size: int = 128) -> np.ndarray:
+        """Probabilities (N, C): the row softmax of ``predict_logits``, equal
+        bit for bit to ``forward`` on the same chunks; zero samples give an
+        empty (0, C) array."""
+        logits = self.predict_logits(inputs, batch_size)
+        return ad.softmax(Tape(recording=False), ad.leaf(logits)).value

@@ -187,16 +187,13 @@ class WindowedTensor:
     def n_windows(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def window_len(self) -> int:
-        return int(self.values.shape[1])
 
-
-def segment(signal: np.ndarray, window_samples: int, overlap: float = OVERLAP,
+def segment(signal: np.ndarray, window_samples: int,
             source: tuple[str, str, str] | None = None) -> WindowedTensor:
-    """Cut a stream into overlapping windows, dropping any short remainder.
+    """Cut a stream into windows overlapping by ``OVERLAP``, dropping any
+    short remainder.
 
-    The hop is window * (1 - overlap) and must come out to a whole number of
+    The hop is window * (1 - OVERLAP) and must come out to a whole number of
     samples.  Row t holds samples [t*hop, t*hop + window).
     """
     signal = np.asarray(signal, dtype=np.float64)
@@ -205,11 +202,11 @@ def segment(signal: np.ndarray, window_samples: int, overlap: float = OVERLAP,
     if window_samples > signal.shape[0]:
         raise WindowLargerThanSignalError(
             f"window {window_samples} exceeds signal length {signal.shape[0]}")
-    hop_f = window_samples * (1.0 - overlap)
+    hop_f = window_samples * (1.0 - OVERLAP)
     hop = int(round(hop_f))
     if hop < 1 or abs(hop_f - hop) > 1e-9:
         raise NonIntegerHopError(
-            f"window {window_samples} with overlap {overlap} gives "
+            f"window {window_samples} with overlap {OVERLAP} gives "
             f"non-integer hop {hop_f}")
     windows = np.lib.stride_tricks.sliding_window_view(signal, window_samples)[::hop]
     return WindowedTensor(values=np.ascontiguousarray(windows), source=source)
@@ -344,6 +341,34 @@ def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
     }
     _write_atomic(stem.with_suffix(".json"),
                   (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
+
+
+def prune_stale_tensors(cache_dir: Path, keys: set[str],
+                        sources: set[tuple[str, str, str]]) -> int:
+    """Remove each tensor pair whose stem is not in ``keys`` but whose sidecar
+    names a (participant, video, channel) in ``sources``: a tensor that a
+    chain or data edit superseded.  Returns how many pairs went.
+
+    Only a pair whose stem is not a key has its sidecar read, so a cache with
+    nothing stale costs one directory listing.  Files that are not a
+    sidecar-and-binary pair, and tensors of other sources, stay.  The sidecar
+    goes first, so an interrupted prune leaves a binary that loading ignores.
+    """
+    pruned = 0
+    for sidecar in sorted(Path(cache_dir).glob("*.json")):
+        binary = sidecar.with_suffix(".bin")
+        if sidecar.stem in keys or not binary.is_file():
+            continue
+        try:
+            meta = json.loads(sidecar.read_bytes())
+            stale = (meta["participant_id"], meta["video_id"], meta["channel"]) in sources
+        except (ValueError, KeyError, TypeError):  # not a sidecar of ours
+            continue
+        if stale:
+            sidecar.unlink()
+            binary.unlink()
+            pruned += 1
+    return pruned
 
 
 def load_tensor(stem: Path) -> WindowedTensor:

@@ -16,6 +16,11 @@ import numpy as np
 from . import autodiff as ad
 from .model import EmoMsase
 
+# AdamW moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class TrainError(ValueError):
     pass
@@ -39,9 +44,6 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 50
     patience: int = 10          # non-improving epochs tolerated before stopping
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     seed: int = 0
 
@@ -100,9 +102,6 @@ class AdamW:
     def __init__(self, params: list[ad.Param], config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
-        self.beta1 = config.beta1
-        self.beta2 = config.beta2
-        self.eps = config.eps
         self.weight_decay = config.weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in params]
@@ -112,36 +111,35 @@ class AdamW:
         self.t += 1
         # both bias corrections fold into two scalars:
         # lr * m_hat / (sqrt(v_hat) + eps) = step * m / (sqrt(v) / root_c2 + eps)
-        step = self.lr / (1.0 - self.beta1 ** self.t)
-        root_c2 = np.sqrt(1.0 - self.beta2 ** self.t)
+        step = self.lr / (1.0 - BETA1 ** self.t)
+        root_c2 = np.sqrt(1.0 - BETA2 ** self.t)
         decay = self.lr * self.weight_decay
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient for {p.name}")
             s = np.empty_like(g)  # the one temporary, reused by every update below
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=s)
             m += s
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=s)
             s *= g
             v += s
             np.multiply(p.value, decay, out=s)
             p.value -= s
             np.sqrt(v, out=s)
             s /= root_c2
-            s += self.eps
+            s += EPS
             np.divide(m, s, out=s)
             s *= step
             p.value -= s
 
 
-def evaluate_loss(model: EmoMsase, data: LabeledSet,
-                  batch_size: int = 128) -> tuple[float, float]:
+def evaluate_loss(model: EmoMsase, data: LabeledSet) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of the model on a labelled set, both
     from float64 logits."""
-    logits = model.predict_logits(data.inputs, batch_size=batch_size)
+    logits = model.predict_logits(data.inputs)
     loss = ad.softmax_cross_entropy(ad.Tape(recording=False), ad.leaf(logits), data.labels)
     acc = float((logits.argmax(axis=1) == data.labels).mean())
     return float(loss.value), acc

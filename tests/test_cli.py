@@ -72,7 +72,10 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
 
 
 def test_chain_edit_invalidates_the_cache(tmp_path, capsys, monkeypatch):
-    cfg = _write_config(tmp_path, {})
+    cfg = _write_config(tmp_path, {
+        "hidden_size": 8, "target": "valence", "split": "loso",
+        "train": {"max_epochs": 1, "patience": 0, "batch_size": 8},
+    })
     data, cache = tmp_path / "data", tmp_path / "cache"
     main(["synth", "--config", cfg, "--out", str(data), "--participants", "3"])
     assert main(["preprocess", "--config", cfg, "--data", str(data),
@@ -83,13 +86,47 @@ def test_chain_edit_invalidates_the_cache(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["preprocess", "--config", cfg, "--data", str(data),
                  "--cache", str(cache)]) == 0
-    assert "L_EP_Y: 39 recordings -> 20x200 (0 cached)" in capsys.readouterr().out
-    # old and new tensors now sit side by side; training on them is refused
+    printed = capsys.readouterr().out
+    assert "L_EP_Y: 39 recordings -> 20x200 (0 cached)" in printed
+    assert "pruned 39 stale tensor(s)" in printed
+    # the superseded tensors are gone, so the cache trains without clearing
+    assert len(list(cache.glob("*.bin"))) == len(list(cache.glob("*.json"))) == 39
     assert main(["run", "--config", cfg, "--cache", str(cache),
                  "--ratings", str(data / "ratings.csv"),
-                 "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "duplicate tensors" in err and "clear the cache" in err
+                 "--out", str(tmp_path / "out")]) == 0
+    # a warm pass finds nothing stale and says nothing about pruning
+    capsys.readouterr()
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 0
+    printed = capsys.readouterr().out
+    assert "(39 cached)" in printed and "pruned" not in printed
+
+
+def test_pruning_keeps_foreign_files_and_unlisted_tensors(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, {})
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    main(["synth", "--config", cfg, "--out", str(data), "--participants", "1"])
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 0
+    # a tensor pair of a participant this manifest does not list
+    stray = preprocess.WindowedTensor(np.zeros((19, 200)), ("p99", "video01", "L_EP_Y"))
+    preprocess.save_tensor(stray, cache / "unlisted")
+    # files that are not tensor pairs, and a pair that is not a tensor
+    foreign = {"notes.txt": b"hello", "lone.json": b"{}", "other.json": b"[1, 2]",
+               "other.bin": b"\0", "broken.json": b"{not json", "broken.bin": b""}
+    for name, content in foreign.items():
+        (cache / name).write_bytes(content)
+    row = preprocess.CHAINS["L_EP_Y"]
+    monkeypatch.setitem(preprocess.CHAINS, "L_EP_Y",
+                        dataclasses.replace(row, tail=row.tail + 100))
+    capsys.readouterr()
+    assert main(["preprocess", "--config", cfg, "--data", str(data),
+                 "--cache", str(cache)]) == 0
+    assert "pruned 13 stale tensor(s)" in capsys.readouterr().out
+    for name, content in foreign.items():
+        assert (cache / name).read_bytes() == content
+    assert preprocess.load_tensor(cache / "unlisted").source == stray.source
+    assert len(list(cache.glob("*.bin"))) == 13 + 3  # new tensors, stray, other, broken
 
 
 def test_unpiped_channel_writes_nothing(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Split plans, leakage guards, metrics, decision fusion and experiments."""
 
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -261,6 +263,25 @@ def test_run_experiment_decision_fusion_two_domains():
     with pytest.raises(NoClassifiersError):
         run_experiment(samples, labels, single, split, fusion="max",
                        train_config=tc)
+
+
+@pytest.mark.parametrize("fusion", ["modality", "sum"])
+def test_run_experiment_holds_one_model_at_a_time(monkeypatch, fusion):
+    """Each fit starts once the last member's weights are freed, so peak
+    memory holds one model, not two."""
+    samples, labels, config, tc = _experiment_pieces(
+        (("Peripheral", ("EDA",)), ("Head", ("L_EP_Y",))))
+    split = group_kfold(_pids(6), k=3, seed=1)
+    alive = weakref.WeakSet()
+    real_fit = evaluate.fit
+
+    def counting_fit(model, *args):
+        alive.add(model)
+        gc.collect()
+        assert len(alive) == 1
+        return real_fit(model, *args)
+    monkeypatch.setattr(evaluate, "fit", counting_fit)
+    run_experiment(samples, labels, config, split, fusion=fusion, train_config=tc)
 
 
 def test_run_experiment_input_validation():

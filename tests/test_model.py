@@ -12,7 +12,7 @@ from emomsase import autodiff as ad
 from emomsase.autodiff import Param, ShapeMismatchError, Tape, Var
 from emomsase.gradcheck import grad_check, micro_config
 from emomsase.model import (
-    MERGE_FACTORS, AttentionContexts, ClassifierHead, EmoMsase, ModelConfig,
+    MERGE_FACTORS, N_CLASSES, SCALES, ClassifierHead, EmoMsase, ModelConfig,
     SeBlock, SequenceTooShortError, VARIANTS, fuse_and_classify,
     init_lstm_stack, lstm_features, merge_timesteps, msa, scale_attention,
     se_recalibrate,
@@ -78,16 +78,16 @@ def test_config_restrict():
 def test_init_lstm_stack_forget_bias():
     rng = np.random.default_rng(0)
     stack = init_lstm_stack(rng, "ch", f_in=6, hidden=4)
-    assert len(stack.layers) == 2
-    for layer in stack.layers:
+    assert len(stack) == 2
+    for layer in stack:
         b = layer.b.value
         npt.assert_array_equal(b[4:8], np.ones(4))     # forget block at +1
         npt.assert_array_equal(b[:4], np.zeros(4))
         npt.assert_array_equal(b[8:], np.zeros(8))
-    assert stack.layers[0].wx.value.shape == (6, 16)
-    assert stack.layers[1].wx.value.shape == (4, 16)
+    assert stack[0].wx.value.shape == (6, 16)
+    assert stack[1].wx.value.shape == (4, 16)
     # fan-in bound on the uniform init
-    assert np.abs(stack.layers[0].wx.value).max() <= 1.0 / np.sqrt(6)
+    assert np.abs(stack[0].wx.value).max() <= 1.0 / np.sqrt(6)
 
 
 def test_lstm_features_matches_stacked_reference():
@@ -95,12 +95,10 @@ def test_lstm_features_matches_stacked_reference():
     stack = init_lstm_stack(rng, "ch", f_in=3, hidden=4)
     x = rng.standard_normal((2, 6, 3))
     out = lstm_features(Tape(), Var(x), stack)
-    l1 = lstm_sequence_reference(x, stack.layers[0].wx.value,
-                                 stack.layers[0].wh.value,
-                                 stack.layers[0].b.value)
-    l2 = lstm_sequence_reference(l1, stack.layers[1].wx.value,
-                                 stack.layers[1].wh.value,
-                                 stack.layers[1].b.value)
+    l1 = lstm_sequence_reference(x, stack[0].wx.value, stack[0].wh.value,
+                                 stack[0].b.value)
+    l2 = lstm_sequence_reference(l1, stack[1].wx.value, stack[1].wh.value,
+                                 stack[1].b.value)
     npt.assert_allclose(out.value, l2, atol=1e-12)
     with pytest.raises(ShapeMismatchError):
         lstm_features(Tape(), Var(np.zeros((2, 6))), stack)
@@ -152,20 +150,14 @@ def test_merge_timesteps_semantics():
 def test_msa_concatenates_three_scales():
     rng = np.random.default_rng(4)
     hidden = rng.standard_normal((2, 9, 4))
-    ctx = AttentionContexts(u_short=Param("s", rng.standard_normal(4)),
-                            u_medium=Param("m", rng.standard_normal(4)),
-                            u_long=Param("l", rng.standard_normal(4)))
+    ctx = {scale: Param(scale, rng.standard_normal(4)) for scale, _ in SCALES}
     cav = msa(Tape(), Var(hidden), ctx)
-    assert cav.combined.value.shape == (2, 12)
-    npt.assert_allclose(
-        cav.combined.value,
-        np.concatenate([cav.v_short.value, cav.v_medium.value,
-                        cav.v_long.value], axis=1))
-    _, ref_short = attention_reference(hidden, ctx.u_short.value)
-    npt.assert_allclose(cav.v_short.value, ref_short, atol=1e-12)
-    _, ref_long = attention_reference(merge_timesteps_reference(hidden, 3),
-                                      ctx.u_long.value)
-    npt.assert_allclose(cav.v_long.value, ref_long, atol=1e-12)
+    assert cav.value.shape == (2, 12)
+    # each H-wide slice, finest scale first, pools its own merged sequence
+    for i, (scale, factor) in enumerate(SCALES):
+        seq = hidden if factor == 1 else merge_timesteps_reference(hidden, factor)
+        _, ref = attention_reference(seq, ctx[scale].value)
+        npt.assert_allclose(cav.value[:, 4 * i:4 * (i + 1)], ref, atol=1e-12)
     with pytest.raises(SequenceTooShortError):
         msa(Tape(), Var(hidden[:, :2]), ctx)
 
@@ -307,7 +299,7 @@ def test_float32_tape_gradients_track_float64(seed, variant):
     rng = np.random.default_rng(seed)
     batch = {ch: rng.standard_normal((4, 6, cfg.feature_sizes[ch]))
              for ch in cfg.channels}
-    labels = rng.integers(0, cfg.n_classes, size=4)
+    labels = rng.integers(0, N_CLASSES, size=4)
     grads = {}
     for dtype in (np.float32, np.float64):
         model.zero_grad()
@@ -369,7 +361,8 @@ def test_predict_leaves_gradients_and_tape_empty():
     model.predict(inputs, batch_size=2)
     for p, g in zip(model.parameters(), before):
         assert np.array_equal(p.grad, g), p.name
-    _, tape = model.forward(inputs, recording=False)
+    tape = Tape(recording=False)
+    model.logits(tape, inputs)
     assert tape._steps == []
     assert model.forward(inputs)[1]._steps
 

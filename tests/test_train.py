@@ -93,8 +93,8 @@ def test_adamw_matches_elementwise_reference():
     for g in grads:
         p.grad[...] = g
         opt.step()
-    ref = adamw_steps_reference(start, grads, lr=0.01, beta1=config.beta1,
-                                beta2=config.beta2, eps=config.eps,
+    ref = adamw_steps_reference(start, grads, lr=0.01, beta1=train_mod.BETA1,
+                                beta2=train_mod.BETA2, eps=train_mod.EPS,
                                 weight_decay=0.05)
     npt.assert_allclose(p.value, ref, atol=1e-14)
 
@@ -203,7 +203,7 @@ def _scripted_fit(monkeypatch, val_sequence, **config_kw):
     """Run fit with evaluate_loss replaced by a canned validation trace."""
     calls = iter(val_sequence)
 
-    def fake_eval(model, data, batch_size=128):
+    def fake_eval(model, data):
         return next(calls), 0.5
 
     monkeypatch.setattr(train_mod, "evaluate_loss", fake_eval)
