@@ -202,7 +202,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     for rec in recordings:  # refuse an unpiped channel before writing anything
         preprocess.chain_for(rec.channel)
     cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, list[int]] = {}
     keys = set()
     for rec in recordings:
@@ -291,21 +290,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         results.append(result)
 
     out_dir = Path(settings["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     evaluate.write_results_csv(out_dir / "results.csv", results)
     evaluate.write_report_json(out_dir / "report.json", results)
-    log_dir = out_dir / "logs"
-    log_dir.mkdir(exist_ok=True)
     for result in results:
         for fold_logs, fold in zip(result.train_logs, result.fold_results):
             for name, log in fold_logs.items():
-                path = log_dir / f"{result.dimension}_fold{fold.fold_index}_{name}.csv"
-                lines = ["epoch,train_loss,val_loss,val_accuracy"]
-                lines.extend(
-                    f"{e + 1},{tl!r},{vl!r},{va!r}"
-                    for e, (tl, vl, va) in enumerate(
-                        zip(log.train_loss, log.val_loss, log.val_accuracy)))
-                path.write_text("\n".join(lines) + "\n")
+                dataio.write_csv(
+                    out_dir / "logs" / f"{result.dimension}_fold{fold.fold_index}_{name}.csv",
+                    ("epoch", "train_loss", "val_loss", "val_accuracy"),
+                    [(e + 1, *epoch) for e, epoch in enumerate(
+                        zip(log.train_loss, log.val_loss, log.val_accuracy))])
     for result in results:
         print(f"{result.combination} [{result.label_case}/{result.dimension}] "
               f"{result.scheme}/{result.fusion}: "
@@ -336,14 +330,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.report)
     if not path.is_file():
         raise UsageError(f"report not found: {path}")
-    experiments = json.loads(path.read_text()).get("experiments", [])
-    rows = evaluate.results_rows(experiments)
-    width = max((len(r[0]) for r in rows), default=10)
-    print(f"{'combination':<{width}}  {'label_case':<10}  {'metric':<18}  value")
-    for combo, case, metric, value in rows:
-        print(f"{combo:<{width}}  {case:<10}  {metric:<18}  {value:.4f}")
+    try:
+        rows = evaluate.results_rows(json.loads(path.read_text())["experiments"])
+        width = max((len(r[0]) for r in rows), default=10)
+        table = [f"{'combination':<{width}}  {'label_case':<10}  {'metric':<18}  value"]
+        table += [f"{combo:<{width}}  {case:<10}  {metric:<18}  {value:.4f}"
+                  for combo, case, metric, value in rows]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise dataio.DataError(f"{path}: not a run report "
+                               f"({type(exc).__name__}: {exc})") from None
+    print("\n".join(table))
     if args.out is not None:
-        Path(args.out).write_text(evaluate.results_csv(experiments))
+        dataio.write_csv(args.out, evaluate.RESULTS_COLUMNS, rows)
         print(f"rewrote {args.out}")
     return 0
 

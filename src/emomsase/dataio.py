@@ -1,6 +1,6 @@
 """Recording ingest, self-assessment ratings, label derivation, synthetic data.
 
-File formats (all CSV with a header row):
+File formats (all CSV with a header row and LF line ends; readers accept CRLF):
   sensor file   timestamp_ms,value          one file per participant/video/channel
   manifest      file,participant_id,video_id,domain,channel,sample_rate_hz
   ratings       participant_id,video_id,valence,arousal,sex   (raw 1..7 scores)
@@ -13,6 +13,9 @@ class throughout the package.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -453,125 +456,148 @@ _LEVEL_CODES = {
 }
 _CODE_LEVELS = {"LV": LOW, "HV": HIGH, "LA": LOW, "HA": HIGH}
 
+SENSOR_COLUMNS = ("timestamp_ms", "value")
+MANIFEST_COLUMNS = ("file", "participant_id", "video_id", "domain", "channel",
+                    "sample_rate_hz")
+RATINGS_COLUMNS = ("participant_id", "video_id", "valence", "arousal", "sex")
+G2_COLUMNS = ("video_id", "g2_valence", "g2_arousal")
+
 
 def level_code(dimension: str, label: int) -> str:
     return _LEVEL_CODES[dimension][label]
 
 
-def recording_filename(rec: RawRecording) -> str:
-    return f"{rec.participant_id}_{rec.video_id}_{rec.channel}.csv"
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``path`` whole or not at all, via a temporary sibling, making its parents."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """Write a header and rows as LF-terminated CSV, atomically; floats by repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(itertools.chain([header], rows))
+    write_atomic(path, buf.getvalue().encode())
+
+
+def read_csv(path: Path, what: str, columns: tuple[str, ...], parse) -> list:
+    """``parse(row)`` for each row, a dict by column name, of the table at ``path``.
+
+    Malformed input raises a DataError naming the file, and the line for a row;
+    one that ``parse`` raises passes through as it is.
+    """
+    if not Path(path).is_file():
+        raise MissingFileError(f"{what} not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: no {missing[0]!r} column")
+        out = []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if any(row[c] is None for c in columns):
+                raise DataError(f"{where}: expected {len(columns)} fields")
+            try:
+                out.append(parse(row))
+            except DataError:
+                raise
+            except (KeyError, ValueError) as exc:
+                raise DataError(f"{where}: bad value ({exc})") from None
+    return out
 
 
 def write_recording_csv(rec: RawRecording, path: Path) -> None:
-    lines = ["timestamp_ms,value"]
-    lines.extend(f"{int(ts)},{float(val)!r}"
-                 for ts, val in zip(rec.timestamps_ms, rec.values))
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, SENSOR_COLUMNS, zip(rec.timestamps_ms.tolist(), rec.values.tolist()))
 
 
 def write_dataset(recordings: list[RawRecording], ratings: list[SamRating],
                   out_dir: Path, g2_table: dict[str, tuple[int, int]] | None = None) -> None:
     """Write sensor files plus manifest, ratings and group-table CSVs."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_rows = []
     for rec in recordings:
-        fname = recording_filename(rec)
+        fname = f"{rec.participant_id}_{rec.video_id}_{rec.channel}.csv"
         write_recording_csv(rec, out_dir / fname)
         manifest_rows.append((fname, rec.participant_id, rec.video_id,
                               rec.domain.value, rec.channel, rec.sample_rate_hz))
-    with open(out_dir / "manifest.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["file", "participant_id", "video_id", "domain", "channel",
-                    "sample_rate_hz"])
-        w.writerows(manifest_rows)
-    with open(out_dir / "ratings.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "video_id", "valence", "arousal", "sex"])
-        for r in ratings:
-            w.writerow([r.participant_id, r.video_id, r.valence, r.arousal, r.sex.value])
+    write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, manifest_rows)
+    write_csv(out_dir / "ratings.csv", RATINGS_COLUMNS,
+              [(r.participant_id, r.video_id, r.valence, r.arousal, r.sex.value)
+               for r in ratings])
     if g2_table is not None:
-        with open(out_dir / "g2_table.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["video_id", "g2_valence", "g2_arousal"])
-            for vid in sorted(g2_table):
-                val, aro = g2_table[vid]
-                w.writerow([vid, level_code("valence", val), level_code("arousal", aro)])
+        write_csv(out_dir / "g2_table.csv", G2_COLUMNS,
+                  [(vid, level_code("valence", val), level_code("arousal", aro))
+                   for vid, (val, aro) in sorted(g2_table.items())])
 
 
 def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if data.shape[1] != 2:
-        raise DataError(f"{path}: expected two columns (timestamp_ms,value)")
+        raise DataError(f"{path}: expected two columns ({','.join(SENSOR_COLUMNS)})")
     return data[:, 0].astype(np.int64), data[:, 1]
+
+
+def _load_recording(data_dir: Path, row: dict) -> RawRecording:
+    fpath = data_dir / row["file"]
+    channel, raw_rate = row["channel"], row["sample_rate_hz"]
+    try:
+        rate = float(raw_rate)
+    except ValueError:
+        raise DataError(f"{fpath}: sample_rate_hz {raw_rate!r} is not a number") from None
+    if channel not in CHANNEL_CATALOG:
+        raise DataError(f"{fpath}: unknown channel {channel!r}")
+    domain, native_hz = CHANNEL_CATALOG[channel]
+    if row["domain"] != domain.value:
+        raise DataError(f"{fpath}: {channel} belongs to domain "
+                        f"{domain.value}, manifest says {row['domain']!r}")
+    if native_hz is not None and rate != native_hz:
+        raise RateMismatchError(f"{fpath}: {channel} runs at {native_hz:g} Hz, "
+                                f"manifest declares {rate:g} Hz")
+    if not fpath.is_file():
+        raise MissingFileError(f"recording not found: {fpath}")
+    ts, values = _read_sensor_csv(fpath)
+    rec = RawRecording(
+        participant_id=row["participant_id"],
+        video_id=row["video_id"],
+        domain=domain,
+        channel=channel,
+        sample_rate_hz=rate,
+        timestamps_ms=ts,
+        values=values,
+    )
+    rec.validate()
+    return rec
 
 
 def load_recordings(data_dir: Path) -> list[RawRecording]:
     """Load and validate every recording named by ``data_dir``/manifest.csv."""
     data_dir = Path(data_dir)
-    manifest_path = data_dir / "manifest.csv"
-    if not manifest_path.is_file():
-        raise MissingFileError(f"manifest not found: {manifest_path}")
-    recordings = []
-    with open(manifest_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            fpath = data_dir / row["file"]
-            channel, raw_rate = row["channel"], row["sample_rate_hz"]
-            try:
-                rate = float(raw_rate)
-            except (TypeError, ValueError):
-                raise DataError(f"{fpath}: sample_rate_hz {raw_rate!r} "
-                                "is not a number") from None
-            if channel not in CHANNEL_CATALOG:
-                raise DataError(f"{fpath}: unknown channel {channel!r}")
-            domain, native_hz = CHANNEL_CATALOG[channel]
-            if row["domain"] != domain.value:
-                raise DataError(f"{fpath}: {channel} belongs to domain "
-                                f"{domain.value}, manifest says {row['domain']!r}")
-            if native_hz is not None and rate != native_hz:
-                raise RateMismatchError(f"{fpath}: {channel} runs at {native_hz:g} Hz, "
-                                        f"manifest declares {rate:g} Hz")
-            if not fpath.is_file():
-                raise MissingFileError(f"recording not found: {fpath}")
-            ts, values = _read_sensor_csv(fpath)
-            rec = RawRecording(
-                participant_id=row["participant_id"],
-                video_id=row["video_id"],
-                domain=domain,
-                channel=channel,
-                sample_rate_hz=rate,
-                timestamps_ms=ts,
-                values=values,
-            )
-            rec.validate()
-            recordings.append(rec)
-    return recordings
+    return read_csv(data_dir / "manifest.csv", "manifest", MANIFEST_COLUMNS,
+                    lambda row: _load_recording(data_dir, row))
 
 
 def load_ratings(path: Path) -> list[SamRating]:
-    if not Path(path).is_file():
-        raise MissingFileError(f"ratings file not found: {path}")
-    ratings = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ratings.append(SamRating(
-                participant_id=row["participant_id"],
-                video_id=row["video_id"],
-                valence=int(row["valence"]),
-                arousal=int(row["arousal"]),
-                sex=Sex(row["sex"]),
-            ))
-    return ratings
+    return read_csv(path, "ratings file", RATINGS_COLUMNS, lambda row: SamRating(
+        participant_id=row["participant_id"],
+        video_id=row["video_id"],
+        valence=int(row["valence"]),
+        arousal=int(row["arousal"]),
+        sex=Sex(row["sex"]),
+    ))
 
 
 def load_g2_table(path: Path) -> dict[str, tuple[int, int]]:
-    if not Path(path).is_file():
-        raise MissingFileError(f"group table not found: {path}")
-    table = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            table[row["video_id"]] = (
-                _CODE_LEVELS[row["g2_valence"].strip()],
-                _CODE_LEVELS[row["g2_arousal"].strip()],
-            )
-    return table
+    return dict(read_csv(path, "group table", G2_COLUMNS, lambda row: (
+        row["video_id"],
+        (_CODE_LEVELS[row["g2_valence"].strip()], _CODE_LEVELS[row["g2_arousal"].strip()]),
+    )))

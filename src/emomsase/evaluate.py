@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import HIGH, LabelLookup
+from .dataio import HIGH, LabelLookup, write_atomic, write_csv
 from .model import N_CLASSES, EmoMsase, ModelConfig
 from .train import LabeledSet, TrainConfig, TrainLog, fit
 
@@ -23,6 +23,8 @@ FUSION_MODALITY = "modality"
 FUSION_SUM = "sum"
 FUSION_MAX = "max"
 FUSION_MODES = (FUSION_MODALITY, FUSION_SUM, FUSION_MAX)
+
+RESULTS_COLUMNS = ("combination", "label_case", "metric", "value")
 
 
 class EvaluateError(ValueError):
@@ -336,17 +338,8 @@ def results_rows(experiments: list[dict]) -> list[tuple[str, str, str, float]]:
             for exp in experiments for stat in ("accuracy", "recall")]
 
 
-def results_csv(experiments: list[dict]) -> str:
-    """The summary CSV text for ``report_dict`` experiments."""
-    lines = ["combination,label_case,metric,value"]
-    lines.extend(f"{c},{case},{metric},{value!r}"
-                 for c, case, metric, value in results_rows(experiments))
-    return "\n".join(lines) + "\n"
-
-
 def write_results_csv(path, results: list[ExperimentResult]) -> None:
-    with open(path, "w") as fh:
-        fh.write(results_csv(report_dict(results)["experiments"]))
+    write_csv(path, RESULTS_COLUMNS, results_rows(report_dict(results)["experiments"]))
 
 
 def report_dict(results: list[ExperimentResult]) -> dict:
@@ -388,6 +381,5 @@ def report_dict(results: list[ExperimentResult]) -> dict:
 
 
 def write_report_json(path, results: list[ExperimentResult]) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_dict(results), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(report_dict(results), indent=2, sort_keys=True)
+                        + "\n").encode())

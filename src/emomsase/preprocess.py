@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .dataio import EYE_CHANNELS, RawRecording
+from .dataio import EYE_CHANNELS, RawRecording, write_atomic
 
 TAIL_SECONDS = 40.0
 WINDOW_SECONDS = 2.0
@@ -313,23 +312,13 @@ def tensor_cache_key(rec: RawRecording) -> str:
     return h.hexdigest()[:20]
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``path`` via a temporary sibling, so it never exists half-written."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
     """Write ``stem``.bin (uint32 T,F then float64 row-major, little-endian)
     and, last, a JSON sidecar with the source metadata."""
     stem = Path(stem)
     t, f = tensor.values.shape
-    _write_atomic(stem.with_suffix(".bin"),
-                  struct.pack("<II", t, f) + tensor.values.astype(_MAGIC_DTYPE).tobytes())
+    write_atomic(stem.with_suffix(".bin"),
+                 struct.pack("<II", t, f) + tensor.values.astype(_MAGIC_DTYPE).tobytes())
     src = tensor.source or ("", "", "")
     sidecar = {
         "participant_id": src[0],
@@ -339,8 +328,8 @@ def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
         "window_len": f,
         "dtype": _MAGIC_DTYPE,
     }
-    _write_atomic(stem.with_suffix(".json"),
-                  (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
+    write_atomic(stem.with_suffix(".json"),
+                 (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
 
 
 def prune_stale_tensors(cache_dir: Path, keys: set[str],

@@ -173,6 +173,84 @@ def test_interrupted_sidecar_write_is_a_miss(tmp_path, capsys, monkeypatch):
     assert len(list(cache.glob("*.json"))) == 13
 
 
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """A conditioned three-participant eye-channel cache and its dataset."""
+    root = tmp_path_factory.mktemp("small")
+    cfg = _write_config(root, {
+        "hidden_size": 8, "target": "valence", "split": "loso",
+        "train": {"max_epochs": 1, "patience": 0, "batch_size": 8},
+    })
+    main(["synth", "--config", cfg, "--out", str(root / "data"), "--participants", "3"])
+    assert main(["preprocess", "--config", cfg, "--data", str(root / "data"),
+                 "--cache", str(root / "cache")]) == 0
+    return root
+
+
+def _run_argv(root, out, ratings=None):
+    return ["run", "--config", str(root / "config.json"), "--cache", str(root / "cache"),
+            "--ratings", str(ratings or root / "data" / "ratings.csv"), "--out", str(out)]
+
+
+MANIFEST_HEADER = "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
+RATINGS_HEADER = "participant_id,video_id,valence,arousal,sex\n"
+G2_HEADER = "video_id,g2_valence,g2_arousal\n"
+
+
+@pytest.mark.parametrize("table, text, line", [
+    ("manifest.csv", MANIFEST_HEADER.replace(",sample_rate_hz", "")
+     + "x.csv,p01,video01,Head,L_EP_Y\n", None),
+    ("ratings.csv", RATINGS_HEADER.replace(",sex", "") + "p01,video01,6,6\n", None),
+    ("ratings.csv", RATINGS_HEADER + "p01,video01,6,6,Male\np01,video02,low,2,Male\n", 3),
+    ("g2_table.csv", G2_HEADER + "video01,XX,HA\n", 2),
+    ("g2_table.csv", G2_HEADER + "video01,HV,HA\nvideo02,LV\n", 3),
+], ids=["manifest-no-rate-column", "ratings-no-sex-column", "ratings-not-a-number",
+        "g2-unknown-code", "g2-short-row"])
+def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, capsys,
+                                                      table, text, line):
+    path = tmp_path / table
+    path.write_text(text)
+    if table == "manifest.csv":
+        argv = ["preprocess", "--data", str(tmp_path), "--cache", str(tmp_path / "cache")]
+    elif table == "ratings.csv":
+        argv = _run_argv(small_cache, tmp_path / "out", ratings=path)
+    else:
+        argv = _run_argv(small_cache, tmp_path / "out") + ["--labels", "g2", "--g2", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}" + (f" line {line}: " if line else ": "))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["results.csv", "report.json"])
+def test_interrupted_output_write_leaves_no_partial_file(small_cache, tmp_path, capsys,
+                                                         monkeypatch, target):
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(target):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "out"
+    assert main(_run_argv(small_cache, out)) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not (out / target).exists()
+    assert list(out.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("content", ["[]", '{"experiments": [{}]}', "not json"])
+def test_malformed_report_exits_1_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    assert main(["report", "--report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a run report")
+    assert "Traceback" not in err
+
+
 def test_run_then_report_round_trip(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "hidden_size": 8,

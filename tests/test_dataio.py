@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomsase import dataio
 from emomsase.dataio import (
@@ -309,6 +310,35 @@ def test_load_recordings_rejects_non_numeric_rate(tmp_path):
     _manifest_row(tmp_path, "Head", "L_EP_X", "fast")
     with pytest.raises(DataError, match=r"rec\.csv: sample_rate_hz 'fast' is not a number"):
         dataio.load_recordings(tmp_path)
+
+
+def test_unparseable_sensor_value_names_its_file(tmp_path):
+    (tmp_path / "rec.csv").write_text("timestamp_ms,value\n0,0.5\n250,abc\n")
+    (tmp_path / "manifest.csv").write_text(
+        "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
+        "rec.csv,p01,video01,Peripheral,EDA,4.0\n")
+    with pytest.raises(DataError, match=r"rec\.csv: .*'abc'"):
+        dataio.load_recordings(tmp_path)
+
+
+# Text with the characters CSV must quote or keep, and no line breaks.
+_FIELD = st.text(alphabet=st.sampled_from(list('ab ,"\';\té')), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_FIELD, st.floats(allow_nan=False, allow_infinity=False),
+                               _FIELD), max_size=5),
+       crlf=st.booleans())
+def test_write_csv_then_read_csv_round_trips(tmp_path_factory, rows, crlf):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    columns = ("name", "value", "note")
+    dataio.write_csv(path, columns, rows)
+    assert b"\r" not in path.read_bytes()
+    if crlf:  # tables from elsewhere may end their lines in CRLF
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    back = dataio.read_csv(path, "table", columns,
+                           lambda r: (r["name"], float(r["value"]), r["note"]))
+    assert back == rows  # floats go out by repr, so they come back exact
 
 
 def test_level_codes():

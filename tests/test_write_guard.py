@@ -1,0 +1,82 @@
+"""One writer: only ``dataio.write_atomic`` writes file bytes, and only ``dataio``
+makes a ``csv.writer``, so a second write path in the package fails this test."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "emomsase"
+WRITER = ("dataio.py", "write_atomic")
+WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def _mode(call: ast.Call, position: int) -> str | None:
+    """The mode of an ``open`` call: None if not given, "?" if not a constant."""
+    args = call.args[position:position + 1]
+    args += [k.value for k in call.keywords if k.arg == "mode"]
+    if not args:
+        return None
+    return args[0].value if isinstance(args[0], ast.Constant) else "?"
+
+
+def _offence(call: ast.Call) -> str | None:
+    fn = call.func
+    if isinstance(fn, ast.Name) and fn.id == "open":
+        mode = _mode(call, 1)
+    elif isinstance(fn, ast.Attribute) and fn.attr == "open":  # Path.open(mode)
+        mode = _mode(call, 0)
+    elif isinstance(fn, ast.Attribute) and fn.attr in WRITE_METHODS:
+        return f".{fn.attr}"
+    elif (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+          and (fn.value.id, fn.attr) in (("json", "dump"), ("csv", "writer"))):
+        return f"{fn.value.id}.{fn.attr}"
+    else:
+        return None
+    if mode is not None and set(mode) & set("wax+?"):
+        return f"open({mode!r})"
+    return None
+
+
+def offences(source: str, filename: str) -> list[str]:
+    """``file:function: call`` for each call in ``source`` that breaks the rule."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            what = _offence(node)
+            allowed = ((filename == "dataio.py") if what == "csv.writer"
+                       else (filename, function) == WRITER)
+            if what is not None and not allowed:
+                found.append(f"{filename}:{function}: {what}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_write_atomic_writes_files():
+    found = [o for path in sorted(PACKAGE.glob("*.py"))
+             for o in offences(path.read_text(), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("filename, source, expected", [
+    ("cli.py", "def f(p):\n    p.write_text('x')\n", ["cli.py:f: .write_text"]),
+    ("dataio.py", "def g(p):\n    p.write_bytes(b'')\n", ["dataio.py:g: .write_bytes"]),
+    ("evaluate.py", "import json\ndef f(d, fh):\n    json.dump(d, fh)\n",
+     ["evaluate.py:f: json.dump"]),
+    ("cli.py", "def f(p):\n    with open(p, 'w', newline='') as fh:\n        pass\n",
+     ["cli.py:f: open('w')"]),
+    ("cli.py", "def f(p, m):\n    open(p, mode=m)\n", ["cli.py:f: open('?')"]),
+    ("cli.py", "def f(p):\n    p.open('ab')\n", ["cli.py:f: open('ab')"]),
+    ("evaluate.py", "import csv\ndef f(fh):\n    csv.writer(fh)\n", ["evaluate.py:f: csv.writer"]),
+    ("dataio.py", "import csv\ndef f(fh):\n    csv.writer(fh)\n", []),
+    ("dataio.py", "def write_atomic(p, b):\n    p.write_bytes(b)\n", []),
+    ("preprocess.py", "def f(p):\n    open(p, 'rb'); open(p); p.open()\n", []),
+])
+def test_the_guard_sees_each_write_path(filename, source, expected):
+    assert offences(source, filename) == expected
