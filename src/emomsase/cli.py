@@ -16,44 +16,36 @@ import copy
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import dataio, evaluate, preprocess
 from .autodiff import NonFiniteActivationError, TapeConsumedError
-from .dataio import BoundaryPolicy, LabelCase, LabelLookup
+from .dataio import (BEST_CHANNELS, CHANNEL_CATALOG, DIMENSIONS, BoundaryPolicy, Domain,
+                     LabelCase, LabelLookup)
 from .gradcheck import grad_check, micro_config
 from .model import ModelConfig, VARIANTS
 from .train import TrainConfig
 
 CACHE_ENV = "EMOMSASE_CACHE"
 
-DOMAIN_ORDER = ("Peripheral", "Trunk", "Head")
+SPLITS = {
+    "kfold5": lambda pids, seed: evaluate.group_kfold(pids, k=5, seed=seed),
+    "loso": lambda pids, seed: evaluate.loso(pids),
+}
+
 
 DEFAULTS = {
-    "seed": 0,
+    **{f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING},
     "labels": "general",
     "boundary": "le4",
-    "domains": list(DOMAIN_ORDER),
-    "channels": {
-        "Peripheral": ["ACC_Z", "EDA", "TEMP"],
-        "Trunk": ["LAT_ACC", "LONG_ACC"],
-        "Head": ["L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_Y", "R_EP_Z"],
-    },
+    "domains": [d.value for d in Domain],
+    "channels": {d.value: [ch for ch in BEST_CHANNELS if CHANNEL_CATALOG[ch][0] is d]
+                 for d in Domain},
     "split": "kfold5",
     "fusion": "modality",
-    "variant": "emomsase",
     "target": "both",
-    "hidden_size": 128,
-    "se_reduction": 4,
-    "train": {
-        "learning_rate": 0.001,
-        "batch_size": 16,
-        "max_epochs": 50,
-        "patience": 10,
-        "weight_decay": 0.01,
-    },
+    "train": {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"},
     "synth": {
         "participants": 24,
         "separation": 2.0,
@@ -86,10 +78,11 @@ def _load_config_file(path: str | None) -> dict:
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     for key in ("train", "synth"):
-        if key in cfg:
-            bad = sorted(set(cfg[key]) - set(DEFAULTS[key]))
-            if bad:
-                raise UsageError(f"unknown {key} config key(s): {', '.join(bad)}")
+        if not isinstance(cfg.get(key, {}), dict):
+            raise UsageError(f"config key {key} must hold a JSON object")
+        bad = sorted(set(cfg.get(key, {})) - set(DEFAULTS[key]))
+        if bad:
+            raise UsageError(f"unknown {key} config key(s): {', '.join(bad)}")
     return cfg
 
 
@@ -102,32 +95,27 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             settings[key].update(value)
         else:
             settings[key] = value
-    for key in ("seed", "labels", "boundary", "split", "fusion", "variant",
-                "target", "cache", "ratings", "g2", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    if getattr(args, "domains", None) is not None:
-        settings["domains"] = _parse_domains(args.domains)
+    for key, value in vars(args).items():  # a flag is named after what it sets
+        if value is None:
+            continue
+        if key in DEFAULTS:
+            settings[key] = _parse_domains(value) if key == "domains" else value
+        elif key in DEFAULTS["synth"]:
+            settings["synth"][key] = value
     if settings["cache"] is None:
         settings["cache"] = os.environ.get(CACHE_ENV)
     return settings
 
 
 def _parse_domains(spec: str) -> list[str]:
-    canon = {d.lower(): d for d in DOMAIN_ORDER}
-    picked = []
-    for token in spec.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
+    canon = {d.value.lower(): d.value for d in Domain}
+    picked = [token.strip().lower() for token in spec.split(",") if token.strip()]
+    for token in picked:
         if token not in canon:
-            raise UsageError(f"unknown domain {token!r} "
-                             f"(choose from {', '.join(canon)})")
-        picked.append(canon[token])
+            raise UsageError(f"unknown domain {token!r} (choose from {', '.join(canon)})")
     if not picked:
         raise UsageError("no domains given")
-    return [d for d in DOMAIN_ORDER if d in picked]
+    return [d for token, d in canon.items() if token in picked]
 
 
 def _model_config(settings: dict) -> ModelConfig:
@@ -140,26 +128,25 @@ def _model_config(settings: dict) -> ModelConfig:
         raise UsageError("no channels configured for the selected domains")
     feature_sizes = {ch: preprocess.feature_size(ch)
                      for _, chs in domain_channels for ch in chs}
-    return ModelConfig(
-        domain_channels=tuple(domain_channels),
-        feature_sizes=feature_sizes,
-        hidden_size=int(settings["hidden_size"]),
-        se_reduction=int(settings["se_reduction"]),
-        variant=settings["variant"],
-        seed=int(settings["seed"]),
-    )
+    return _record(ModelConfig, settings, domain_channels=tuple(domain_channels),
+                   feature_sizes=feature_sizes)
 
 
 def _train_config(settings: dict) -> TrainConfig:
-    t = settings["train"]
-    return TrainConfig(
-        learning_rate=float(t["learning_rate"]),
-        batch_size=int(t["batch_size"]),
-        max_epochs=int(t["max_epochs"]),
-        patience=int(t["patience"]),
-        weight_decay=float(t["weight_decay"]),
-        seed=int(settings["seed"]),
-    )
+    return _record(TrainConfig, {**settings["train"], "seed": settings["seed"]})
+
+
+def _record(record, values: dict, **given):
+    """``record`` from ``given`` and each of ``values`` that names another of
+    its fields, cast to the type of that field's default."""
+    for f in fields(record):
+        if f.name in values:
+            try:
+                given[f.name] = type(f.default)(values[f.name])
+            except (TypeError, ValueError, OverflowError):
+                raise UsageError(f"setting {f.name} must be of type {type(f.default).__name__}"
+                                 f", not {values[f.name]!r}") from None
+    return record(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +163,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         channels = [ch for d in settings["domains"]
                     for ch in settings["channels"].get(d, [])]
     spec = dataio.SyntheticSpec(
-        n_participants=int(args.participants if args.participants is not None
-                           else synth["participants"]),
+        n_participants=int(synth["participants"]),
         seed=int(settings["seed"]),
-        class_separation=float(args.separation if args.separation is not None
-                               else synth["separation"]),
+        class_separation=float(synth["separation"]),
         channels=dataio.default_synth_channels(list(channels)),
     )
     recordings, ratings = dataio.make_synthetic(spec)
@@ -202,6 +187,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     for rec in recordings:  # refuse an unpiped channel before writing anything
         preprocess.chain_for(rec.channel)
     cache_dir = Path(cache_dir)
+    cached = {stem.name for stem in preprocess.entry_stems(cache_dir)}
     counts: dict[str, list[int]] = {}
     keys = set()
     for rec in recordings:
@@ -209,7 +195,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         keys.add(stem.name)
         count = counts.setdefault(rec.channel, [0, 0])  # recordings, hits
         count[0] += 1
-        if stem.with_suffix(".bin").is_file() and stem.with_suffix(".json").is_file():
+        if stem.name in cached:
             count[1] += 1
             continue
         preprocess.save_tensor(preprocess.preprocess_channel(rec), stem)
@@ -228,8 +214,8 @@ def _load_samples(cache_dir: Path) -> list[evaluate.Sample]:
     if not cache_dir.is_dir():
         raise UsageError(f"cache directory not found: {cache_dir}")
     by_pair: dict[tuple[str, str], evaluate.Sample] = {}
-    for sidecar in sorted(cache_dir.glob("*.json")):
-        tensor = preprocess.load_tensor(sidecar.with_suffix(""))
+    tensors = (preprocess.load_tensor(stem) for stem in preprocess.entry_stems(cache_dir))
+    for tensor in filter(None, tensors):  # None for a foreign file
         pid, vid, channel = tensor.source
         sample = by_pair.setdefault(
             (pid, vid), evaluate.Sample(participant_id=pid, video_id=vid, tensors={}))
@@ -260,15 +246,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key in ("cache", "ratings", "out"):
         if settings[key] is None:
             raise UsageError(f"run needs --{key} (or a config entry)")
+    if settings["split"] not in SPLITS:
+        raise UsageError(f"unknown split {settings['split']!r}")
+    model_cfg = _model_config(settings)
+    train_cfg = _train_config(settings)
     samples = _load_samples(Path(settings["cache"]))
     ratings = dataio.load_ratings(Path(settings["ratings"]))
     videos = sorted({s.video_id for s in samples})
     assignments = _resolve_labels(settings, ratings, videos)
 
-    dimensions = (["valence", "arousal"] if settings["target"] == "both"
-                  else [settings["target"]])
-    model_cfg = _model_config(settings)
-    train_cfg = _train_config(settings)
+    dimensions = DIMENSIONS if settings["target"] == "both" else (settings["target"],)
 
     results = []
     for dimension in dimensions:
@@ -277,15 +264,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         pids = sorted({s.participant_id for s in samples})
         if covered:  # per-rater cases restrict the participant pool
             pids = [p for p in pids if p in covered]
-        if settings["split"] == "kfold5":
-            split = evaluate.group_kfold(pids, k=5, seed=int(settings["seed"]))
-        elif settings["split"] == "loso":
-            split = evaluate.loso(pids)
-        else:
-            raise UsageError(f"unknown split {settings['split']!r}")
-        kept = [s for s in samples if s.participant_id in set(pids)]
+        split = SPLITS[settings["split"]](pids, train_cfg.seed)
         result = evaluate.run_experiment(
-            kept, lookup, model_cfg, split,
+            samples, lookup, model_cfg, split,
             fusion=settings["fusion"], train_config=train_cfg)
         results.append(result)
 
@@ -385,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=[b.value for b in BoundaryPolicy],
                    help="treatment of the midpoint rating 4")
     p.add_argument("--domains", help="comma list: peripheral,trunk,head")
-    p.add_argument("--split", choices=["kfold5", "loso"], help="validation scheme")
+    p.add_argument("--split", choices=list(SPLITS), help="validation scheme")
     p.add_argument("--fusion", choices=list(evaluate.FUSION_MODES),
                    help="modality-level or decision-level fusion")
     p.add_argument("--variant", choices=list(VARIANTS), help="model variant")
-    p.add_argument("--target", choices=["valence", "arousal", "both"],
+    p.add_argument("--target", choices=[*DIMENSIONS, "both"],
                    help="affect dimension(s) to classify")
     p.add_argument("--out", help="output directory for results")
     p.set_defaults(func=cmd_run)

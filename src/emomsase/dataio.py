@@ -24,6 +24,7 @@ import numpy as np
 
 LOW = 0
 HIGH = 1
+DIMENSIONS = ("valence", "arousal")  # each label is Low or High on both, in this order
 
 N_VIDEOS = 13
 RATING_MIN = 1
@@ -114,6 +115,9 @@ CHANNEL_CATALOG: dict[str, tuple[Domain, float | None]] = {
 }
 
 EYE_CHANNELS = ("L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_X", "R_EP_Y", "R_EP_Z")
+# The paper's best channel combination, in domain order: what synth and run default to.
+BEST_CHANNELS = ("ACC_Z", "EDA", "TEMP", "LAT_ACC", "LONG_ACC",
+                 "L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_Y", "R_EP_Z")
 
 # Rates used when synthesising data for channels whose catalogue rate is open.
 SYNTH_RATES: dict[str, float] = {"TEMP": 4.0}
@@ -277,8 +281,7 @@ def derive_labels(
                 case=case,
                 video_id=r.video_id,
                 participant_id=r.participant_id,
-                valence=binarize_rating(r.valence, policy),
-                arousal=binarize_rating(r.arousal, policy),
+                **{dim: binarize_rating(getattr(r, dim), policy) for dim in DIMENSIONS},
             )
             for r in pool
         ]
@@ -291,14 +294,11 @@ def derive_labels(
             by_video.setdefault(r.video_id, []).append(r)
         out = []
         for vid in sorted(by_video):
-            rs = by_video[vid]
-            val, val_frac = _majority(
-                [binarize_rating(r.valence, policy) for r in rs], vid, "valence")
-            aro, aro_frac = _majority(
-                [binarize_rating(r.arousal, policy) for r in rs], vid, "arousal")
+            votes = {dim: _majority([binarize_rating(getattr(r, dim), policy)
+                                     for r in by_video[vid]], vid, dim) for dim in DIMENSIONS}
             out.append(LabelAssignment(
-                case=case, video_id=vid, valence=val, arousal=aro,
-                valence_fraction=val_frac, arousal_fraction=aro_frac))
+                case=case, video_id=vid, **{dim: v[0] for dim, v in votes.items()},
+                **{f"{dim}_fraction": v[1] for dim, v in votes.items()}))
         _check_video_cover([a.video_id for a in out], videos)
         return out
 
@@ -317,7 +317,7 @@ class LabelLookup:
     """Maps (participant, video) to a class index for one affect dimension."""
 
     def __init__(self, assignments: list[LabelAssignment], dimension: str):
-        if dimension not in ("valence", "arousal"):
+        if dimension not in DIMENSIONS:
             raise DataError(f"unknown label dimension {dimension!r}")
         if not assignments:
             raise DataError("no label assignments")
@@ -326,7 +326,7 @@ class LabelLookup:
         self._by_pair: dict[tuple[str, str], int] = {}
         self._by_video: dict[str, int] = {}
         for a in assignments:
-            label = a.valence if dimension == "valence" else a.arousal
+            label = getattr(a, dimension)
             if a.participant_id is None:
                 self._by_video[a.video_id] = label
             else:
@@ -373,8 +373,7 @@ class SyntheticSpec:
 def default_synth_channels(channels: list[str] | None = None) -> tuple[tuple[str, float], ...]:
     """Pair channel names with their synthesis rates (best combination by default)."""
     if channels is None:
-        channels = ["ACC_Z", "EDA", "TEMP", "LAT_ACC", "LONG_ACC",
-                    "L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_Y", "R_EP_Z"]
+        channels = BEST_CHANNELS
     for ch in channels:
         if ch not in SYNTH_TONE_HZ:
             raise DataError(
@@ -450,17 +449,15 @@ def synth_g2_table() -> dict[str, tuple[int, int]]:
 # CSV readers and writers
 # ---------------------------------------------------------------------------
 
-_LEVEL_CODES = {
-    "valence": {LOW: "LV", HIGH: "HV"},
-    "arousal": {LOW: "LA", HIGH: "HA"},
-}
-_CODE_LEVELS = {"LV": LOW, "HV": HIGH, "LA": LOW, "HA": HIGH}
+# Group-table codes per dimension: Low or High, then the dimension's initial.
+_LEVEL_CODES = {dim: {LOW: f"L{dim[0].upper()}", HIGH: f"H{dim[0].upper()}"}
+                for dim in DIMENSIONS}
 
 SENSOR_COLUMNS = ("timestamp_ms", "value")
 MANIFEST_COLUMNS = ("file", "participant_id", "video_id", "domain", "channel",
                     "sample_rate_hz")
 RATINGS_COLUMNS = ("participant_id", "video_id", "valence", "arousal", "sex")
-G2_COLUMNS = ("video_id", "g2_valence", "g2_arousal")
+G2_COLUMNS = ("video_id", *(f"g2_{dim}" for dim in DIMENSIONS))
 
 
 def level_code(dimension: str, label: int) -> str:
@@ -486,11 +483,12 @@ def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     write_atomic(path, buf.getvalue().encode())
 
 
-def read_csv(path: Path, what: str, columns: tuple[str, ...], parse) -> list:
+def read_csv(path: Path, what: str, columns: tuple[str, ...], parse, key=()) -> list:
     """``parse(row)`` for each row, a dict by column name, of the table at ``path``.
 
     Malformed input raises a DataError naming the file, and the line for a row;
-    one that ``parse`` raises passes through as it is.
+    one that ``parse`` raises passes through as it is.  No two rows may agree
+    on the ``key`` columns.
     """
     if not Path(path).is_file():
         raise MissingFileError(f"{what} not found: {path}")
@@ -500,10 +498,14 @@ def read_csv(path: Path, what: str, columns: tuple[str, ...], parse) -> list:
         if missing:
             raise DataError(f"{path}: no {missing[0]!r} column")
         out = []
+        seen: dict[tuple[str, ...], int] = {}
         for row in reader:
             where = f"{path} line {reader.line_num}"
-            if any(row[c] is None for c in columns):
+            if None in row or any(row[c] is None for c in columns):  # long or short
                 raise DataError(f"{where}: expected {len(columns)} fields")
+            ident = tuple(row[c] for c in key)
+            if key and seen.setdefault(ident, reader.line_num) != reader.line_num:
+                raise DataError(f"{where}: {'/'.join(ident)} repeats line {seen[ident]}")
             try:
                 out.append(parse(row))
             except DataError:
@@ -533,8 +535,8 @@ def write_dataset(recordings: list[RawRecording], ratings: list[SamRating],
                for r in ratings])
     if g2_table is not None:
         write_csv(out_dir / "g2_table.csv", G2_COLUMNS,
-                  [(vid, level_code("valence", val), level_code("arousal", aro))
-                   for vid, (val, aro) in sorted(g2_table.items())])
+                  [(vid, *map(level_code, DIMENSIONS, labels))
+                   for vid, labels in sorted(g2_table.items())])
 
 
 def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -583,21 +585,23 @@ def load_recordings(data_dir: Path) -> list[RawRecording]:
     """Load and validate every recording named by ``data_dir``/manifest.csv."""
     data_dir = Path(data_dir)
     return read_csv(data_dir / "manifest.csv", "manifest", MANIFEST_COLUMNS,
-                    lambda row: _load_recording(data_dir, row))
+                    lambda row: _load_recording(data_dir, row),
+                    key=("participant_id", "video_id", "channel"))
 
 
 def load_ratings(path: Path) -> list[SamRating]:
     return read_csv(path, "ratings file", RATINGS_COLUMNS, lambda row: SamRating(
         participant_id=row["participant_id"],
         video_id=row["video_id"],
-        valence=int(row["valence"]),
-        arousal=int(row["arousal"]),
+        **{dim: int(row[dim]) for dim in DIMENSIONS},
         sex=Sex(row["sex"]),
-    ))
+    ), key=("participant_id", "video_id"))
 
 
 def load_g2_table(path: Path) -> dict[str, tuple[int, int]]:
+    levels = {dim: {code: label for label, code in codes.items()}
+              for dim, codes in _LEVEL_CODES.items()}
     return dict(read_csv(path, "group table", G2_COLUMNS, lambda row: (
         row["video_id"],
-        (_CODE_LEVELS[row["g2_valence"].strip()], _CODE_LEVELS[row["g2_arousal"].strip()]),
-    )))
+        tuple(levels[dim][row[f"g2_{dim}"].strip()] for dim in DIMENSIONS),
+    ), key=("video_id",)))

@@ -17,8 +17,6 @@ from .dataio import HIGH, LabelLookup, write_atomic, write_csv
 from .model import N_CLASSES, EmoMsase, ModelConfig
 from .train import LabeledSet, TrainConfig, TrainLog, fit
 
-SCHEME_LOSO = "loso"
-
 FUSION_MODALITY = "modality"
 FUSION_SUM = "sum"
 FUSION_MAX = "max"
@@ -86,15 +84,23 @@ class SplitPlan:
                     f"fold {fold.index}: sides do not cover all participants")
 
 
-def group_kfold(participants: list[str], k: int, seed: int) -> SplitPlan:
-    """Deal shuffled participants round-robin into k groups.
-
-    Fold i tests group i, validates on group i+1 (mod k), trains on the
-    rest; k must leave at least one training group (k >= 3).
-    """
-    participants = list(participants)
+def _rotate(scheme: str, participants: list[str], groups: list[tuple[str, ...]]) -> SplitPlan:
+    """Fold i tests group i, validates on group i+1 (mod k), trains on the rest."""
     if len(set(participants)) != len(participants):
         raise EvaluateError("duplicate participant ids")
+    k = len(groups)
+    folds = tuple(
+        Fold(index=i, val=groups[(i + 1) % k], test=groups[i],
+             train=tuple(pid for j, g in enumerate(groups) if j not in (i, (i + 1) % k)
+                         for pid in g))
+        for i in range(k))
+    return SplitPlan(scheme=scheme, participants=tuple(participants), folds=folds)
+
+
+def group_kfold(participants: list[str], k: int, seed: int) -> SplitPlan:
+    """Deal shuffled participants round-robin into k groups and rotate them;
+    k must leave at least one training group (k >= 3)."""
+    participants = list(participants)
     if k > len(participants):
         raise TooFewParticipantsError(
             f"cannot make {k} groups from {len(participants)} participants")
@@ -102,36 +108,16 @@ def group_kfold(participants: list[str], k: int, seed: int) -> SplitPlan:
         raise EvaluateError("k must be >= 3 so each fold keeps a training side")
     rng = np.random.default_rng(seed)
     order = [participants[i] for i in rng.permutation(len(participants))]
-    groups: list[list[str]] = [[] for _ in range(k)]
-    for pos, pid in enumerate(order):
-        groups[pos % k].append(pid)
-    folds = []
-    for i in range(k):
-        val = groups[(i + 1) % k]
-        train = [pid for j, g in enumerate(groups) if j not in (i, (i + 1) % k)
-                 for pid in g]
-        folds.append(Fold(index=i, train=tuple(train), val=tuple(val),
-                          test=tuple(groups[i])))
-    return SplitPlan(scheme=f"kfold{k}", participants=tuple(participants),
-                     folds=tuple(folds))
+    return _rotate(f"kfold{k}", participants, [tuple(order[i::k]) for i in range(k)])
 
 
 def loso(participants: list[str]) -> SplitPlan:
-    """Leave-one-subject-out: one test participant per fold, the next one
-    (cyclically) as the validation subject."""
+    """Leave-one-subject-out: rotate one-participant groups, so each fold tests
+    one participant and validates on the next one (cyclically)."""
     participants = list(participants)
-    if len(set(participants)) != len(participants):
-        raise EvaluateError("duplicate participant ids")
-    n = len(participants)
-    if n < 3:
+    if len(participants) < 3:
         raise TooFewParticipantsError("leave-one-out needs at least 3 participants")
-    folds = []
-    for i, pid in enumerate(participants):
-        val = participants[(i + 1) % n]
-        train = tuple(p for p in participants if p not in (pid, val))
-        folds.append(Fold(index=i, train=train, val=(val,), test=(pid,)))
-    return SplitPlan(scheme=SCHEME_LOSO, participants=tuple(participants),
-                     folds=tuple(folds))
+    return _rotate("loso", participants, [(pid,) for pid in participants])
 
 
 @dataclass
@@ -238,7 +224,7 @@ def build_labeled_set(samples: list[Sample], labels: LabelLookup,
                       channels: tuple[str, ...],
                       participants: tuple[str, ...]) -> LabeledSet:
     """Stack the samples of the given participants into training tensors."""
-    chosen = [s for s in samples if s.participant_id in set(participants)]
+    chosen = [s for s in samples if s.participant_id in participants]
     if not chosen:
         raise EvaluateError("no samples for the requested participants")
     rows = {ch: [] for ch in channels}

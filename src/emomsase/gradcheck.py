@@ -65,7 +65,6 @@ def micro_config(hidden_size: int = 4, variant: str = "emomsase",
         ),
         feature_sizes={ch: 3 for ch in ("ACC_Z", "EDA", "LAT_ACC", "ECG1")},
         hidden_size=hidden_size,
-        se_reduction=4,
         variant=variant,
         seed=seed,
     )

@@ -30,6 +30,7 @@ N_CLASSES = 2  # every label is Low or High
 # Attention scales, finest first: name -> timestep merge factor.
 SCALES = (("short", 1), ("medium", 2), ("long", 3))
 MERGE_FACTORS = tuple(f for _, f in SCALES if f > 1)  # half and third resolution
+PREDICT_BATCH = 128  # rows per inference tape
 
 
 class VariantSpec(NamedTuple):
@@ -71,6 +72,9 @@ class ModelConfig:
             raise ValueError("hidden size must be positive")
         if not self.domain_channels:
             raise ValueError("need at least one domain")
+        for i, ch in enumerate(self.channels):  # a repeat would share one branch
+            if ch in self.channels[:i]:
+                raise ValueError(f"channel {ch!r} is listed more than once")
         for domain, channels in self.domain_channels:
             if not channels:
                 raise ValueError(f"domain {domain} has no channels")
@@ -329,13 +333,14 @@ class EmoMsase:
             yield {ch: x[start:start + batch_size] for ch, x in inputs.items()}
 
     def predict_logits(self, inputs: dict[str, np.ndarray],
-                       batch_size: int = 128) -> np.ndarray:
+                       batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Class logits (N, C) for stacked inputs, evaluated in chunks of
         ``batch_size`` rows on float64 inference tapes."""
         return np.concatenate([self.logits(Tape(recording=False), part).value
                                for part in self._chunks(inputs, batch_size)], axis=0)
 
-    def predict(self, inputs: dict[str, np.ndarray], batch_size: int = 128) -> np.ndarray:
+    def predict(self, inputs: dict[str, np.ndarray],
+                batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Probabilities (N, C): the row softmax of ``predict_logits``, equal
         bit for bit to ``forward`` on the same chunks; zero samples give an
         empty (0, C) array."""

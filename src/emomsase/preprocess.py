@@ -300,6 +300,7 @@ def preprocess_channel(rec: RawRecording) -> WindowedTensor:
 # ---------------------------------------------------------------------------
 
 _MAGIC_DTYPE = "<f8"
+_BINARY, _SIDECAR = ".bin", ".json"
 
 
 def tensor_cache_key(rec: RawRecording) -> str:
@@ -312,15 +313,27 @@ def tensor_cache_key(rec: RawRecording) -> str:
     return h.hexdigest()[:20]
 
 
+def _entry_files(stem: Path) -> tuple[Path, Path]:
+    """A cache entry is a binary beside a sidecar of ours; other files are foreign."""
+    return stem.with_name(stem.name + _BINARY), stem.with_name(stem.name + _SIDECAR)
+
+
+def entry_stems(cache_dir: Path) -> list[Path]:
+    """The stems in ``cache_dir`` that have both entry files, sorted; reads no file."""
+    names = {p.name for p in Path(cache_dir).glob("*")}
+    return sorted(Path(cache_dir) / n[:-len(_SIDECAR)] for n in names
+                  if n.endswith(_SIDECAR) and n[:-len(_SIDECAR)] + _BINARY in names)
+
+
 def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
     """Write ``stem``.bin (uint32 T,F then float64 row-major, little-endian)
     and, last, a JSON sidecar with the source metadata."""
-    stem = Path(stem)
+    binary, sidecar = _entry_files(Path(stem))
     t, f = tensor.values.shape
-    write_atomic(stem.with_suffix(".bin"),
+    write_atomic(binary,
                  struct.pack("<II", t, f) + tensor.values.astype(_MAGIC_DTYPE).tobytes())
     src = tensor.source or ("", "", "")
-    sidecar = {
+    meta = {
         "participant_id": src[0],
         "video_id": src[1],
         "channel": src[2],
@@ -328,45 +341,57 @@ def save_tensor(tensor: WindowedTensor, stem: Path) -> None:
         "window_len": f,
         "dtype": _MAGIC_DTYPE,
     }
-    write_atomic(stem.with_suffix(".json"),
-                 (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
+    write_atomic(sidecar, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
+
+
+def _read_sidecar(sidecar: Path) -> tuple[tuple[str, str, str], tuple[int, int]] | None:
+    """The (source, shape) a sidecar of ours holds, or None for a foreign file."""
+    try:
+        meta = json.loads(sidecar.read_bytes())
+        source = (meta["participant_id"], meta["video_id"], meta["channel"])
+        shape = (meta["n_windows"], meta["window_len"])
+    except (ValueError, KeyError, TypeError):
+        return None
+    ours = all(type(v) is str for v in source) and all(type(n) is int for n in shape)
+    return (source, shape) if ours else None
 
 
 def prune_stale_tensors(cache_dir: Path, keys: set[str],
                         sources: set[tuple[str, str, str]]) -> int:
-    """Remove each tensor pair whose stem is not in ``keys`` but whose sidecar
-    names a (participant, video, channel) in ``sources``: a tensor that a
-    chain or data edit superseded.  Returns how many pairs went.
+    """Remove each entry whose stem is not in ``keys`` but whose sidecar names
+    a (participant, video, channel) in ``sources``: a tensor that a chain or
+    data edit superseded.  Returns how many entries went.
 
-    Only a pair whose stem is not a key has its sidecar read, so a cache with
-    nothing stale costs one directory listing.  Files that are not a
-    sidecar-and-binary pair, and tensors of other sources, stay.  The sidecar
-    goes first, so an interrupted prune leaves a binary that loading ignores.
+    Only an entry whose stem is not a key has its sidecar read, so a cache with
+    nothing stale costs one directory listing.  Foreign files and tensors of
+    other sources stay.  The sidecar goes first, so an interrupted prune leaves
+    a binary that loading ignores.
     """
     pruned = 0
-    for sidecar in sorted(Path(cache_dir).glob("*.json")):
-        binary = sidecar.with_suffix(".bin")
-        if sidecar.stem in keys or not binary.is_file():
-            continue
-        try:
-            meta = json.loads(sidecar.read_bytes())
-            stale = (meta["participant_id"], meta["video_id"], meta["channel"]) in sources
-        except (ValueError, KeyError, TypeError):  # not a sidecar of ours
-            continue
-        if stale:
+    for stem in entry_stems(cache_dir):
+        binary, sidecar = _entry_files(stem)
+        meta = None if stem.name in keys else _read_sidecar(sidecar)
+        if meta is not None and meta[0] in sources:
             sidecar.unlink()
             binary.unlink()
             pruned += 1
     return pruned
 
 
-def load_tensor(stem: Path) -> WindowedTensor:
-    stem = Path(stem)
-    meta = json.loads(stem.with_suffix(".json").read_text())
-    with open(stem.with_suffix(".bin"), "rb") as fh:
-        t, f = struct.unpack("<II", fh.read(8))
-        values = np.frombuffer(fh.read(), dtype=_MAGIC_DTYPE).reshape(t, f).copy()
-    if (t, f) != (meta["n_windows"], meta["window_len"]):
-        raise PreprocessError(f"{stem}: sidecar shape disagrees with binary header")
-    return WindowedTensor(values=values,
-                          source=(meta["participant_id"], meta["video_id"], meta["channel"]))
+def load_tensor(stem: Path) -> WindowedTensor | None:
+    """The tensor of the entry at ``stem``, or None if its sidecar is not ours.
+    A binary that does not hold the tensor its sidecar describes raises a
+    PreprocessError naming it."""
+    binary, sidecar = _entry_files(Path(stem))
+    meta = _read_sidecar(sidecar)
+    if meta is None:
+        return None
+    data = binary.read_bytes()
+    try:
+        if struct.unpack_from("<II", data) != meta[1]:
+            raise ValueError("the sidecar gives another shape")
+        values = np.frombuffer(data, _MAGIC_DTYPE, offset=8).reshape(meta[1]).copy()
+    except (struct.error, ValueError) as exc:
+        raise PreprocessError(f"{binary}: not a cached tensor ({exc}); clear the cache "
+                              f"and re-run preprocessing") from None
+    return WindowedTensor(values=values, source=meta[0])

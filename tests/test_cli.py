@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -11,7 +12,9 @@ import pytest
 
 from emomsase import autodiff as ad
 from emomsase import dataio, preprocess
-from emomsase.cli import main
+from emomsase.cli import DEFAULTS, _model_config, _train_config, main
+from emomsase.model import ModelConfig
+from emomsase.train import TrainConfig
 
 EYE_ONLY = {
     "domains": ["Head"],
@@ -204,8 +207,13 @@ G2_HEADER = "video_id,g2_valence,g2_arousal\n"
     ("ratings.csv", RATINGS_HEADER + "p01,video01,6,6,Male\np01,video02,low,2,Male\n", 3),
     ("g2_table.csv", G2_HEADER + "video01,XX,HA\n", 2),
     ("g2_table.csv", G2_HEADER + "video01,HV,HA\nvideo02,LV\n", 3),
+    ("ratings.csv", RATINGS_HEADER + "p01,video01,6,6,Male,6\n", 2),
+    ("ratings.csv", RATINGS_HEADER + "p01,video01,6,6,Male\np01,video01,2,2,Male\n", 3),
+    ("g2_table.csv", G2_HEADER + "video01,HV,HA\nvideo01,LV,LA\n", 3),
+    ("g2_table.csv", G2_HEADER + "video01,HA,HA\n", 2),
 ], ids=["manifest-no-rate-column", "ratings-no-sex-column", "ratings-not-a-number",
-        "g2-unknown-code", "g2-short-row"])
+        "g2-unknown-code", "g2-short-row", "ratings-long-row", "ratings-repeated-pair",
+        "g2-repeated-video", "g2-arousal-code-for-valence"])
 def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, capsys,
                                                       table, text, line):
     path = tmp_path / table
@@ -221,6 +229,31 @@ def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}" + (f" line {line}: " if line else ": "))
     assert "Traceback" not in err
+
+
+def test_run_skips_foreign_cache_files_and_names_a_corrupt_tensor(small_cache, tmp_path,
+                                                                  capsys):
+    cache = tmp_path / "cache"
+    shutil.copytree(small_cache / "cache", cache)
+    ours = sorted(cache.glob("*.bin"))
+    foreign = {"notes.txt": b"hello", "lone.json": b"{}", "other.json": b"[1, 2]",
+               "other.bin": b"\0", "broken.json": b"{not json", "broken.bin": b""}
+    for name, content in foreign.items():
+        (cache / name).write_bytes(content)
+    argv = ["run", "--config", str(small_cache / "config.json"), "--cache", str(cache),
+            "--ratings", str(small_cache / "data" / "ratings.csv")]
+    assert main(_run_argv(small_cache, tmp_path / "clean")) == 0
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert ((tmp_path / "out" / "report.json").read_bytes()
+            == (tmp_path / "clean" / "report.json").read_bytes())
+    capsys.readouterr()
+    data = ours[0].read_bytes()
+    for torn in (data[:-3], data[:5]):  # a torn body, then a torn header
+        ours[0].write_bytes(torn)
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ours[0]}: not a cached tensor")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("target", ["results.csv", "report.json"])
@@ -319,6 +352,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--cache", str(tmp_path / "nope"),
                  "--ratings", "r.csv", "--out", str(tmp_path / "o"),
                  "--domains", "knees"]) == 2
+    for cfg, key in [({"train": {"learning_rate": None}}, "learning_rate"),
+                     ({"hidden_size": [8]}, "hidden_size"),
+                     ({"hidden_size": "big"}, "hidden_size")]:
+        bad.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad), "--cache", str(tmp_path / "nope"),
+                     "--ratings", "r.csv", "--out", str(tmp_path / "o")]) == 2
+        assert f"error: setting {key} must be" in capsys.readouterr().err
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:
@@ -328,6 +369,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_defaults_are_the_records_defaults():
+    assert _train_config(DEFAULTS) == TrainConfig(seed=0)
+    model = _model_config(DEFAULTS)
+    for f in dataclasses.fields(ModelConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(model, f.name) == f.default
+    assert model.channels == dataio.BEST_CHANNELS
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys, monkeypatch):

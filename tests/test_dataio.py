@@ -312,6 +312,15 @@ def test_load_recordings_rejects_non_numeric_rate(tmp_path):
         dataio.load_recordings(tmp_path)
 
 
+def test_manifest_refuses_a_repeated_recording(tmp_path):
+    (tmp_path / "rec.csv").write_text("timestamp_ms,value\n0,0.5\n250,0.25\n")
+    row = "rec.csv,p01,video01,Peripheral,EDA,4.0\n"
+    (tmp_path / "manifest.csv").write_text(
+        "file,participant_id,video_id,domain,channel,sample_rate_hz\n" + row + row)
+    with pytest.raises(DataError, match=r"\.csv line 3: p01/video01/EDA repeats line 2"):
+        dataio.load_recordings(tmp_path)
+
+
 def test_unparseable_sensor_value_names_its_file(tmp_path):
     (tmp_path / "rec.csv").write_text("timestamp_ms,value\n0,0.5\n250,abc\n")
     (tmp_path / "manifest.csv").write_text(

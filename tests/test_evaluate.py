@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomsase import dataio, evaluate, preprocess
 from emomsase.dataio import (
@@ -85,6 +86,21 @@ def test_loso_structure():
         loso(_pids(2))
     with pytest.raises(EvaluateError):
         loso(["a", "a", "b"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+       scheme=st.sampled_from(["kfold", "loso"]))
+def test_folds_rotate_the_groups(data, n, seed, scheme):
+    pids = _pids(n)
+    plan = (group_kfold(pids, k=data.draw(st.integers(3, n)), seed=seed)
+            if scheme == "kfold" else loso(pids))
+    folds = plan.folds
+    assert sorted(pid for f in folds for pid in f.test) == pids
+    for i, fold in enumerate(folds):
+        assert fold.index == i
+        assert fold.val == folds[(i + 1) % len(folds)].test
+        assert sorted(fold.train) == sorted(set(pids) - set(fold.test) - set(fold.val))
 
 
 def test_fold_and_plan_guards():

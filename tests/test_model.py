@@ -53,6 +53,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(domain_channels=(("Peripheral", ("EDA",)),),
                     feature_sizes={"EDA": 3}, hidden_size=4, se_reduction=5)
+    with pytest.raises(ValueError, match="channel 'EDA' is listed more than once"):
+        ModelConfig(domain_channels=(("Peripheral", ("EDA", "EDA")), ("Head", ("EDA",))),
+                    feature_sizes={"EDA": 3})
 
 
 def test_config_channels_and_cav_length():

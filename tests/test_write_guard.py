@@ -1,5 +1,7 @@
 """One writer: only ``dataio.write_atomic`` writes file bytes, and only ``dataio``
-makes a ``csv.writer``, so a second write path in the package fails this test."""
+makes a ``csv.writer``, so a second write path in the package fails this test.
+One cache layout: only ``preprocess`` names a tensor cache suffix, in a
+``with_suffix`` call or a ``glob`` pattern."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "emomsase"
 WRITER = ("dataio.py", "write_atomic")
 WRITE_METHODS = {"write_text", "write_bytes"}
+CACHE_SUFFIXES = (".bin", ".json")
 
 
 def _mode(call: ast.Call, position: int) -> str | None:
@@ -18,6 +21,18 @@ def _mode(call: ast.Call, position: int) -> str | None:
     if not args:
         return None
     return args[0].value if isinstance(args[0], ast.Constant) else "?"
+
+
+def _cache_suffix(call: ast.Call) -> str | None:
+    """``with_suffix('.bin')`` or ``glob('*.json')`` for a call that names a cache suffix."""
+    fn = call.func
+    if not (isinstance(fn, ast.Attribute) and fn.attr in ("with_suffix", "glob", "rglob")
+            and call.args and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)):
+        return None
+    arg = call.args[0].value
+    named = arg in CACHE_SUFFIXES if fn.attr == "with_suffix" else arg.endswith(CACHE_SUFFIXES)
+    return f"{fn.attr}({arg!r})" if named else None
 
 
 def _offence(call: ast.Call) -> str | None:
@@ -51,6 +66,9 @@ def offences(source: str, filename: str) -> list[str]:
                        else (filename, function) == WRITER)
             if what is not None and not allowed:
                 found.append(f"{filename}:{function}: {what}")
+            what = _cache_suffix(node)
+            if what is not None and filename != "preprocess.py":
+                found.append(f"{filename}:{function}: {what}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -77,6 +95,11 @@ def test_only_write_atomic_writes_files():
     ("dataio.py", "import csv\ndef f(fh):\n    csv.writer(fh)\n", []),
     ("dataio.py", "def write_atomic(p, b):\n    p.write_bytes(b)\n", []),
     ("preprocess.py", "def f(p):\n    open(p, 'rb'); open(p); p.open()\n", []),
+    ("cli.py", "def f(s):\n    s.with_suffix('.bin')\n", ["cli.py:f: with_suffix('.bin')"]),
+    ("cli.py", "def f(d):\n    d.glob('*.json')\n", ["cli.py:f: glob('*.json')"]),
+    ("evaluate.py", "def f(d):\n    d.rglob('x*.bin')\n", ["evaluate.py:f: rglob('x*.bin')"]),
+    ("cli.py", "def f(s, d):\n    s.with_suffix('.csv'); d.glob('*.csv')\n", []),
+    ("preprocess.py", "def f(s, d):\n    s.with_suffix('.json'); d.glob('*.bin')\n", []),
 ])
 def test_the_guard_sees_each_write_path(filename, source, expected):
     assert offences(source, filename) == expected
