@@ -5,11 +5,10 @@ elementwise nonlinearities, softmax, attention-style pooling, concatenation,
 broadcast multiply, a fused LSTM layer whose backward pass runs
 backpropagation through time in one step, and a log-sum-exp cross-entropy.
 
-The compute dtype belongs to the tape: float64 by default, float32 for the
-train steps of ``fit``.  An op reads every input cast to its tape's dtype
-and allocates in that dtype, so its output and the gradients it passes back
-are of that dtype too.  A ``Param`` is float64 master storage: its value is
-cast when an op reads it, and its float64 ``grad`` upcasts what arrives.
+The compute dtype belongs to the tape, float64 by default or float32.  An
+op reads every input cast to it (no copy if it already is) and allocates in
+it, so its output and the gradients it passes back share that dtype.  A
+``Param`` keeps its value's dtype, and so does its ``grad``.
 
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
@@ -46,10 +45,8 @@ COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Var:
-    """A value in the computation graph with a gradient slot.
-
-    A float32 or float64 value keeps its dtype; anything else becomes float64.
-    """
+    """A value in the computation graph with a gradient slot.  A float32 or
+    float64 value keeps its dtype; anything else becomes float64."""
 
     __slots__ = ("value", "grad", "requires_grad")
 
@@ -61,13 +58,12 @@ class Var:
 
 
 class Param(Var):
-    """Named trainable leaf: float64 master weights with a float64 gradient
-    that every backward accumulates into in place."""
+    """Named trainable leaf; every backward adds into its gradient in place."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value: np.ndarray):
-        super().__init__(np.asarray(value, dtype=np.float64))
+        super().__init__(value)
         self.name = name
         self.grad = np.zeros_like(self.value)
 
@@ -111,10 +107,9 @@ class Tape:
 def _acc(var: Var, grad: np.ndarray) -> None:
     """Add ``grad`` into ``var.grad``.
 
-    A Param owns its float64 gradient, so the sum goes in place (and upcasts
-    a float32 gradient).  Any other grad may be a view of another node's
-    gradient (``reshape``, ``stack_rows``, ``concat``), so it is never
-    written into: a second contribution makes a new array.
+    A Param owns its gradient and sums in place.  Any other grad may be a
+    view of another node's (``reshape``, ``stack_rows``, ``concat``), so it
+    is never written into: a second contribution makes a new array.
     """
     if not var.requires_grad:
         return

@@ -34,6 +34,16 @@ SPLITS = {
     "loso": lambda pids, seed: evaluate.loso(pids),
 }
 
+# the allowed values of each choice setting, as flag or config entry
+CHOICES = {
+    "labels": tuple(c.value for c in LabelCase),
+    "boundary": tuple(b.value for b in BoundaryPolicy),
+    "split": tuple(SPLITS),
+    "fusion": evaluate.FUSION_MODES,
+    "variant": VARIANTS,
+    "target": (*DIMENSIONS, "both"),
+}
+
 
 DEFAULTS = {
     **{f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING},
@@ -99,23 +109,48 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         if value is None:
             continue
         if key in DEFAULTS:
-            settings[key] = _parse_domains(value) if key == "domains" else value
+            settings[key] = value
         elif key in DEFAULTS["synth"]:
             settings["synth"][key] = value
     if settings["cache"] is None:
         settings["cache"] = os.environ.get(CACHE_ENV)
+    for key, choices in CHOICES.items():
+        if settings[key] not in choices:
+            raise UsageError(f"setting {key} must be one of {', '.join(choices)}, "
+                             f"not {settings[key]!r}")
+    settings["domains"] = _parse_domains(settings["domains"])
+    _check_channels(settings["channels"])
     return settings
 
 
-def _parse_domains(spec: str) -> list[str]:
+def _parse_domains(spec: str | list) -> list[str]:
+    """Domain names, from a comma string or a list, in ``Domain`` order."""
     canon = {d.value.lower(): d.value for d in Domain}
-    picked = [token.strip().lower() for token in spec.split(",") if token.strip()]
+    tokens = spec.split(",") if isinstance(spec, str) else spec
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise UsageError(f"setting domains must be a list of names, not {spec!r}")
+    picked = [token.strip().lower() for token in tokens if token.strip()]
     for token in picked:
         if token not in canon:
             raise UsageError(f"unknown domain {token!r} (choose from {', '.join(canon)})")
     if not picked:
         raise UsageError("no domains given")
     return [d for token, d in canon.items() if token in picked]
+
+
+def _check_channels(channels) -> None:
+    """Each ``channels`` entry lists channels of the domain it is keyed by."""
+    domains = [d.value for d in Domain]
+    lists = isinstance(channels, dict) and all(isinstance(v, list) for v in channels.values())
+    if not lists:
+        raise UsageError(f"setting channels must map domains to lists, not {channels!r}")
+    for domain, names in channels.items():
+        if domain not in domains:
+            raise UsageError(f"channels key {domain!r} is not a domain "
+                             f"(choose from {', '.join(domains)})")
+        for ch in names:
+            if not isinstance(ch, str) or CHANNEL_CATALOG.get(ch, (None,))[0] != domain:
+                raise UsageError(f"channel {ch!r} is not a {domain} channel")
 
 
 def _model_config(settings: dict) -> ModelConfig:
@@ -141,12 +176,17 @@ def _record(record, values: dict, **given):
     its fields, cast to the type of that field's default."""
     for f in fields(record):
         if f.name in values:
-            try:
-                given[f.name] = type(f.default)(values[f.name])
-            except (TypeError, ValueError, OverflowError):
-                raise UsageError(f"setting {f.name} must be of type {type(f.default).__name__}"
-                                 f", not {values[f.name]!r}") from None
+            given[f.name] = _cast(f.name, values[f.name], type(f.default))
     return record(**given)
+
+
+def _cast(key: str, value, kind: type):
+    """``value`` cast to ``kind``; a usage error names the setting ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"setting {key} must be of type {kind.__name__}, "
+                         f"not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +203,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         channels = [ch for d in settings["domains"]
                     for ch in settings["channels"].get(d, [])]
     spec = dataio.SyntheticSpec(
-        n_participants=int(synth["participants"]),
-        seed=int(settings["seed"]),
-        class_separation=float(synth["separation"]),
+        n_participants=_cast("participants", synth["participants"], int),
+        seed=_cast("seed", settings["seed"], int),
+        class_separation=_cast("separation", synth["separation"], float),
         channels=dataio.default_synth_channels(list(channels)),
     )
     recordings, ratings = dataio.make_synthetic(spec)
@@ -246,8 +286,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key in ("cache", "ratings", "out"):
         if settings[key] is None:
             raise UsageError(f"run needs --{key} (or a config entry)")
-    if settings["split"] not in SPLITS:
-        raise UsageError(f"unknown split {settings['split']!r}")
     model_cfg = _model_config(settings)
     train_cfg = _train_config(settings)
     samples = _load_samples(Path(settings["cache"]))
@@ -361,16 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help=f"tensor cache directory (default ${CACHE_ENV})")
     p.add_argument("--ratings", help="ratings CSV")
     p.add_argument("--g2", help="per-video group label table (for --labels g2)")
-    p.add_argument("--labels", choices=[c.value for c in LabelCase],
-                   help="labelling scheme")
-    p.add_argument("--boundary", choices=[b.value for b in BoundaryPolicy],
+    p.add_argument("--labels", choices=CHOICES["labels"], help="labelling scheme")
+    p.add_argument("--boundary", choices=CHOICES["boundary"],
                    help="treatment of the midpoint rating 4")
     p.add_argument("--domains", help="comma list: peripheral,trunk,head")
-    p.add_argument("--split", choices=list(SPLITS), help="validation scheme")
-    p.add_argument("--fusion", choices=list(evaluate.FUSION_MODES),
+    p.add_argument("--split", choices=CHOICES["split"], help="validation scheme")
+    p.add_argument("--fusion", choices=CHOICES["fusion"],
                    help="modality-level or decision-level fusion")
-    p.add_argument("--variant", choices=list(VARIANTS), help="model variant")
-    p.add_argument("--target", choices=[*DIMENSIONS, "both"],
+    p.add_argument("--variant", choices=CHOICES["variant"], help="model variant")
+    p.add_argument("--target", choices=CHOICES["target"],
                    help="affect dimension(s) to classify")
     p.add_argument("--out", help="output directory for results")
     p.set_defaults(func=cmd_run)

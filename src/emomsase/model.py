@@ -72,9 +72,11 @@ class ModelConfig:
             raise ValueError("hidden size must be positive")
         if not self.domain_channels:
             raise ValueError("need at least one domain")
-        for i, ch in enumerate(self.channels):  # a repeat would share one branch
-            if ch in self.channels[:i]:
-                raise ValueError(f"channel {ch!r} is listed more than once")
+        domains = tuple(d for d, _ in self.domain_channels)
+        for kind, names in (("domain", domains), ("channel", self.channels)):
+            for i, name in enumerate(names):  # a repeat would share one SE gate or branch
+                if name in names[:i]:
+                    raise ValueError(f"{kind} {name!r} is listed more than once")
         for domain, channels in self.domain_channels:
             if not channels:
                 raise ValueError(f"domain {domain} has no channels")
@@ -276,6 +278,12 @@ class EmoMsase:
         for p in self.parameters():
             p.zero_grad()
 
+    def cast(self, dtype) -> None:
+        """Cast every weight and its gradient to ``dtype`` (no copy if already)."""
+        for p in self.parameters():
+            p.value = p.value.astype(dtype, copy=False)
+            p.grad = p.grad.astype(dtype, copy=False)
+
     def modality_cav(self, tape: Tape, x: Var, channel: str) -> Var:
         expected_f = self.config.feature_sizes[channel]
         if x.value.ndim != 3 or x.value.shape[2] != expected_f:
@@ -308,13 +316,12 @@ class EmoMsase:
             raise NonFiniteActivationError("non-finite class logits")
         return logits
 
-    def forward(self, batch: dict[str, np.ndarray], dtype=np.float64,
+    def forward(self, batch: dict[str, np.ndarray],
                 labels: np.ndarray | None = None) -> tuple[Var, Tape]:
         """Class probabilities (B, C) for a batch of per-channel tensors, on a
-        new tape that computes in ``dtype`` and records for backward.  Given
-        ``labels``, the mean cross-entropy of the logits instead: the training
-        loss."""
-        tape = Tape(dtype=dtype)
+        new recording tape in the weights' dtype.  Given ``labels``, the mean
+        cross-entropy of the logits instead: the training loss."""
+        tape = Tape(dtype=self.head.w.value.dtype)
         logits = self.logits(tape, batch)
         if labels is not None:
             return ad.softmax_cross_entropy(tape, logits, labels), tape
@@ -335,14 +342,14 @@ class EmoMsase:
     def predict_logits(self, inputs: dict[str, np.ndarray],
                        batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Class logits (N, C) for stacked inputs, evaluated in chunks of
-        ``batch_size`` rows on float64 inference tapes."""
+        ``batch_size`` rows on float64 inference tapes, whatever the weights' dtype."""
         return np.concatenate([self.logits(Tape(recording=False), part).value
                                for part in self._chunks(inputs, batch_size)], axis=0)
 
     def predict(self, inputs: dict[str, np.ndarray],
                 batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Probabilities (N, C): the row softmax of ``predict_logits``, equal
-        bit for bit to ``forward`` on the same chunks; zero samples give an
-        empty (0, C) array."""
+        bit for bit to ``forward`` on the same chunks if the weights are
+        float64; zero samples give an empty (0, C) array."""
         logits = self.predict_logits(inputs, batch_size)
         return ad.softmax(Tape(recording=False), ad.leaf(logits)).value

@@ -112,7 +112,7 @@ class AdamW:
         # both bias corrections fold into two scalars:
         # lr * m_hat / (sqrt(v_hat) + eps) = step * m / (sqrt(v) / root_c2 + eps)
         step = self.lr / (1.0 - BETA1 ** self.t)
-        root_c2 = np.sqrt(1.0 - BETA2 ** self.t)
+        root_c2 = (1.0 - BETA2 ** self.t) ** 0.5  # a Python float keeps float32 loops
         decay = self.lr * self.weight_decay
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
@@ -149,14 +149,14 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         config: TrainConfig = TrainConfig()) -> tuple[EmoMsase, TrainLog]:
     """Train in place and return the model restored to its best-epoch weights.
 
+    Training is float32: the weights and their gradients are cast first.
     Batches come from a seeded shuffle each epoch; a short final batch is
-    kept.  Each step runs forward and backward on a float32 tape; the
-    weights, their gradients, the AdamW moments and the validation loss stay
-    float64.  Stops early once validation loss has failed to improve for more
+    kept.  Stops early once validation loss has failed to improve for more
     than ``patience`` consecutive epochs.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptySplitError("both training and validation sets must be non-empty")
+    model.cast(np.float32)
     rng = np.random.default_rng(config.seed)
     opt = AdamW(model.parameters(), config)
     log = TrainLog()
@@ -171,8 +171,7 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, tape = model.forward(train_set.take(idx), dtype=np.float32,
-                                       labels=train_set.labels[idx])
+            loss, tape = model.forward(train_set.take(idx), labels=train_set.labels[idx])
             if not np.isfinite(loss.value):
                 raise DivergedLossError(f"training loss diverged at epoch {epoch}")
             model.zero_grad()

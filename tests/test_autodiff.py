@@ -510,12 +510,13 @@ def test_float32_step_allocates_no_float64(monkeypatch):
     is invisible in the outputs, whose ``out=`` writes cast back to float32;
     only the allocations show it."""
     model = EmoMsase(micro_config())
+    model.cast(np.float32)
     rng = np.random.default_rng(34)
     batch = {ch: rng.standard_normal((3, 6, model.config.feature_sizes[ch]))
              for ch in model.config.channels}
     recorder = _AllocationRecorder()
     monkeypatch.setattr(ad, "np", recorder)
-    loss, tape = model.forward(batch, dtype=np.float32, labels=np.array([0, 1, 1]))
+    loss, tape = model.forward(batch, labels=np.array([0, 1, 1]))
     model.zero_grad()
     tape.backward(loss)
     monkeypatch.undo()
@@ -524,8 +525,9 @@ def test_float32_step_allocates_no_float64(monkeypatch):
     assert not wide, wide
 
 
-def test_values_are_float64():
-    v = Var(np.array([1, 2, 3], dtype=np.int32))
-    assert v.value.dtype == np.float64
-    p = Param("p", np.ones(3, dtype=np.float32))
-    assert p.value.dtype == np.float64 and p.grad.dtype == np.float64
+def test_values_keep_their_float_dtype():
+    assert Var(np.array([1, 2, 3], dtype=np.int32)).value.dtype == np.float64
+    assert Param("i", np.array([1, 2, 3])).value.dtype == np.float64
+    for dtype in (np.float32, np.float64):
+        p = Param("p", np.ones(3, dtype=dtype))
+        assert p.value.dtype == dtype and p.grad.dtype == dtype

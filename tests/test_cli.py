@@ -12,7 +12,8 @@ import pytest
 
 from emomsase import autodiff as ad
 from emomsase import dataio, preprocess
-from emomsase.cli import DEFAULTS, _model_config, _train_config, main
+from emomsase.cli import (DEFAULTS, _model_config, _train_config, build_parser, main,
+                          resolve_settings)
 from emomsase.model import ModelConfig
 from emomsase.train import TrainConfig
 
@@ -352,14 +353,32 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--cache", str(tmp_path / "nope"),
                  "--ratings", "r.csv", "--out", str(tmp_path / "o"),
                  "--domains", "knees"]) == 2
-    for cfg, key in [({"train": {"learning_rate": None}}, "learning_rate"),
-                     ({"hidden_size": [8]}, "hidden_size"),
-                     ({"hidden_size": "big"}, "hidden_size")]:
+    run = ["run", "--cache", str(tmp_path / "nope"), "--ratings", "r.csv",
+           "--out", str(tmp_path / "o")]
+    synth = ["synth", "--out", str(tmp_path / "x")]
+    for command, cfg, message in [
+            (run, {"train": {"learning_rate": None}}, "setting learning_rate must be"),
+            (run, {"hidden_size": [8]}, "setting hidden_size must be"),
+            (run, {"hidden_size": "big"}, "setting hidden_size must be"),
+            (run, {"fusion": "bogus"}, "setting fusion must be one of"),
+            (run, {"target": "dominance"}, "setting target must be one of"),
+            (run, {"labels": "bogus"}, "setting labels must be one of"),
+            (run, {"boundary": "le5"}, "setting boundary must be one of"),
+            (run, {"variant": "transformer"}, "setting variant must be one of"),
+            (run, {"split": "holdout"}, "setting split must be one of"),
+            (run, {"domains": ["peripheral", "knees"]}, "unknown domain 'knees'"),
+            (run, {"domains": 3}, "setting domains must be a list"),
+            (run, {"channels": {"Head": ["ACC_Z"]}}, "channel 'ACC_Z' is not a Head channel"),
+            (run, {"channels": {"Head": ["BOGUS"]}}, "channel 'BOGUS' is not a Head channel"),
+            (run, {"channels": {"Hed": ["ACC_Z"]}}, "channels key 'Hed' is not a domain"),
+            (run, {"channels": {"Head": "L_EP_Y"}}, "setting channels must map"),
+            (synth, {"synth": {"participants": None}}, "setting participants must be"),
+            (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
+            (synth, {"seed": None}, "setting seed must be")]:
         bad.write_text(json.dumps(cfg))
         capsys.readouterr()
-        assert main(["run", "--config", str(bad), "--cache", str(tmp_path / "nope"),
-                     "--ratings", "r.csv", "--out", str(tmp_path / "o")]) == 2
-        assert f"error: setting {key} must be" in capsys.readouterr().err
+        assert main([*command, "--config", str(bad)]) == 2, cfg
+        assert f"error: {message}" in capsys.readouterr().err, cfg
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:
@@ -369,6 +388,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_config_domains_parse_like_the_flag(tmp_path):
+    cfg = tmp_path / "c.json"
+    for domains in (["peripheral", "Trunk"], "trunk, PERIPHERAL"):
+        cfg.write_text(json.dumps({"domains": domains}))
+        args = build_parser().parse_args(["run", "--config", str(cfg)])
+        assert resolve_settings(args)["domains"] == ["Peripheral", "Trunk"]
+    args = build_parser().parse_args(["run", "--domains", "trunk,peripheral"])
+    assert resolve_settings(args)["domains"] == ["Peripheral", "Trunk"]
 
 
 def test_cli_defaults_are_the_records_defaults():

@@ -56,6 +56,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="channel 'EDA' is listed more than once"):
         ModelConfig(domain_channels=(("Peripheral", ("EDA", "EDA")), ("Head", ("EDA",))),
                     feature_sizes={"EDA": 3})
+    with pytest.raises(ValueError, match="domain 'Peripheral' is listed more than once"):
+        ModelConfig(domain_channels=(("Peripheral", ("EDA",)), ("Peripheral", ("TEMP",))),
+                    feature_sizes={"EDA": 3, "TEMP": 3})
 
 
 def test_config_channels_and_cav_length():
@@ -304,9 +307,10 @@ def test_float32_tape_gradients_track_float64(seed, variant):
              for ch in cfg.channels}
     labels = rng.integers(0, N_CLASSES, size=4)
     grads = {}
-    for dtype in (np.float32, np.float64):
+    for dtype in (np.float64, np.float32):  # float64 first: the cast rounds the weights
+        model.cast(dtype)
         model.zero_grad()
-        loss, tape = model.forward(batch, dtype=dtype, labels=labels)
+        loss, tape = model.forward(batch, labels=labels)
         assert loss.value.dtype == dtype
         tape.backward(loss)
         grads[dtype] = [p.grad.copy() for p in model.parameters()]

@@ -165,7 +165,7 @@ def test_fit_is_deterministic():
         npt.assert_array_equal(a.value, b.value)
 
 
-def test_fit_steps_in_float32_over_float64_master_state(monkeypatch):
+def test_fit_trains_in_float32_and_predicts_in_float64(monkeypatch):
     optimizers = []
 
     class RecordedAdamW(AdamW):
@@ -190,13 +190,20 @@ def test_fit_steps_in_float32_over_float64_master_state(monkeypatch):
     assert step_dtypes == [np.float32] * 4
     (opt,) = optimizers
     assert opt.t == 4
+    step_tape = ad.Tape(dtype=np.float32)
     for p in model.parameters():  # restored best-epoch weights and last grads
-        assert p.value.dtype == np.float64 and p.grad.dtype == np.float64, p.name
+        assert p.value.dtype == np.float32 and p.grad.dtype == np.float32, p.name
+        assert step_tape.read(p) is p.value  # a step reads its weights uncopied
     for moment in opt._m + opt._v:
-        assert moment.dtype == np.float64
-    del model.forward
-    assert model.forward(train_set.inputs, dtype=np.float32)[0].value.dtype == np.float32
-    assert model.forward(train_set.inputs)[0].value.dtype == np.float64
+        assert moment.dtype == np.float32
+    # inference computes in float64: an exact upcast of the weights changes nothing
+    probs, logits = model.predict(train_set.inputs), model.predict_logits(train_set.inputs)
+    assert probs.dtype == np.float64 and logits.dtype == np.float64
+    val = evaluate_loss(model, train_set)
+    model.cast(np.float64)
+    assert np.array_equal(model.predict(train_set.inputs), probs)
+    assert np.array_equal(model.predict_logits(train_set.inputs), logits)
+    assert evaluate_loss(model, train_set) == val
 
 
 def _scripted_fit(monkeypatch, val_sequence, **config_kw):
