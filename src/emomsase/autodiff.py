@@ -379,7 +379,7 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
         dh_dc = np.empty((bsz, h_dim), dtype)
         dc = np.zeros((bsz, h_dim), dtype)
         dh_next = np.zeros((bsz, h_dim), dtype)
-        wh_t = whv.T
+        wh_t = np.ascontiguousarray(whv.T)  # a strided view slows each step's matmul
         for t in range(t_len - 1, -1, -1):
             gates, tc, dz, dh = act[t], tcs[t], dzs[t], dhs[t]
             # local derivatives while this step's rows are in cache (one pass

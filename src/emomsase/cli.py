@@ -120,6 +120,13 @@ def resolve_settings(args: argparse.Namespace) -> dict:
                              f"not {settings[key]!r}")
     settings["domains"] = _parse_domains(settings["domains"])
     _check_channels(settings["channels"])
+    synth_channels = settings["synth"]["channels"]
+    if synth_channels is not None and not (isinstance(synth_channels, list) and synth_channels):
+        raise UsageError(f"setting synth.channels must be a non-empty list, "
+                         f"not {synth_channels!r}")
+    for ch in synth_channels or []:
+        if not isinstance(ch, str) or ch not in CHANNEL_CATALOG:
+            raise UsageError(f"setting synth.channels names unknown channel {ch!r}")
     return settings
 
 
@@ -181,8 +188,12 @@ def _record(record, values: dict, **given):
 
 
 def _cast(key: str, value, kind: type):
-    """``value`` cast to ``kind``; a usage error names the setting ``key``."""
+    """``value`` cast to ``kind``; a usage error names the setting ``key``.
+    A bool is not a number, and an int setting refuses a fraction."""
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"setting {key} must be of type {kind.__name__}, "

@@ -137,22 +137,21 @@ class AdamW:
 
 
 def evaluate_loss(model: EmoMsase, data: LabeledSet) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy of the model on a labelled set, both
-    from float64 logits."""
+    """Mean cross-entropy and accuracy of the model on a labelled set, from
+    logits in the weights' dtype; the loss reduces them in float64."""
     logits = model.predict_logits(data.inputs)
     loss = ad.softmax_cross_entropy(ad.Tape(recording=False), ad.leaf(logits), data.labels)
-    acc = float((logits.argmax(axis=1) == data.labels).mean())
-    return float(loss.value), acc
+    return float(loss.value), float((logits.argmax(axis=1) == data.labels).mean())
 
 
 def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         config: TrainConfig = TrainConfig()) -> tuple[EmoMsase, TrainLog]:
     """Train in place and return the model restored to its best-epoch weights.
 
-    Training is float32: the weights and their gradients are cast first.
-    Batches come from a seeded shuffle each epoch; a short final batch is
-    kept.  Stops early once validation loss has failed to improve for more
-    than ``patience`` consecutive epochs.
+    Training is float32: the weights and their gradients are cast first, so
+    steps, validation and the returned model's predictions are float32.
+    Batches come from a seeded shuffle each epoch, keeping a short last one.
+    Stops once validation loss goes more than ``patience`` epochs without improving.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptySplitError("both training and validation sets must be non-empty")

@@ -525,6 +525,24 @@ def test_float32_step_allocates_no_float64(monkeypatch):
     assert not wide, wide
 
 
+def test_float32_predict_allocates_no_float64(monkeypatch):
+    """Inference on float32 weights computes in float32, so no op allocates
+    float64 state, as an upcast to float64 weights would."""
+    model = EmoMsase(micro_config())
+    model.cast(np.float32)
+    rng = np.random.default_rng(35)
+    inputs = {ch: rng.standard_normal((5, 6, model.config.feature_sizes[ch]))
+              for ch in model.config.channels}
+    recorder = _AllocationRecorder()
+    monkeypatch.setattr(ad, "np", recorder)
+    logits = model.predict_logits(inputs, batch_size=2)
+    monkeypatch.undo()
+    assert recorder.float_dtypes
+    wide = [(name, dt) for name, dt in recorder.float_dtypes if dt != np.float32]
+    assert not wide, wide
+    assert logits.dtype == np.float32
+
+
 def test_values_keep_their_float_dtype():
     assert Var(np.array([1, 2, 3], dtype=np.int32)).value.dtype == np.float64
     assert Param("i", np.array([1, 2, 3])).value.dtype == np.float64

@@ -360,6 +360,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             (run, {"train": {"learning_rate": None}}, "setting learning_rate must be"),
             (run, {"hidden_size": [8]}, "setting hidden_size must be"),
             (run, {"hidden_size": "big"}, "setting hidden_size must be"),
+            (run, {"hidden_size": 8.9}, "setting hidden_size must be of type int"),
+            (run, {"train": {"batch_size": True}}, "setting batch_size must be of type int"),
+            (run, {"train": {"learning_rate": True}}, "setting learning_rate must be"),
             (run, {"fusion": "bogus"}, "setting fusion must be one of"),
             (run, {"target": "dominance"}, "setting target must be one of"),
             (run, {"labels": "bogus"}, "setting labels must be one of"),
@@ -374,7 +377,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             (run, {"channels": {"Head": "L_EP_Y"}}, "setting channels must map"),
             (synth, {"synth": {"participants": None}}, "setting participants must be"),
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
-            (synth, {"seed": None}, "setting seed must be")]:
+            (synth, {"seed": None}, "setting seed must be"),
+            (synth, {"synth": {"channels": ["Hed"]}}, "setting synth.channels names"),
+            (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
+            (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty")]:
         bad.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main([*command, "--config", str(bad)]) == 2, cfg
@@ -388,6 +394,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_config_numbers_cast_only_when_exact(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"hidden_size": 8.0, "train": {"learning_rate": 1}}))
+    settings = resolve_settings(build_parser().parse_args(["run", "--config", str(cfg)]))
+    assert _model_config(settings).hidden_size == 8
+    assert _train_config(settings).learning_rate == 1.0
 
 
 def test_config_domains_parse_like_the_flag(tmp_path):

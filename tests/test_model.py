@@ -349,13 +349,17 @@ def _inputs(cfg, n, seed, timesteps=6):
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 11), batch_size=st.integers(1, 5))
 def test_predict_is_forward_bit_for_bit(variant, n, batch_size):
-    """The inference tape runs the training graph on the same chunks."""
+    """The inference tape runs the training graph on the same chunks, in the
+    weights' dtype."""
     model = EmoMsase(_micro_config(variant=variant))
     inputs = _inputs(model.config, n, seed=n)
-    expected = np.concatenate([
-        model.forward({ch: x[s:s + batch_size] for ch, x in inputs.items()})[0].value
-        for s in range(0, n, batch_size)])
-    assert np.array_equal(model.predict(inputs, batch_size=batch_size), expected)
+    for dtype in (np.float64, np.float32):  # float64 first: the cast rounds the weights
+        model.cast(dtype)
+        expected = np.concatenate([
+            model.forward({ch: x[s:s + batch_size] for ch, x in inputs.items()})[0].value
+            for s in range(0, n, batch_size)])
+        probs = model.predict(inputs, batch_size=batch_size)
+        assert probs.dtype == dtype and np.array_equal(probs, expected)
 
 
 def test_predict_leaves_gradients_and_tape_empty():

@@ -165,7 +165,14 @@ def test_fit_is_deterministic():
         npt.assert_array_equal(a.value, b.value)
 
 
-def test_fit_trains_in_float32_and_predicts_in_float64(monkeypatch):
+# Largest gap between float32 inference and float64 inference of the same
+# (upcast) weights after fit, for probabilities, logits and validation loss.
+# Measured worst over 15 tiny fits (5 model seeds x 3 training sets): 6.5e-8,
+# about half a float32 epsilon at probabilities near 1/2.
+F32_PREDICT_GAP = 2.4e-7
+
+
+def test_fit_trains_in_float32_and_predicts_in_float32(monkeypatch):
     optimizers = []
 
     class RecordedAdamW(AdamW):
@@ -196,14 +203,20 @@ def test_fit_trains_in_float32_and_predicts_in_float64(monkeypatch):
         assert step_tape.read(p) is p.value  # a step reads its weights uncopied
     for moment in opt._m + opt._v:
         assert moment.dtype == np.float32
-    # inference computes in float64: an exact upcast of the weights changes nothing
+    # inference computes in the weights' dtype: one chunk equals a float32 forward
     probs, logits = model.predict(train_set.inputs), model.predict_logits(train_set.inputs)
-    assert probs.dtype == np.float64 and logits.dtype == np.float64
+    assert probs.dtype == np.float32 and logits.dtype == np.float32
+    assert np.array_equal(probs, forward(train_set.inputs)[0].value)
+    assert np.array_equal(logits, model.logits(ad.Tape(dtype=np.float32),
+                                               train_set.inputs).value)
     val = evaluate_loss(model, train_set)
     model.cast(np.float64)
-    assert np.array_equal(model.predict(train_set.inputs), probs)
-    assert np.array_equal(model.predict_logits(train_set.inputs), logits)
-    assert evaluate_loss(model, train_set) == val
+    npt.assert_allclose(model.predict(train_set.inputs), probs, rtol=0, atol=F32_PREDICT_GAP)
+    npt.assert_allclose(model.predict_logits(train_set.inputs), logits,
+                        rtol=0, atol=F32_PREDICT_GAP)
+    val64 = evaluate_loss(model, train_set)
+    assert val64[1] == val[1]
+    npt.assert_allclose(val64[0], val[0], rtol=0, atol=F32_PREDICT_GAP)
 
 
 def _scripted_fit(monkeypatch, val_sequence, **config_kw):
