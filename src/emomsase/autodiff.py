@@ -346,7 +346,8 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
 
     half = np.ones(4 * h_dim, dtype)
     half[:h3] = 0.5
-    xs = tape.read(x).transpose(1, 0, 2).reshape(t_len * bsz, f_in)
+    # time-major in the tape's dtype in one copy, none if it already is both
+    xs = np.ascontiguousarray(x.value.transpose(1, 0, 2), dtype).reshape(t_len * bsz, f_in)
     act = (xs @ (wxv * half)).reshape(t_len, bsz, 4 * h_dim)
     act += tape.read(b) * half
     wh_half = whv * half

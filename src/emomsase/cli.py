@@ -25,7 +25,7 @@ from .dataio import (BEST_CHANNELS, CHANNEL_CATALOG, DIMENSIONS, BoundaryPolicy,
                      LabelCase, LabelLookup)
 from .gradcheck import grad_check, micro_config
 from .model import ModelConfig, VARIANTS
-from .train import TrainConfig
+from .train import DTYPE, TrainConfig
 
 CACHE_ENV = "EMOMSASE_CACHE"
 
@@ -189,9 +189,9 @@ def _record(record, values: dict, **given):
 
 def _cast(key: str, value, kind: type):
     """``value`` cast to ``kind``; a usage error names the setting ``key``.
-    A bool is not a number, and an int setting refuses a fraction."""
+    Neither a bool nor a string is a number, and an int setting refuses a fraction."""
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, bool) or (isinstance(value, str) and kind is not str) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
@@ -261,6 +261,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _load_samples(cache_dir: Path) -> list[evaluate.Sample]:
+    """Each (float64) cached tensor cast to ``DTYPE``, one sample per participant and video."""
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         raise UsageError(f"cache directory not found: {cache_dir}")
@@ -274,7 +275,7 @@ def _load_samples(cache_dir: Path) -> list[evaluate.Sample]:
             raise evaluate.EvaluateError(
                 f"cache holds duplicate tensors for {pid}/{vid}/{channel}; "
                 f"clear the cache and re-run preprocessing")
-        sample.tensors[channel] = tensor.values
+        sample.tensors[channel] = tensor.values.astype(DTYPE)
     if not by_pair:
         raise UsageError(f"cache {cache_dir} holds no tensors")
     return [by_pair[k] for k in sorted(by_pair)]

@@ -193,7 +193,8 @@ def decision_fuse(per_classifier_probs: list[np.ndarray], rule: str) -> FusedDec
 
 @dataclass
 class Sample:
-    """All channel tensors for one participant watching one video."""
+    """All channel tensors for one participant watching one video; ``run``
+    holds them in the training dtype, ``train.DTYPE``, from load on."""
 
     participant_id: str
     video_id: str

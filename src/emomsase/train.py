@@ -21,6 +21,8 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+DTYPE = np.float32  # the training dtype: weights, gradients, moments, tapes and run's data
+
 
 class TrainError(ValueError):
     pass
@@ -70,7 +72,8 @@ class TrainLog:
 
 @dataclass
 class LabeledSet:
-    """Stacked per-channel tensors with labels, one row per sample."""
+    """Stacked per-channel tensors with labels, one row per sample.  In ``run``
+    they are ``DTYPE``, and so is each batch ``take`` makes: no cast to read."""
 
     inputs: dict[str, np.ndarray]   # channel -> (N, T, F)
     labels: np.ndarray              # (N,) class indices
@@ -148,14 +151,14 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         config: TrainConfig = TrainConfig()) -> tuple[EmoMsase, TrainLog]:
     """Train in place and return the model restored to its best-epoch weights.
 
-    Training is float32: the weights and their gradients are cast first, so
-    steps, validation and the returned model's predictions are float32.
+    Training is in ``DTYPE``: the weights and their gradients are cast first,
+    so steps, validation and the returned model's predictions are float32.
     Batches come from a seeded shuffle each epoch, keeping a short last one.
     Stops once validation loss goes more than ``patience`` epochs without improving.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise EmptySplitError("both training and validation sets must be non-empty")
-    model.cast(np.float32)
+    model.cast(DTYPE)
     rng = np.random.default_rng(config.seed)
     opt = AdamW(model.parameters(), config)
     log = TrainLog()

@@ -484,13 +484,16 @@ def test_float32_tape_computes_in_float32_over_float64_params():
 
 class _AllocationRecorder:
     """Stands in for numpy inside ``autodiff``: every other name passes
-    through, and each allocator notes the dtype of the float arrays it makes."""
+    through, and each allocator notes the dtype of the float arrays it makes.
+    ``ascontiguousarray`` also keeps each (input, output) pair in ``contiguous``
+    and notes its dtype only when it copies."""
 
     ALLOCATORS = ("zeros", "empty", "ones", "full",
-                  "zeros_like", "empty_like", "ones_like", "full_like")
+                  "zeros_like", "empty_like", "ones_like", "full_like", "ascontiguousarray")
 
     def __init__(self):
         self.float_dtypes = []
+        self.contiguous = []
 
     def __getattr__(self, name):
         fn = getattr(np, name)
@@ -499,6 +502,10 @@ class _AllocationRecorder:
 
         def allocate(*args, **kwargs):
             out = fn(*args, **kwargs)
+            if name == "ascontiguousarray":
+                self.contiguous.append((args[0], out))
+                if np.shares_memory(args[0], out):
+                    return out
             if np.issubdtype(out.dtype, np.floating):
                 self.float_dtypes.append((name, out.dtype))
             return out
@@ -508,21 +515,51 @@ class _AllocationRecorder:
 def test_float32_step_allocates_no_float64(monkeypatch):
     """A float64 scratch buffer on a float32 tape (say the LSTM's BPTT state)
     is invisible in the outputs, whose ``out=`` writes cast back to float32;
-    only the allocations show it."""
+    only the allocations show it.  The batch may come in either float dtype."""
     model = EmoMsase(micro_config())
     model.cast(np.float32)
     rng = np.random.default_rng(34)
     batch = {ch: rng.standard_normal((3, 6, model.config.feature_sizes[ch]))
              for ch in model.config.channels}
+    for dtype in (np.float64, np.float32):
+        recorder = _AllocationRecorder()
+        monkeypatch.setattr(ad, "np", recorder)
+        loss, tape = model.forward({ch: x.astype(dtype) for ch, x in batch.items()},
+                                   labels=np.array([0, 1, 1]))
+        model.zero_grad()
+        tape.backward(loss)
+        monkeypatch.undo()
+        assert recorder.float_dtypes
+        wide = [(name, dt) for name, dt in recorder.float_dtypes if dt != np.float32]
+        assert not wide, (dtype, wide)
+
+
+def test_lstm_reads_its_input_in_one_copy(monkeypatch):
+    """Layer 1 casts a float64 batch to the float32 tape and makes it
+    time-major in one copy; layer 2 reads layer 1's time-major hidden states
+    without a copy."""
+    rng = np.random.default_rng(36)
+    bsz, t_len, f_in, h = 3, 5, 4, 2
+    x = rng.standard_normal((bsz, t_len, f_in))
+
+    def layer(f):
+        return [Param(name, (0.5 * rng.standard_normal(shape)).astype(np.float32))
+                for name, shape in (("wx", (f, 4 * h)), ("wh", (h, 4 * h)), ("b", (4 * h,)))]
+
+    tape, params1, params2 = ad.Tape(dtype=np.float32), layer(f_in), layer(h)
     recorder = _AllocationRecorder()
     monkeypatch.setattr(ad, "np", recorder)
-    loss, tape = model.forward(batch, labels=np.array([0, 1, 1]))
-    model.zero_grad()
-    tape.backward(loss)
+    h1 = ad.lstm_layer(tape, ad.leaf(x), *params1)
+    first = list(recorder.contiguous)
+    ad.lstm_layer(tape, h1, *params2)
     monkeypatch.undo()
-    assert recorder.float_dtypes
-    wide = [(name, dt) for name, dt in recorder.float_dtypes if dt != np.float32]
-    assert not wide, wide
+    (read1,) = [out for src, out in first if src.shape == (t_len, bsz, f_in)]
+    assert read1.dtype == np.float32 and not np.shares_memory(read1, x)
+    assert np.array_equal(read1, x.transpose(1, 0, 2).astype(np.float32))
+    copies = [entry for entry in recorder.float_dtypes if entry[0] == "ascontiguousarray"]
+    assert copies == [("ascontiguousarray", np.float32)]
+    (_, read2), = recorder.contiguous[len(first):]
+    assert read2.dtype == np.float32 and np.shares_memory(read2, h1.value)
 
 
 def test_float32_predict_allocates_no_float64(monkeypatch):

@@ -12,10 +12,10 @@ import pytest
 
 from emomsase import autodiff as ad
 from emomsase import dataio, preprocess
-from emomsase.cli import (DEFAULTS, _model_config, _train_config, build_parser, main,
-                          resolve_settings)
-from emomsase.model import ModelConfig
-from emomsase.train import TrainConfig
+from emomsase.cli import (DEFAULTS, _load_samples, _model_config, _train_config,
+                          build_parser, main, resolve_settings)
+from emomsase.model import VARIANTS, ModelConfig
+from emomsase.train import DTYPE, TrainConfig
 
 EYE_ONLY = {
     "domains": ["Head"],
@@ -363,6 +363,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             (run, {"hidden_size": 8.9}, "setting hidden_size must be of type int"),
             (run, {"train": {"batch_size": True}}, "setting batch_size must be of type int"),
             (run, {"train": {"learning_rate": True}}, "setting learning_rate must be"),
+            (run, {"hidden_size": "8"}, "setting hidden_size must be of type int"),
+            (run, {"train": {"learning_rate": "1e-2"}},
+             "setting learning_rate must be of type float"),
             (run, {"fusion": "bogus"}, "setting fusion must be one of"),
             (run, {"target": "dominance"}, "setting target must be one of"),
             (run, {"labels": "bogus"}, "setting labels must be one of"),
@@ -377,6 +380,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             (run, {"channels": {"Head": "L_EP_Y"}}, "setting channels must map"),
             (synth, {"synth": {"participants": None}}, "setting participants must be"),
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
+            (synth, {"synth": {"participants": "6"}}, "setting participants must be of type int"),
             (synth, {"seed": None}, "setting seed must be"),
             (synth, {"synth": {"channels": ["Hed"]}}, "setting synth.channels names"),
             (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
@@ -398,10 +402,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_config_numbers_cast_only_when_exact(tmp_path):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"hidden_size": 8.0, "train": {"learning_rate": 1}}))
+    cfg.write_text(json.dumps({"hidden_size": 8.0, "train": {"learning_rate": 1},
+                               "variant": VARIANTS[-1]}))
     settings = resolve_settings(build_parser().parse_args(["run", "--config", str(cfg)]))
     assert _model_config(settings).hidden_size == 8
+    assert _model_config(settings).variant == VARIANTS[-1]  # a string setting takes a string
     assert _train_config(settings).learning_rate == 1.0
+
+
+def test_load_samples_casts_the_float64_cache_to_the_training_dtype(small_cache):
+    cache = small_cache / "cache"
+    samples = _load_samples(cache)
+    stems = preprocess.entry_stems(cache)
+    assert sum(len(s.tensors) for s in samples) == len(stems)
+    for stem in stems:
+        tensor = preprocess.load_tensor(stem)
+        pid, vid, channel = tensor.source
+        (sample,) = [s for s in samples if (s.participant_id, s.video_id) == (pid, vid)]
+        values = sample.tensors[channel]
+        assert tensor.values.dtype == np.float64 and values.dtype == DTYPE
+        assert np.array_equal(values, tensor.values.astype(np.float32))
 
 
 def test_config_domains_parse_like_the_flag(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from emomsase import autodiff as ad
 from emomsase import train as train_mod
 from emomsase.autodiff import Param, ShapeMismatchError
+from emomsase.gradcheck import micro_config
 from emomsase.model import EmoMsase, ModelConfig
 from emomsase.train import (
     AdamW, EmptySplitError, LabeledSet, NonFiniteGradientError, TrainConfig,
@@ -163,6 +164,33 @@ def test_fit_is_deterministic():
     assert log1.val_loss == log2.val_loss
     for a, b in zip(m1.parameters(), m2.parameters()):
         npt.assert_array_equal(a.value, b.value)
+
+
+def test_fit_on_data_cast_to_the_training_dtype_is_bit_identical():
+    """``run`` casts its data to ``DTYPE`` once on load; before, the float32
+    tape cast each float64 batch as it read it.  Both round the same values."""
+    config = micro_config()
+    rng = np.random.default_rng(12)
+
+    def labeled(n):
+        labels = np.arange(n) % 2
+        inputs = {ch: rng.standard_normal((n, 6, config.feature_sizes[ch]))
+                  + labels[:, None, None] for ch in config.channels}
+        return LabeledSet(inputs, labels, tuple(f"p{i % 3}" for i in range(n)))
+
+    def cast(data):
+        return LabeledSet({ch: x.astype(train_mod.DTYPE) for ch, x in data.inputs.items()},
+                          data.labels, data.participants)
+
+    train_set, val_set, test_set = labeled(10), labeled(4), labeled(5)
+    train_config = TrainConfig(max_epochs=2, patience=2, batch_size=4, seed=3)
+    wide, wide_log = fit(EmoMsase(config), train_set, val_set, train_config)
+    narrow, narrow_log = fit(EmoMsase(config), cast(train_set), cast(val_set), train_config)
+    assert narrow_log == wide_log and wide_log.n_epochs() == 2
+    for a, b in zip(wide.parameters(), narrow.parameters()):
+        assert a.value.dtype == b.value.dtype == train_mod.DTYPE, a.name
+        assert np.array_equal(a.value, b.value), a.name
+    assert np.array_equal(wide.predict(test_set.inputs), narrow.predict(cast(test_set).inputs))
 
 
 # Largest gap between float32 inference and float64 inference of the same
