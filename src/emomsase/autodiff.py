@@ -12,7 +12,9 @@ it, so its output and the gradients it passes back share that dtype.  A
 
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
-and replays the closures in reverse.  An inference tape
+and replays the closures in reverse, releasing each as it runs, so an op's
+saved arrays are freed once backward has passed it and a replayed tape
+holds no arrays.  An inference tape
 (``recording=False``) keeps no closures and no per-step LSTM state, and
 cannot be replayed.  Sequence tensors are batch-first (B, T, F).
 
@@ -74,7 +76,8 @@ class Param(Var):
 class Tape:
     """Ordered record of backward closures for one forward pass, or with
     ``recording=False`` an inference tape that records nothing.  Every op on
-    the tape computes in ``dtype``."""
+    the tape computes in ``dtype``.  ``backward`` pops each closure just
+    before running it, so a replayed tape holds no arrays."""
 
     def __init__(self, recording: bool = True, dtype=np.float64):
         if np.dtype(dtype) not in COMPUTE_DTYPES:
@@ -100,8 +103,8 @@ class Tape:
             raise TapeConsumedError("tape already replayed; rerun the forward pass")
         self._consumed = True
         out.grad = np.full_like(out.value, seed)
-        for step in reversed(self._steps):
-            step()
+        while self._steps:
+            self._steps.pop()()
 
 
 def _acc(var: Var, grad: np.ndarray) -> None:

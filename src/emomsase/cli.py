@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -340,19 +341,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    tolerance = float(args.tolerance)
+    for flag, value in (("--seeds", args.seeds), ("--hidden", args.hidden)):
+        if value < 1:
+            raise UsageError(f"{flag} must be a positive integer, not {value}")
+    tolerance = args.tolerance
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise UsageError(f"--tolerance must be a finite positive number, not {tolerance}")
     worst = 0.0
     ok = True
-    for seed in range(int(args.seeds)):
-        report = grad_check(
-            micro_config(hidden_size=int(args.hidden), seed=seed),
-            tolerance=tolerance, seed=seed)
+    for seed in range(args.seeds):
+        report = grad_check(micro_config(hidden_size=args.hidden, seed=seed),
+                            tolerance=tolerance, seed=seed)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
             ok = False
             for entry in report.failures():
                 print(f"seed {seed}: {entry.name} rel err {entry.max_rel_error:.3e}")
-    print(f"max relative error {worst:.3e} over {int(args.seeds)} seed(s) "
+    print(f"max relative error {worst:.3e} over {args.seeds} seed(s) "
           f"(tolerance {tolerance:g}): {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -364,8 +364,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_participants <= 0:
             raise DataError("need at least one participant")
-        if self.class_separation < 0:
-            raise DataError("class separation must be non-negative")
+        if not (np.isfinite(self.class_separation) and self.class_separation >= 0):
+            raise DataError(f"class separation must be finite and non-negative, "
+                            f"not {self.class_separation}")
         if not self.channels:
             raise DataError("need at least one channel")
 

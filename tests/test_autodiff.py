@@ -8,6 +8,7 @@ to a per-sample BPTT reference over random shapes.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -389,6 +390,27 @@ def test_tape_single_use():
     out = ad.sigmoid(tape, Var(np.zeros(3)))
     tape.backward(out)
     with pytest.raises(TapeConsumedError):
+        tape.backward(out)
+
+
+def test_backward_releases_each_closure_as_it_replays():
+    rng = np.random.default_rng(29)
+    x = ad.leaf(rng.standard_normal((3, 5, 2)))
+    wx = Param("wx", rng.standard_normal((2, 16)))
+    wh = Param("wh", rng.standard_normal((4, 16)))
+    b = Param("b", rng.standard_normal(16))
+    tape = Tape()
+    out = ad.softmax(tape, ad.lstm_layer(tape, x, wx, wh, b))
+    back = tape._steps[0]
+    cells = dict(zip(back.__code__.co_freevars, back.__closure__))
+    gates = weakref.ref(cells["act"].cell_contents)  # only the LSTM closure holds it
+    del back, cells
+    assert gates() is not None
+    tape.backward(out)
+    assert tape._steps == []
+    assert gates() is None
+    assert wx.grad.any()
+    with pytest.raises(TapeConsumedError, match="already replayed"):
         tape.backward(out)
 
 

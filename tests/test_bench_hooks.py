@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import numpy as np
+
+from emomsase import autodiff as ad
 from emomsase import model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -14,11 +17,38 @@ def test_every_traced_name_resolves(monkeypatch):
     import layers
     import spans
 
-    predict = model.EmoMsase.predict
+    predict, record = model.EmoMsase.predict, ad.Tape.record
     tracer = spans.Tracer()
     try:
         layers.instrument(tracer)
         assert model.EmoMsase.predict is not predict
+        assert ad.Tape.record is not record
     finally:
         tracer.restore()
     assert model.EmoMsase.predict is predict
+    assert ad.Tape.record is record
+
+
+def test_traced_lstm_backward_is_one_span(monkeypatch):
+    """A one-op LSTM tape, as the kernel micro-benchmark replays it, gives
+    exactly one ``backward.lstm_layer`` span."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    rng = np.random.default_rng(0)
+    x = ad.leaf(rng.standard_normal((2, 3, 4)))
+    wx = ad.Param("wx", rng.standard_normal((4, 8)))
+    wh = ad.Param("wh", rng.standard_normal((2, 8)))
+    bias = ad.Param("b", np.zeros(8))
+    tracer = spans.Tracer()
+    try:
+        layers.instrument(tracer)
+        tape = ad.Tape()
+        h = ad.lstm_layer(tape, x, wx, wh, bias)
+        tape.backward(h)
+    finally:
+        tracer.restore()
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count(layers.LSTM_BACKWARD) == 1
+    assert names.count("autodiff.Tape.backward") == 1

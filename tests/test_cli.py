@@ -338,6 +338,27 @@ def test_gradcheck_command(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_synth_refuses_a_non_finite_separation(tmp_path, capsys):
+    for value in ("nan", "inf", "-1"):
+        out = tmp_path / value
+        assert main(["synth", "--out", str(out), "--participants", "1",
+                     "--separation", value]) == 1, value
+        assert "class separation must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists(), value
+
+
+def test_gradcheck_refuses_flags_that_check_nothing(monkeypatch, capsys):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a refused flag must stop before any check runs")
+    monkeypatch.setattr("emomsase.cli.grad_check", no_check)
+    for flag, value in [("--seeds", "0"), ("--seeds", "-3"), ("--hidden", "0"),
+                        ("--tolerance", "-1"), ("--tolerance", "0"),
+                        ("--tolerance", "nan"), ("--tolerance", "inf")]:
+        assert main(["gradcheck", flag, value]) == 2, (flag, value)
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be" in captured.err and captured.out == ""
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["synth"]) == 2  # no output directory anywhere
 

@@ -240,6 +240,22 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n_participants=1, seed=0, class_separation=1.0, channels=())
 
 
+# Every non-finite float64: the all-ones exponent with any mantissa (0 is
+# infinity, the rest are NaNs) and either sign.
+_NON_FINITE = st.builds(
+    lambda negative, bits: float(np.uint64(bits | negative << 63).view(np.float64)),
+    st.integers(0, 1), st.integers(0x7FF0_0000_0000_0000, 0x7FFF_FFFF_FFFF_FFFF))
+
+
+@settings(max_examples=30, deadline=None)
+@given(separation=_NON_FINITE)
+def test_synthetic_spec_rejects_non_finite_separation(separation):
+    assert not np.isfinite(separation)
+    with pytest.raises(DataError, match="finite and non-negative"):
+        SyntheticSpec(n_participants=1, seed=0, class_separation=separation,
+                      channels=dataio.default_synth_channels(["EDA"]))
+
+
 def test_synth_g2_table_matches_classes():
     table = dataio.synth_g2_table()
     for i, vid in enumerate(synth_video_ids()):

@@ -1,5 +1,7 @@
 """Optimizer, loss and training-loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -191,6 +193,33 @@ def test_fit_on_data_cast_to_the_training_dtype_is_bit_identical():
         assert a.value.dtype == b.value.dtype == train_mod.DTYPE, a.name
         assert np.array_equal(a.value, b.value), a.name
     assert np.array_equal(wide.predict(test_set.inputs), narrow.predict(cast(test_set).inputs))
+
+
+def test_fit_peak_stays_flat_from_step_to_step():
+    """Backward frees each step's tape as it replays it, so a second step
+    does not hold the first one's activations while its own forward runs.
+    Traced peaks, 1 step vs 2: 2903 vs 4042 KB (1.39x) when the replayed
+    tape stayed alive until the next forward ended, 2441 vs 2453 KB now."""
+    config = micro_config(hidden_size=32)
+
+    def peak(n_train):
+        rng = np.random.default_rng(n_train)
+
+        def labeled(n):
+            labels = np.arange(n) % 2
+            inputs = {ch: rng.standard_normal((n, 20, config.feature_sizes[ch]))
+                      + labels[:, None, None] for ch in config.channels}
+            return LabeledSet(inputs, labels, tuple(f"p{i % 3}" for i in range(n)))
+
+        train_set, val_set, model = labeled(n_train), labeled(4), EmoMsase(config)
+        tracemalloc.start()
+        try:
+            fit(model, train_set, val_set,
+                TrainConfig(max_epochs=1, patience=0, batch_size=8, seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(16) <= 1.1 * peak(8)
 
 
 # Largest gap between float32 inference and float64 inference of the same
