@@ -5,10 +5,10 @@ elementwise nonlinearities, softmax, attention-style pooling, concatenation,
 broadcast multiply, a fused LSTM layer whose backward pass runs
 backpropagation through time in one step, and a log-sum-exp cross-entropy.
 
-The compute dtype belongs to the tape, float64 by default or float32.  An
-op reads every input cast to it (no copy if it already is) and allocates in
-it, so its output and the gradients it passes back share that dtype.  A
-``Param`` keeps its value's dtype, and so does its ``grad``.
+An op computes in its operands' dtype and allocates in it, so its output
+and the gradients it passes back share that dtype; the LSTM layer casts its
+input to its weights' dtype.  A ``Param`` keeps its value's dtype, and so
+does its ``grad``.
 
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
@@ -75,21 +75,14 @@ class Param(Var):
 
 class Tape:
     """Ordered record of backward closures for one forward pass, or with
-    ``recording=False`` an inference tape that records nothing.  Every op on
-    the tape computes in ``dtype``.  ``backward`` pops each closure just
-    before running it, so a replayed tape holds no arrays."""
+    ``recording=False`` an inference tape that records nothing.
+    ``backward`` pops each closure just before running it, so a replayed
+    tape holds no arrays."""
 
-    def __init__(self, recording: bool = True, dtype=np.float64):
-        if np.dtype(dtype) not in COMPUTE_DTYPES:
-            raise TypeError(f"a tape computes in float32 or float64, not {dtype}")
+    def __init__(self, recording: bool = True):
         self.recording = recording
-        self.dtype = np.dtype(dtype)
         self._steps = []
         self._consumed = False
-
-    def read(self, var: Var) -> np.ndarray:
-        """The value of ``var`` in the tape's dtype (no copy if it already is)."""
-        return var.value.astype(self.dtype, copy=False)
 
     def record(self, backward_fn) -> None:
         if self.recording:
@@ -140,7 +133,7 @@ def leaf(value: np.ndarray) -> Var:
 
 
 def add(tape: Tape, a: Var, b: Var) -> Var:
-    out = Var(tape.read(a) + tape.read(b))
+    out = Var(a.value + b.value)
 
     def back():
         _acc(a, _unbroadcast(out.grad, a.value.shape))
@@ -150,7 +143,7 @@ def add(tape: Tape, a: Var, b: Var) -> Var:
 
 
 def mul(tape: Tape, a: Var, b: Var) -> Var:
-    av, bv = tape.read(a), tape.read(b)
+    av, bv = a.value, b.value
     out = Var(av * bv)
 
     def back():
@@ -167,7 +160,7 @@ def matmul(tape: Tape, x: Var, w: Var) -> Var:
     if x.value.shape[1] != w.value.shape[0]:
         raise ShapeMismatchError(
             f"inner dimensions differ: {x.value.shape} @ {w.value.shape}")
-    xv, wv = tape.read(x), tape.read(w)
+    xv, wv = x.value, w.value
     out = Var(xv @ wv)
 
     def back():
@@ -181,7 +174,7 @@ def matmul(tape: Tape, x: Var, w: Var) -> Var:
 
 def reshape(tape: Tape, x: Var, shape: tuple) -> Var:
     old = x.value.shape
-    out = Var(tape.read(x).reshape(shape))
+    out = Var(x.value.reshape(shape))
 
     def back():
         _acc(x, out.grad.reshape(old))
@@ -204,7 +197,7 @@ def _tanh_gates(z: np.ndarray, n_sigmoid: int) -> np.ndarray:
 
 
 def sigmoid(tape: Tape, x: Var) -> Var:
-    y = _tanh_gates(0.5 * tape.read(x), x.value.shape[-1])
+    y = _tanh_gates(0.5 * x.value, x.value.shape[-1])
     out = Var(y)
 
     def back():
@@ -214,7 +207,7 @@ def sigmoid(tape: Tape, x: Var) -> Var:
 
 
 def relu(tape: Tape, x: Var) -> Var:
-    xv = tape.read(x)
+    xv = x.value
     mask = xv > 0
     out = Var(np.where(mask, xv, 0.0))
 
@@ -226,7 +219,7 @@ def relu(tape: Tape, x: Var) -> Var:
 
 def softmax(tape: Tape, x: Var) -> Var:
     """Softmax over the last axis, shift-stabilized."""
-    xv = tape.read(x)
+    xv = x.value
     e = np.exp(xv - xv.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = Var(y)
@@ -241,7 +234,7 @@ def softmax(tape: Tape, x: Var) -> Var:
 def concat(tape: Tape, parts: list[Var], axis: int = -1) -> Var:
     if not parts:
         raise ShapeMismatchError("nothing to concatenate")
-    out = Var(np.concatenate([tape.read(p) for p in parts], axis=axis))
+    out = Var(np.concatenate([p.value for p in parts], axis=axis))
     sizes = [p.value.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -256,7 +249,7 @@ def stack_rows(tape: Tape, parts: list[Var]) -> Var:
     """Stack (B, L) vectors into (B, M, L) along a new middle axis."""
     if not parts:
         raise ShapeMismatchError("nothing to stack")
-    out = Var(np.stack([tape.read(p) for p in parts], axis=1))
+    out = Var(np.stack([p.value for p in parts], axis=1))
 
     def back():
         for i, p in enumerate(parts):
@@ -267,7 +260,7 @@ def stack_rows(tape: Tape, parts: list[Var]) -> Var:
 
 def mean_axis(tape: Tape, x: Var, axis: int) -> Var:
     n = x.value.shape[axis]
-    out = Var(tape.read(x).mean(axis=axis))
+    out = Var(x.value.mean(axis=axis))
 
     def back():
         _acc(x, np.repeat(np.expand_dims(out.grad / n, axis), n, axis=axis))
@@ -280,7 +273,7 @@ def dot_last(tape: Tape, x: Var, u: Var) -> Var:
     if x.value.shape[-1] != u.value.shape[0]:
         raise ShapeMismatchError(
             f"cannot contract {x.value.shape} with {u.value.shape}")
-    xv, uv = tape.read(x), tape.read(u)
+    xv, uv = x.value, u.value
     out = Var(xv @ uv)
 
     def back():
@@ -292,7 +285,7 @@ def dot_last(tape: Tape, x: Var, u: Var) -> Var:
 
 def weighted_sum(tape: Tape, weights: Var, x: Var) -> Var:
     """Pool (B, T, H) rows with per-row weights (B, T) into (B, H)."""
-    wv, xv = tape.read(weights), tape.read(x)
+    wv, xv = weights.value, x.value
     out = Var(np.matmul(wv[:, None, :], xv)[:, 0, :])
 
     def back():
@@ -312,7 +305,7 @@ def merge_pairs_mean(tape: Tape, x: Var, factor: int) -> Var:
     if t_out < 1:
         raise ShapeMismatchError(f"cannot merge {t} timesteps by {factor}")
     kept = t_out * factor
-    xv = tape.read(x)
+    xv = x.value
     total = xv[:, 0:kept:factor, :].copy()
     for off in range(1, factor):
         total += xv[:, off:kept:factor, :]
@@ -344,15 +337,15 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     if wx.value.shape[1] != 4 * h_dim or wh.value.shape != (h_dim, 4 * h_dim):
         raise ShapeMismatchError("LSTM weights must pack 4 gate blocks")
     h2, h3 = 2 * h_dim, 3 * h_dim
-    dtype = tape.dtype
-    wxv, whv = tape.read(wx), tape.read(wh)
+    wxv, whv = wx.value, wh.value
+    dtype = wxv.dtype
 
     half = np.ones(4 * h_dim, dtype)
     half[:h3] = 0.5
-    # time-major in the tape's dtype in one copy, none if it already is both
+    # time-major in the weights' dtype in one copy, none if it already is both
     xs = np.ascontiguousarray(x.value.transpose(1, 0, 2), dtype).reshape(t_len * bsz, f_in)
     act = (xs @ (wxv * half)).reshape(t_len, bsz, 4 * h_dim)
-    act += tape.read(b) * half
+    act += b.value * half
     wh_half = whv * half
 
     # row t + 1 holds the state after step t, row 0 the zero start; an
@@ -429,7 +422,7 @@ def softmax_cross_entropy(tape: Tape, logits: Var, labels: np.ndarray) -> Var:
         raise ShapeMismatchError(f"expected {bsz} labels, got {labels.shape}")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeMismatchError("label index outside the class range")
-    z = tape.read(logits)
+    z = logits.value
     shifted = z - z.max(axis=-1, keepdims=True)
     with np.errstate(under="ignore"):  # exp(0) = 1 is in every row, so a 0 is exact
         e = np.exp(shifted)

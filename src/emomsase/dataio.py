@@ -172,8 +172,9 @@ class RawRecording:
             raise DataError(
                 f"{self.participant_id}/{self.video_id}/{self.channel}: "
                 f"{ts.shape[0]} timestamps vs {self.values.shape[0]} values")
-        if self.sample_rate_hz <= 0:
-            raise DataError(f"{self.channel}: sample rate must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DataError(f"{self.participant_id}/{self.video_id}/{self.channel}: "
+                            f"sample rate must be finite and > 0, not {self.sample_rate_hz}")
         diffs = np.diff(ts)
         if diffs.size and diffs.min() <= 0:
             row = int(np.argmax(diffs <= 0)) + 1

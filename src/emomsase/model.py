@@ -316,15 +316,11 @@ class EmoMsase:
             raise NonFiniteActivationError("non-finite class logits")
         return logits
 
-    def _tape(self, recording: bool = True) -> Tape:
-        """A new tape in the weights' own dtype, the one every pass computes in."""
-        return Tape(recording, dtype=self.head.w.value.dtype)
-
     def forward(self, batch: dict[str, np.ndarray],
                 labels: np.ndarray | None = None) -> tuple[Var, Tape]:
         """Class probabilities (B, C) of per-channel tensors on a new recording
         tape; given ``labels``, the mean cross-entropy: the training loss."""
-        tape = self._tape()
+        tape = Tape()
         logits = self.logits(tape, batch)
         if labels is not None:
             return ad.softmax_cross_entropy(tape, logits, labels), tape
@@ -345,7 +341,7 @@ class EmoMsase:
     def predict_logits(self, inputs: dict[str, np.ndarray],
                        batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Class logits (N, C) of stacked inputs, one inference tape per chunk."""
-        return np.concatenate([self.logits(self._tape(False), part).value
+        return np.concatenate([self.logits(Tape(recording=False), part).value
                                for part in self._chunks(inputs, batch_size)], axis=0)
 
     def predict(self, inputs: dict[str, np.ndarray],
@@ -353,4 +349,4 @@ class EmoMsase:
         """Row softmax of ``predict_logits``, equal bit for bit to ``forward``
         on the same chunks; zero samples give an empty (0, C) array."""
         logits = self.predict_logits(inputs, batch_size)
-        return ad.softmax(self._tape(False), ad.leaf(logits)).value
+        return ad.softmax(Tape(recording=False), ad.leaf(logits)).value

@@ -21,7 +21,7 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
-DTYPE = np.float32  # the training dtype: weights, gradients, moments, tapes and run's data
+DTYPE = np.float32  # the training dtype: weights, gradients, moments, steps and run's data
 
 
 class TrainError(ValueError):
@@ -50,8 +50,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise TrainError("learning rate, batch size and epochs must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainError(f"learning rate must be finite and > 0, not {self.learning_rate}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise TrainError(f"weight decay must be finite and >= 0, not {self.weight_decay}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise TrainError("batch size and epochs must be positive")
         if not (0 <= self.patience <= self.max_epochs):
             raise TrainError("patience must lie in [0, max_epochs]")
 
@@ -143,7 +147,8 @@ def evaluate_loss(model: EmoMsase, data: LabeledSet) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of the model on a labelled set, from
     logits in the weights' dtype; the loss reduces them in float64."""
     logits = model.predict_logits(data.inputs)
-    loss = ad.softmax_cross_entropy(ad.Tape(recording=False), ad.leaf(logits), data.labels)
+    loss = ad.softmax_cross_entropy(ad.Tape(recording=False),
+                                    ad.leaf(logits.astype(np.float64)), data.labels)
     return float(loss.value), float((logits.argmax(axis=1) == data.labels).mean())
 
 

@@ -20,7 +20,7 @@ from emomsase.autodiff import (
     Param, ShapeMismatchError, Tape, TapeConsumedError, Var,
 )
 from emomsase.gradcheck import micro_config
-from emomsase.model import EmoMsase
+from emomsase.model import EmoMsase, scale_attention
 
 from reference_impls import cross_entropy_reference, fd_gradient, \
     lstm_backward_reference, lstm_sequence_reference, merge_timesteps_reference
@@ -371,7 +371,7 @@ def test_softmax_cross_entropy_is_exact_at_huge_logits(dtype):
     z = np.array([[1e3, -1e3], [-1e3, 1e3], [1e3, -1e3]], dtype=dtype)
     labels = np.array([0, 0, 1])
     with np.errstate(all="raise"):
-        tape = Tape(dtype=dtype)
+        tape = Tape()
         logits = Var(z)
         loss = ad.softmax_cross_entropy(tape, logits, labels)
         tape.backward(loss)
@@ -479,18 +479,17 @@ def test_shared_intermediate_sums_its_gradients_without_mutating_upstream():
     npt.assert_allclose(w.grad, x.value.T @ (r[:, :2] + r[:, 2:]), rtol=1e-14)
 
 
-def test_float32_tape_computes_in_float32_over_float64_params():
+def test_lstm_computes_in_its_weights_dtype_over_float64_input():
     rng = np.random.default_rng(33)
     x = Var(rng.standard_normal((3, 7, 4)))
-    params = [Param("wx", 0.3 * rng.standard_normal((4, 8))),
-              Param("wh", 0.3 * rng.standard_normal((2, 8))),
-              Param("b", 0.3 * rng.standard_normal(8))]
+    values = [("wx", 0.3 * rng.standard_normal((4, 8))),
+              ("wh", 0.3 * rng.standard_normal((2, 8))),
+              ("b", 0.3 * rng.standard_normal(8))]
     grads = {}
     for dtype in (np.float32, np.float64):
         x.grad = None
-        for p in params:
-            p.zero_grad()
-        tape = Tape(dtype=dtype)
+        params = [Param(name, value.astype(dtype)) for name, value in values]
+        tape = Tape()
         out = ad.lstm_layer(tape, x, *params)
         merged = ad.merge_pairs_mean(tape, out, 3)
         tape.backward(merged)
@@ -498,10 +497,40 @@ def test_float32_tape_computes_in_float32_over_float64_params():
         assert out.value.dtype == dtype and merged.value.dtype == dtype
         assert out.grad.dtype == dtype and x.grad.dtype == dtype
         for p in params:
-            assert p.value.dtype == np.float64 and p.grad.dtype == np.float64
+            assert p.value.dtype == dtype and p.grad.dtype == dtype
         grads[dtype] = [x.grad.copy()] + [p.grad.copy() for p in params]
     for g32, g64 in zip(grads[np.float32], grads[np.float64]):
         npt.assert_allclose(g32, g64, rtol=0, atol=1e-5)
+
+
+_FLOAT_DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bsz=st.integers(1, 4), t_len=st.integers(2, 7),
+       f_in=st.integers(1, 5), h=st.integers(1, 4), x_dtype=_FLOAT_DTYPES, w_dtype=_FLOAT_DTYPES)
+def test_a_branch_computes_in_its_weights_dtype(seed, bsz, t_len, f_in, h, x_dtype, w_dtype):
+    """LSTM, merge and attention pooling over input of either dtype compute
+    in the weights' dtype, bit for bit as over the input cast to it first:
+    the case of an untrained float64 model predicting on float32 data."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((bsz, t_len, f_in)).astype(x_dtype)
+    values = {name: 0.5 * rng.standard_normal(shape) for name, shape in
+              (("wx", (f_in, 4 * h)), ("wh", (h, 4 * h)), ("b", (4 * h,)), ("u", (h,)))}
+
+    def branch(inputs):
+        wx, wh, b, u = (Param(name, v.astype(w_dtype)) for name, v in values.items())
+        tape = Tape()
+        hidden = ad.lstm_layer(tape, ad.leaf(inputs), wx, wh, b)
+        _, pooled = scale_attention(tape, ad.merge_pairs_mean(tape, hidden, 2), u)
+        tape.backward(pooled)
+        return pooled.value, (wx, wh, b, u)
+
+    out, params = branch(x)
+    expected, expected_params = branch(x.astype(w_dtype))
+    assert out.dtype == w_dtype and np.array_equal(out, expected)
+    for p, q in zip(params, expected_params):
+        assert p.grad.dtype == w_dtype and np.array_equal(p.grad, q.grad), p.name
 
 
 class _AllocationRecorder:
@@ -535,7 +564,7 @@ class _AllocationRecorder:
 
 
 def test_float32_step_allocates_no_float64(monkeypatch):
-    """A float64 scratch buffer on a float32 tape (say the LSTM's BPTT state)
+    """A float64 scratch buffer in a float32 step (say the LSTM's BPTT state)
     is invisible in the outputs, whose ``out=`` writes cast back to float32;
     only the allocations show it.  The batch may come in either float dtype."""
     model = EmoMsase(micro_config())
@@ -557,7 +586,7 @@ def test_float32_step_allocates_no_float64(monkeypatch):
 
 
 def test_lstm_reads_its_input_in_one_copy(monkeypatch):
-    """Layer 1 casts a float64 batch to the float32 tape and makes it
+    """Layer 1 casts a float64 batch to its float32 weights and makes it
     time-major in one copy; layer 2 reads layer 1's time-major hidden states
     without a copy."""
     rng = np.random.default_rng(36)
@@ -568,7 +597,7 @@ def test_lstm_reads_its_input_in_one_copy(monkeypatch):
         return [Param(name, (0.5 * rng.standard_normal(shape)).astype(np.float32))
                 for name, shape in (("wx", (f, 4 * h)), ("wh", (h, 4 * h)), ("b", (4 * h,)))]
 
-    tape, params1, params2 = ad.Tape(dtype=np.float32), layer(f_in), layer(h)
+    tape, params1, params2 = ad.Tape(), layer(f_in), layer(h)
     recorder = _AllocationRecorder()
     monkeypatch.setattr(ad, "np", recorder)
     h1 = ad.lstm_layer(tape, ad.leaf(x), *params1)

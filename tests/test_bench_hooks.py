@@ -52,3 +52,19 @@ def test_traced_lstm_backward_is_one_span(monkeypatch):
     names = [s[spans.NAME] for s in tracer.spans]
     assert names.count(layers.LSTM_BACKWARD) == 1
     assert names.count("autodiff.Tape.backward") == 1
+
+
+def test_kernel_micro_benchmarks_run(monkeypatch, tmp_path):
+    """One tiny pass of every kernel micro-benchmark, so a change to a
+    signature they call fails here, not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import kernels
+
+    for name, value in [("LSTM_SHAPES", ((2, 3, 4),)), ("HIDDEN", 2), ("LSTM_REPEATS", 1),
+                        ("FILTER_SECONDS", 1.0), ("FILTER_REPEATS", 1),
+                        ("CACHE_SHAPE", (3, 4)), ("CACHE_REPEATS", 1)]:
+        monkeypatch.setattr(kernels, name, value)
+    report, metrics = kernels.run_kernels(0, tmp_path)
+    assert list(report["lstm_layer"]) == ["b2_t3_f4_h2"]
+    assert all(np.isfinite(value) for value, _ in metrics.values())
+    assert "autodiff.lstm_layer.gflop_s.b2_t3_f4_h2" in metrics

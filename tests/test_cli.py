@@ -347,6 +347,46 @@ def test_synth_refuses_a_non_finite_separation(tmp_path, capsys):
         assert not out.exists(), value
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("learning_rate", float("nan"), "learning rate must be finite and > 0, not nan"),
+    ("learning_rate", float("inf"), "learning rate must be finite and > 0, not inf"),
+    ("weight_decay", float("nan"), "weight decay must be finite and >= 0, not nan"),
+    ("weight_decay", -1.0, "weight decay must be finite and >= 0, not -1.0")])
+def test_run_refuses_a_non_finite_training_rate(tmp_path, monkeypatch, capsys,
+                                                setting, value, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a refused setting must stop before any data loads")
+    monkeypatch.setattr("emomsase.cli._load_samples", no_load)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"train": {setting: value}}))  # json writes NaN and Infinity
+    assert main(["run", "--config", str(cfg), "--cache", str(tmp_path / "cache"),
+                 "--ratings", "r.csv", "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("channel", ["TEMP", "L_EP_Y"])
+def test_preprocess_refuses_a_non_finite_sample_rate(tmp_path, capsys, channel):
+    """A ``nan`` rate fails validation, naming the recording, before any
+    tensor is written: neither the TEMP chain, which resamples by the rate,
+    nor the eye chain, which ignores it, gets to run."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"synth": {"channels": ["TEMP", "L_EP_Y"]}}))
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    assert main(["synth", "--config", str(cfg), "--out", str(data),
+                 "--participants", "1"]) == 0
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    (row,) = [i for i, line in enumerate(lines) if line.startswith(f"p01_video02_{channel}.csv,")]
+    lines[row] = lines[row].rsplit(",", 1)[0] + ",nan\n"  # rows before it are well formed
+    manifest.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["preprocess", "--data", str(data), "--cache", str(cache)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: p01/video02/{channel}: sample rate must be finite and > 0, not nan" in err
+    assert not list(cache.glob("*.bin"))
+
+
 def test_gradcheck_refuses_flags_that_check_nothing(monkeypatch, capsys):
     def no_check(*args, **kwargs):
         raise AssertionError("a refused flag must stop before any check runs")

@@ -1,7 +1,7 @@
 """One owner for the training dtype: ``train.DTYPE`` names float32 for every
-weight, gradient, tape and the data ``run`` loads, and ``autodiff.COMPUTE_DTYPES``
-lists the dtypes a tape may compute in.  Any other ``float32`` in the package
-fails this test."""
+weight, gradient, moment and the data ``run`` loads, and ``autodiff.COMPUTE_DTYPES``
+lists the dtypes a ``Var`` keeps.  Any other ``float32`` in the package fails
+this test."""
 
 import ast
 from pathlib import Path

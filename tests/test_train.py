@@ -43,6 +43,15 @@ def _toy_set(n, seed=0, t_len=6, f_dim=3):
 # Config and data
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("setting, message", [
+    ("learning_rate", "learning rate must be finite and > 0"),
+    ("weight_decay", "weight decay must be finite and >= 0")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_train_config_refuses_non_finite_or_negative_rates(setting, message, value):
+    with pytest.raises(TrainError, match=message):
+        TrainConfig(**{setting: value})
+
+
 def test_train_config_validation():
     with pytest.raises(TrainError):
         TrainConfig(learning_rate=0.0)
@@ -51,6 +60,7 @@ def test_train_config_validation():
     with pytest.raises(TrainError):
         TrainConfig(patience=51, max_epochs=50)
     TrainConfig(patience=0)  # stopping immediately on the first bad epoch is legal
+    TrainConfig(weight_decay=0.0)  # no decay is legal
 
 
 def _cross_entropy(logits, label):
@@ -239,33 +249,30 @@ def test_fit_trains_in_float32_and_predicts_in_float32(monkeypatch):
 
     monkeypatch.setattr(train_mod, "AdamW", RecordedAdamW)
     model = EmoMsase(_tiny_config())
-    step_dtypes = []
+    loss_dtypes = []
     forward = model.forward
 
     def recorded_forward(*args, **kwargs):
         out = forward(*args, **kwargs)
-        step_dtypes.append(out[1].dtype)
+        loss_dtypes.append(out[0].value.dtype)
         return out
 
     model.forward = recorded_forward
     train_set = _toy_set(8, seed=9)
     model, log = fit(model, train_set, _toy_set(4, seed=10),
                      TrainConfig(max_epochs=2, patience=2, batch_size=4))
-    assert step_dtypes == [np.float32] * 4
+    assert loss_dtypes == [np.float32] * 4
     (opt,) = optimizers
     assert opt.t == 4
-    step_tape = ad.Tape(dtype=np.float32)
     for p in model.parameters():  # restored best-epoch weights and last grads
         assert p.value.dtype == np.float32 and p.grad.dtype == np.float32, p.name
-        assert step_tape.read(p) is p.value  # a step reads its weights uncopied
     for moment in opt._m + opt._v:
         assert moment.dtype == np.float32
     # inference computes in the weights' dtype: one chunk equals a float32 forward
     probs, logits = model.predict(train_set.inputs), model.predict_logits(train_set.inputs)
     assert probs.dtype == np.float32 and logits.dtype == np.float32
     assert np.array_equal(probs, forward(train_set.inputs)[0].value)
-    assert np.array_equal(logits, model.logits(ad.Tape(dtype=np.float32),
-                                               train_set.inputs).value)
+    assert np.array_equal(logits, model.logits(ad.Tape(), train_set.inputs).value)
     val = evaluate_loss(model, train_set)
     model.cast(np.float64)
     npt.assert_allclose(model.predict(train_set.inputs), probs, rtol=0, atol=F32_PREDICT_GAP)
