@@ -19,8 +19,8 @@ recordings, _ = make_synthetic(SyntheticSpec(
     n_participants=1, seed=0, class_separation=1.5,
     channels=default_synth_channels(["ECG1", "EDA", "L_EP_Y"])))
 ecg = next(r for r in recordings if r.channel == "ECG1")
-print(f"raw ECG: {ecg.n_samples()} samples at {ecg.sample_rate_hz:g} Hz "
-      f"({ecg.n_samples() / ecg.sample_rate_hz:.0f} s), "
+print(f"raw ECG: {len(ecg.values)} samples at {ecg.sample_rate_hz:g} Hz "
+      f"({len(ecg.values) / ecg.sample_rate_hz:.0f} s), "
       f"mean {ecg.values.mean():+.3f}, std {ecg.values.std():.3f}")
 
 # 1. band-limit to the 0.5-45 Hz cardiac band, forward and backward so the

@@ -15,8 +15,8 @@ started = time.time()
 report = grad_check(micro_config(), tolerance=1e-3, epsilon=1e-4, seed=0)
 elapsed = time.time() - started
 
-for line in report.summary_lines():
-    print(line)
+for entry in report.entries:
+    print(f"{entry.name}: max rel err {entry.max_rel_error:.3e}")
 print(f"\nchecked in {elapsed:.1f}s; worst relative error "
       f"{report.max_rel_error:.3e} ({'PASS' if report.passed else 'FAIL'})")
 

@@ -14,7 +14,7 @@ from emomsase.dataio import (
     derive_labels, make_synthetic,
 )
 from emomsase.evaluate import (
-    Sample, decision_fuse, group_kfold, loso, report_dict, results_rows,
+    Sample, fuse_decisions, group_kfold, loso, report_dict, results_rows,
     run_experiment,
 )
 from emomsase.model import ModelConfig
@@ -29,13 +29,16 @@ for fold in plan.folds:
           f"val {sorted(fold.val)} train {len(fold.train)} participants")
 print(f"leave-one-subject-out instead: {len(loso(participants).folds)} folds\n")
 
-# decision fusion on hand-picked probability rows; Sum weighs total
-# support, Max trusts the single most confident model, so they can differ
-rows = [np.array([0.95, 0.05]), np.array([0.10, 0.90]), np.array([0.10, 0.90])]
+# decision fusion on hand-picked probabilities of three models for two
+# samples; Sum weighs total support, Max trusts the single most confident
+# model, so they can differ.  The second sample is an exact tie, which goes
+# to the lower class and is flagged
+members = [np.array([[0.95, 0.05], [0.60, 0.40]]),
+           np.array([[0.10, 0.90], [0.40, 0.60]]),
+           np.array([[0.10, 0.90], [0.50, 0.50]])]
 for rule in ("sum", "max"):
-    d = decision_fuse(rows, rule)
-    print(f"{rule} fusion of {[list(map(float, r)) for r in rows]} "
-          f"-> class {d.class_index}")
+    classes, ties = fuse_decisions(members, rule)
+    print(f"{rule} fusion -> classes {classes.tolist()}, ties {ties.tolist()}")
 print()
 
 # a small two-domain experiment, trained once per fusion style

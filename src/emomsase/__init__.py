@@ -7,7 +7,7 @@ The package splits into:
   model       LSTM + multi-scale attention + squeeze-and-excitation graph
   gradcheck   finite-difference verification of the full gradient
   train       AdamW optimisation with early stopping
-  evaluate    subject-grouped splits, metrics, decision fusion
+  evaluate    subject-grouped splits, metrics, array decision fusion
   cli         batch commands (synth, preprocess, run, gradcheck, report)
 """
 
@@ -15,8 +15,8 @@ from .autodiff import Param, Tape, Var
 from .dataio import (BoundaryPolicy, LabelCase, RawRecording, SamRating,
                      SyntheticSpec, binarize_rating, derive_labels,
                      make_synthetic)
-from .evaluate import (FoldResult, SplitPlan, decision_fuse, group_kfold,
-                       loso, metrics, run_experiment)
+from .evaluate import (FoldResult, SplitPlan, fuse_decisions, group_kfold,
+                       loso, run_experiment)
 from .gradcheck import grad_check, micro_config
 from .model import EmoMsase, ModelConfig
 from .preprocess import WindowedTensor, preprocess_channel
@@ -28,8 +28,7 @@ __all__ = [
     "AdamW", "BoundaryPolicy", "EmoMsase", "FoldResult", "LabelCase",
     "ModelConfig", "Param", "RawRecording", "SamRating", "SplitPlan",
     "SyntheticSpec", "Tape", "TrainConfig", "TrainLog", "Var",
-    "WindowedTensor", "binarize_rating", "decision_fuse",
-    "derive_labels", "fit", "grad_check", "group_kfold", "loso",
-    "make_synthetic", "metrics", "micro_config", "preprocess_channel",
-    "run_experiment",
+    "WindowedTensor", "binarize_rating", "derive_labels", "fit",
+    "fuse_decisions", "grad_check", "group_kfold", "loso", "make_synthetic",
+    "micro_config", "preprocess_channel", "run_experiment",
 ]

@@ -119,6 +119,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         if settings[key] not in choices:
             raise UsageError(f"setting {key} must be one of {', '.join(choices)}, "
                              f"not {settings[key]!r}")
+    if _cast("seed", settings["seed"], int) < 0:
+        raise UsageError(f"setting seed must be >= 0, not {settings['seed']!r}")
     settings["domains"] = _parse_domains(settings["domains"])
     _check_channels(settings["channels"])
     synth_channels = settings["synth"]["channels"]

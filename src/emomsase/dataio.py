@@ -159,9 +159,6 @@ class RawRecording:
     timestamps_ms: np.ndarray  # int64, strictly increasing
     values: np.ndarray         # float64
 
-    def n_samples(self) -> int:
-        return int(self.values.shape[0])
-
     def validate(self) -> None:
         """Check timestamp monotonicity and agreement with the declared rate."""
         ts = self.timestamps_ms

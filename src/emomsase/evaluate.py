@@ -2,8 +2,9 @@
 
 Splits operate on participant ids, never on samples, so no participant can
 appear on two sides of a fold.  Metrics treat High (class 1) as the
-positive class.  Decision fusion combines per-domain probability vectors
-either by summing them or by trusting the single largest probability.
+positive class.  Decision fusion works on arrays: it combines each domain
+model's (N, C) test probabilities, either by summing them or by trusting
+the single largest probability, into N classes and N tie flags.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class TooFewParticipantsError(EvaluateError):
 
 
 class LeakageError(EvaluateError):
-    pass
-
-
-class EmptyPredictionsError(EvaluateError):
     pass
 
 
@@ -127,68 +124,49 @@ class FoldResult:
     recall: float
     n_test_samples: int
     confusion: np.ndarray  # rows true class, columns predicted class
-    train_participants: tuple[str, ...] = ()
-    val_participants: tuple[str, ...] = ()
-    test_participants: tuple[str, ...] = ()
+    train_participants: tuple[str, ...]
+    val_participants: tuple[str, ...]
+    test_participants: tuple[str, ...]
 
 
-def _result_from_classes(predicted: np.ndarray, true: np.ndarray,
-                         n_classes: int, fold_index: int) -> FoldResult:
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(true, predicted):
-        confusion[t, p] += 1
+def _result_from_classes(fold: Fold, predicted: np.ndarray, true: np.ndarray) -> FoldResult:
+    """Accuracy, High-class recall and confusion counts of one fold's test classes."""
+    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
+    np.add.at(confusion, (true, predicted), 1)
     positives = confusion[HIGH, :].sum()
     recall = confusion[HIGH, HIGH] / positives if positives else 0.0
     return FoldResult(
-        fold_index=fold_index,
+        fold_index=fold.index,
         accuracy=float((predicted == true).mean()),
         recall=float(recall),
         n_test_samples=int(true.shape[0]),
         confusion=confusion,
+        train_participants=fold.train,
+        val_participants=fold.val,
+        test_participants=fold.test,
     )
 
 
-def metrics(predictions: list[tuple[np.ndarray, int]], fold_index: int = 0) -> FoldResult:
-    """Accuracy, positive-class recall and confusion counts for
-    (probability row, true class) pairs."""
-    if not predictions:
-        raise EmptyPredictionsError("no predictions to score")
-    probs = np.stack([np.asarray(p) for p, _ in predictions])
-    true = np.array([y for _, y in predictions])
-    return _result_from_classes(probs.argmax(axis=1), true, probs.shape[1], fold_index)
+def fuse_decisions(member_probs: list[np.ndarray], rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (N,) classes and (N,) tie flags fused from each member's (N, C)
+    probabilities.
 
-
-@dataclass(frozen=True)
-class FusedDecision:
-    class_index: int
-    tie: bool
-
-
-def decision_fuse(per_classifier_probs: list[np.ndarray], rule: str) -> FusedDecision:
-    """Combine probability vectors from several classifiers into one class.
-
-    ``sum`` adds the vectors and takes the largest total; ``max`` takes the
-    class holding the single largest probability anywhere.  Exact ties go
-    to the lower class index and are flagged.
+    ``sum`` adds the members' probabilities and takes the largest total;
+    ``max`` takes the class holding the single largest probability of any
+    member.  The members are stacked in float64 before the reduction, since a
+    float32 sum can move an argmax or a tie.  Exact ties go to the lower class
+    index and are flagged.
     """
-    if len(per_classifier_probs) < 2:
-        raise NoClassifiersError("decision fusion needs at least two classifiers")
-    rows = [np.asarray(p, dtype=np.float64) for p in per_classifier_probs]
-    width = rows[0].shape[0]
-    for r in rows:
-        if r.shape != (width,):
-            raise EvaluateError("probability vectors must share one length")
-        if r.min() < 0:
-            raise EvaluateError("probabilities must be non-negative")
-    if rule == FUSION_SUM:
-        support = np.sum(rows, axis=0)
-    elif rule == FUSION_MAX:
-        support = np.max(rows, axis=0)
-    else:
+    if not member_probs or len({np.shape(p) for p in member_probs}) > 1:
+        raise EvaluateError("fusion needs members whose probabilities share one shape")
+    stacked = np.asarray(member_probs, dtype=np.float64)
+    if stacked.ndim != 3 or (stacked < 0).any():
+        raise EvaluateError("each member's probabilities must be non-negative (N, C)")
+    if rule not in (FUSION_SUM, FUSION_MAX):
         raise EvaluateError(f"unknown fusion rule {rule!r}")
-    winner = int(support.argmax())  # argmax already prefers the lower index
-    tie = bool(np.sum(support == support[winner]) > 1)
-    return FusedDecision(class_index=winner, tie=tie)
+    support = stacked.sum(axis=0) if rule == FUSION_SUM else stacked.max(axis=0)
+    ties = (support == support.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    return support.argmax(axis=1), ties  # argmax already prefers the lower index
 
 
 @dataclass
@@ -262,7 +240,7 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
 
     Modality fusion trains a single model on all configured domains;
     sum/max decision fusion trains one model per domain and fuses their
-    test probabilities per sample.
+    test probabilities.
     """
     if fusion not in FUSION_MODES:
         raise EvaluateError(f"unknown fusion mode {fusion!r}")
@@ -277,6 +255,8 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
 
     members = ({"model": model_config} if fusion == FUSION_MODALITY
                else {d: model_config.restrict([d]) for d in domains})
+    # the sum of one member's probabilities is that member's own decision
+    rule = FUSION_SUM if fusion == FUSION_MODALITY else fusion
     fold_results = []
     fold_logs = []
     for fold in split.folds:
@@ -293,16 +273,8 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
             te = build_labeled_set(samples, labels, cfg.channels, fold.test)
             model, logs[name] = fit(model, tr, va, train_cfg)
             probs.append(model.predict(te.inputs))
-        if len(probs) == 1:
-            predicted = probs[0].argmax(axis=1)
-        else:
-            predicted = np.array([decision_fuse([p[i] for p in probs], fusion).class_index
-                                  for i in range(te.labels.shape[0])])
-        result = _result_from_classes(predicted, te.labels, N_CLASSES, fold.index)
-        result.train_participants = fold.train
-        result.val_participants = fold.val
-        result.test_participants = fold.test
-        fold_results.append(result)
+        predicted, _ = fuse_decisions(probs, rule)
+        fold_results.append(_result_from_classes(fold, predicted, te.labels))
         fold_logs.append(logs)
 
     return ExperimentResult(

@@ -46,13 +46,6 @@ class GradCheckReport:
     def failures(self) -> list[GradCheckEntry]:
         return [e for e in self.entries if e.max_rel_error >= self.tolerance]
 
-    def summary_lines(self) -> list[str]:
-        lines = [f"{e.name}: max rel err {e.max_rel_error:.3e}" for e in self.entries]
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"{verdict}: max rel err {self.max_rel_error:.3e} "
-                     f"over {len(self.entries)} params (tolerance {self.tolerance:g})")
-        return lines
-
 
 def micro_config(hidden_size: int = 4, variant: str = "emomsase",
                  seed: int = 0) -> ModelConfig:

@@ -20,7 +20,7 @@ from emomsase.dataio import (
     derive_labels, make_synthetic,
 )
 from emomsase.evaluate import (
-    Sample, decision_fuse, group_kfold, loso, run_experiment,
+    Sample, fuse_decisions, group_kfold, loso, run_experiment,
 )
 from emomsase.gradcheck import grad_check, micro_config
 from emomsase.model import (
@@ -71,7 +71,7 @@ def test_criterion_02_gradient_check():
     for seed in range(20):
         report = grad_check(micro_config(seed=seed), tolerance=1e-3,
                             epsilon=1e-4, seed=seed)
-        assert report.passed, "\n".join(report.summary_lines())
+        assert report.passed, report.failures()
         worst = max(worst, report.max_rel_error)
     elapsed = time.time() - started
     assert worst < 1e-3
@@ -202,25 +202,23 @@ def test_criterion_06_fusion_oracle():
 
     Two classifiers: every pair of two-class vectors on the 0.1 grid,
     normalized or not.  Three classifiers: every triple of proper
-    two-class distributions on the same grid.
+    two-class distributions on the same grid.  Each grid is the N samples
+    of one array call, and every sample's class and tie are checked.
     """
     grid = [np.array([i / 10.0, j / 10.0])
             for i in range(11) for j in range(11)]
-    checked = 0
-    for rows in itertools.product(grid, repeat=2):
-        for rule in ("sum", "max"):
-            got = decision_fuse(list(rows), rule)
-            winner, tie = fuse_brute_force(rows, rule)
-            assert (got.class_index, got.tie) == (winner, tie)
-            checked += 1
-
     simplex = [np.array([i / 10.0, 1.0 - i / 10.0]) for i in range(11)]
-    for rows in itertools.product(simplex, repeat=3):
+    checked = 0
+    for vectors, n_members in ((grid, 2), (simplex, 3)):
+        samples = list(itertools.product(vectors, repeat=n_members))
+        members = [np.array([rows[m] for rows in samples]) for m in range(n_members)]
         for rule in ("sum", "max"):
-            got = decision_fuse(list(rows), rule)
-            winner, tie = fuse_brute_force(rows, rule)
-            assert (got.class_index, got.tie) == (winner, tie)
-            checked += 1
+            classes, ties = fuse_decisions(members, rule)
+            assert classes.shape == ties.shape == (len(samples),)
+            for rows, got_class, got_tie in zip(samples, classes, ties):
+                winner, tie = fuse_brute_force(rows, rule)
+                assert (got_class, got_tie) == (winner, tie)
+                checked += 1
     print(f"\ncriterion 6: {checked} fused decisions matched the "
           f"brute-force oracle")
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import emomsase
 from emomsase import autodiff as ad
 from emomsase import dataio, preprocess
 from emomsase.cli import (DEFAULTS, _load_samples, _model_config, _train_config,
@@ -399,7 +400,7 @@ def test_gradcheck_refuses_flags_that_check_nothing(monkeypatch, capsys):
         assert f"error: {flag} must be" in captured.err and captured.out == ""
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["synth"]) == 2  # no output directory anywhere
 
     bad = tmp_path / "bad.json"
@@ -450,6 +451,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main([*command, "--config", str(bad)]) == 2, cfg
         assert f"error: {message}" in capsys.readouterr().err, cfg
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a refused seed must stop before any data loads")
+    monkeypatch.setattr("emomsase.cli._load_samples", no_load)
+    monkeypatch.setattr("emomsase.dataio.make_synthetic", no_load)
+    bad.write_text(json.dumps({"seed": -1}))
+    for argv in ([*run, "--seed", "-1"], [*run, "--seed", "-1", "--split", "loso"],
+                 [*synth, "--seed", "-1"], [*run, "--config", str(bad)],
+                 [*synth, "--config", str(bad)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "error: setting seed must be >= 0, not -1" in capsys.readouterr().err, argv
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:
@@ -544,6 +557,10 @@ def test_runtime_errors_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ad.Tape, "backward", replayed)
     assert main(["gradcheck", "--seeds", "1"]) == 1
     assert "error: tape already replayed" in capsys.readouterr().err
+
+
+def test_every_package_export_resolves():
+    assert [name for name in emomsase.__all__ if not hasattr(emomsase, name)] == []
 
 
 def test_module_entry_point_runs():

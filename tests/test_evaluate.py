@@ -16,14 +16,14 @@ from emomsase.dataio import (
     derive_labels, make_synthetic,
 )
 from emomsase.evaluate import (
-    EvaluateError, Fold, FusedDecision, LabelCoverageError, LeakageError,
+    EvaluateError, Fold, LabelCoverageError, LeakageError,
     MissingChannelError, NoClassifiersError, Sample, SplitPlan,
-    TooFewParticipantsError, build_labeled_set, decision_fuse, group_kfold,
-    loso, metrics, report_dict, results_rows, run_experiment,
-    write_results_csv,
+    TooFewParticipantsError, _result_from_classes, build_labeled_set,
+    fuse_decisions, group_kfold, loso, report_dict, results_rows,
+    run_experiment, write_results_csv,
 )
 from emomsase.model import ModelConfig
-from emomsase.train import TrainConfig
+from emomsase.train import TrainConfig, TrainLog
 
 from reference_impls import fuse_brute_force
 
@@ -117,70 +117,121 @@ def test_fold_and_plan_guards():
 # Metrics
 # ---------------------------------------------------------------------------
 
+FOLD = Fold(index=2, train=("a",), val=("b",), test=("c",))
+
+
 def test_metrics_counts():
-    preds = [
-        (np.array([0.9, 0.1]), LOW),    # correct negative
-        (np.array([0.2, 0.8]), HIGH),   # correct positive
-        (np.array([0.7, 0.3]), HIGH),   # missed positive
-        (np.array([0.4, 0.6]), LOW),    # false positive
-    ]
-    r = metrics(preds)
+    probs = np.array([
+        [0.9, 0.1],    # correct negative
+        [0.2, 0.8],    # correct positive
+        [0.7, 0.3],    # missed positive
+        [0.4, 0.6],    # false positive
+    ])
+    r = _result_from_classes(FOLD, probs.argmax(axis=1), np.array([LOW, HIGH, HIGH, LOW]))
     npt.assert_allclose(r.accuracy, 0.5)
     npt.assert_allclose(r.recall, 0.5)
     npt.assert_array_equal(r.confusion, [[1, 1], [1, 1]])
     assert r.n_test_samples == 4
+    assert (r.fold_index, r.train_participants, r.val_participants,
+            r.test_participants) == (2, ("a",), ("b",), ("c",))
 
 
 def test_metrics_recall_without_positives_is_zero():
-    r = metrics([(np.array([0.9, 0.1]), LOW), (np.array([0.8, 0.2]), LOW)])
+    r = _result_from_classes(FOLD, np.array([LOW, LOW]), np.array([LOW, LOW]))
     npt.assert_allclose(r.accuracy, 1.0)
     assert r.recall == 0.0
-    with pytest.raises(EvaluateError):
-        metrics([])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([LOW, HIGH]), st.sampled_from([LOW, HIGH])),
+                min_size=1, max_size=40))
+def test_metrics_count_like_a_loop(pairs):
+    """Rows of the confusion matrix are true classes, columns predicted ones."""
+    true, predicted = (np.array(side) for side in zip(*pairs))
+    r = _result_from_classes(FOLD, predicted, true)
+    expected = np.zeros((2, 2), dtype=int)
+    for t, p in pairs:
+        expected[t, p] += 1
+    npt.assert_array_equal(r.confusion, expected)
+    assert r.accuracy == np.mean(true == predicted)
 
 
 # ---------------------------------------------------------------------------
 # Decision fusion
 # ---------------------------------------------------------------------------
 
+def _members(samples):
+    """Each member's (N, C) array from N samples of per-member vectors."""
+    return [np.array([rows[m] for rows in samples]) for m in range(len(samples[0]))]
+
+
+def _assert_matches_brute_force(samples):
+    for rule in ("sum", "max"):
+        classes, ties = fuse_decisions(_members(samples), rule)
+        assert classes.shape == ties.shape == (len(samples),)
+        for rows, got_class, got_tie in zip(samples, classes, ties):
+            assert (got_class, got_tie) == fuse_brute_force(rows, rule)
+
+
 def test_decision_fuse_hand_cases():
     a, b = np.array([0.6, 0.4]), np.array([0.1, 0.9])
-    assert decision_fuse([a, b], "sum") == FusedDecision(HIGH, False)   # 0.7 vs 1.3
-    assert decision_fuse([a, b], "max") == FusedDecision(HIGH, False)   # 0.6 vs 0.9
-    # exact tie goes to the lower class and is flagged
-    assert decision_fuse([np.array([0.5, 0.5]), np.array([0.5, 0.5])],
-                         "sum") == FusedDecision(LOW, True)
+    half = np.array([0.5, 0.5])
+    members = _members([(a, b), (half, half)])
+    for rule in ("sum", "max"):  # 0.7 vs 1.3 under sum, 0.6 vs 0.9 under max
+        classes, ties = fuse_decisions(members, rule)
+        # the exact tie of the second sample goes to the lower class and is flagged
+        npt.assert_array_equal(classes, [HIGH, LOW])
+        npt.assert_array_equal(ties, [False, True])
 
 
 def test_decision_fuse_validation():
-    with pytest.raises(NoClassifiersError):
-        decision_fuse([np.array([0.5, 0.5])], "sum")
+    half = np.array([[0.5, 0.5]])
     with pytest.raises(EvaluateError):
-        decision_fuse([np.array([0.5, 0.5]), np.array([0.1, 0.2, 0.7])], "sum")
+        fuse_decisions([], "sum")
     with pytest.raises(EvaluateError):
-        decision_fuse([np.array([0.5, 0.5]), np.array([-0.1, 1.1])], "sum")
+        fuse_decisions([half, np.array([[0.1, 0.2, 0.7]])], "sum")
     with pytest.raises(EvaluateError):
-        decision_fuse([np.array([0.5, 0.5]), np.array([0.5, 0.5])], "mean")
+        fuse_decisions([half, np.array([[-0.1, 1.1]])], "sum")
+    with pytest.raises(EvaluateError):
+        fuse_decisions([half, half], "mean")
+    with pytest.raises(EvaluateError):
+        fuse_decisions([half[0], half[0]], "sum")  # vectors, not (N, C) arrays
+    # one member's fused decision is its own argmax, for either rule
+    probs = np.array([[0.2, 0.8], [0.7, 0.3], [0.5, 0.5]], dtype=np.float32)
+    for rule in ("sum", "max"):
+        classes, ties = fuse_decisions([probs], rule)
+        npt.assert_array_equal(classes, probs.argmax(axis=1))
+        npt.assert_array_equal(ties, [False, False, True])
 
 
 def test_decision_fuse_matches_brute_force_on_grids():
     grid = [np.array([i / 4.0, j / 4.0])
             for i in range(5) for j in range(5)]
-    for rows in itertools.product(grid, repeat=2):
-        for rule in ("sum", "max"):
-            got = decision_fuse(list(rows), rule)
-            winner, tie = fuse_brute_force(rows, rule)
-            assert (got.class_index, got.tie) == (winner, tie)
+    _assert_matches_brute_force(list(itertools.product(grid, repeat=2)))
 
 
 def test_decision_fuse_three_classifiers_three_classes():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        rows = [rng.uniform(0, 1, size=3) for _ in range(3)]
-        for rule in ("sum", "max"):
-            got = decision_fuse(rows, rule)
-            winner, tie = fuse_brute_force(rows, rule)
-            assert (got.class_index, got.tie) == (winner, tie)
+    _assert_matches_brute_force(
+        [[rng.uniform(0, 1, size=3) for _ in range(3)] for _ in range(200)])
+
+
+def test_decision_fuse_adds_float32_members_in_float64():
+    """In float32, 0.5 + 2**-25 rounds back to 0.5, so a float32 sum flags a
+    tie in sample 0 and hands sample 1 to the High class."""
+    ulp = 2.0 ** -24  # float32 spacing just above 0.5
+    members = [np.array(rows, dtype=np.float32) for rows in (
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[ulp / 2, 0.0], [ulp / 2, 0.75 * ulp]],
+        [[0.0, 0.0], [ulp / 2, 0.0]],
+    )]
+    classes, ties = fuse_decisions(members, "sum")
+    npt.assert_array_equal(classes, [LOW, LOW])
+    npt.assert_array_equal(ties, [False, False])
+    for i, (got_class, got_tie) in enumerate(zip(classes, ties)):
+        assert (got_class, got_tie) == fuse_brute_force([m[i] for m in members], "sum")
+    float32_sum = np.sum(members, axis=0)
+    assert float32_sum[0, 0] == float32_sum[0, 1] and float32_sum[1].argmax() == HIGH
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +277,10 @@ def test_build_labeled_set_stacks_and_checks():
 # Experiments end to end (small but real training)
 # ---------------------------------------------------------------------------
 
-def _experiment_pieces(channels_by_domain, seed=0):
+def _experiment_pieces(channels_by_domain, seed=0, n_participants=6):
     channels = tuple(ch for _, chs in channels_by_domain for ch in chs)
-    samples, labels = _samples_and_labels(n_participants=6, channels=channels,
-                                          seed=seed)
+    samples, labels = _samples_and_labels(n_participants=n_participants,
+                                          channels=channels, seed=seed)
     config = ModelConfig(
         domain_channels=channels_by_domain,
         feature_sizes={ch: preprocess.feature_size(ch) for ch in channels},
@@ -279,6 +330,55 @@ def test_run_experiment_decision_fusion_two_domains():
     with pytest.raises(NoClassifiersError):
         run_experiment(samples, labels, single, split, fusion="max",
                        train_config=tc)
+
+
+# Test-set probabilities that a stub model of each domain set repeats over
+# its N samples.  Sum and max disagree on samples 0 and 1, and sample 3 is
+# an exact tie under both rules.
+STUB_PROBS = {
+    ("Peripheral",): [[0.9, 0.1], [0.95, 0.05], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8]],
+    ("Trunk",): [[0.3, 0.7], [0.1, 0.9], [0.5, 0.5], [0.4, 0.6], [0.3, 0.7]],
+    ("Head",): [[0.2, 0.8], [0.1, 0.9], [0.4, 0.6], [0.5, 0.5], [0.4, 0.6]],
+    ("Peripheral", "Trunk", "Head"): [[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]],
+}
+
+
+def _stub_probs(domains, n):
+    rows = STUB_PROBS[tuple(domains)]
+    return np.array([rows[i % len(rows)] for i in range(n)], dtype=np.float32)
+
+
+class _StubModel:
+    def __init__(self, config):
+        self.domains = [d for d, _ in config.domain_channels]
+
+    def predict(self, inputs):
+        return _stub_probs(self.domains, next(iter(inputs.values())).shape[0])
+
+
+@pytest.mark.parametrize("fusion", ["modality", "sum", "max"])
+def test_run_experiment_fuses_each_members_test_probabilities(monkeypatch, fusion):
+    """Each fold's confusion matrix counts the brute-force fused decision
+    of every test sample against its label."""
+    domain_channels = (("Peripheral", ("EDA",)), ("Trunk", ("LAT_ACC",)),
+                       ("Head", ("L_EP_Y",)))
+    samples, labels, config, tc = _experiment_pieces(domain_channels, n_participants=3)
+    monkeypatch.setattr(evaluate, "fit",
+                        lambda model, *args: (_StubModel(model.config), TrainLog()))
+    split = group_kfold(_pids(3), k=3, seed=0)
+    result = run_experiment(samples, labels, config, split, fusion=fusion, train_config=tc)
+
+    members = ([[d for d, _ in domain_channels]] if fusion == "modality"
+               else [[d] for d, _ in domain_channels])
+    rule = "sum" if fusion == "modality" else fusion
+    for fold, got in zip(split.folds, result.fold_results):
+        true = build_labeled_set(samples, labels, config.channels, fold.test).labels
+        probs = [_stub_probs(domains, len(true)) for domains in members]
+        expected = np.zeros((2, 2), dtype=int)
+        for i, t in enumerate(true):
+            expected[t, fuse_brute_force([p[i] for p in probs], rule)[0]] += 1
+        npt.assert_array_equal(got.confusion, expected)
+        assert got.accuracy == np.trace(expected) / len(true)
 
 
 @pytest.mark.parametrize("fusion", ["modality", "sum"])

@@ -324,7 +324,7 @@ def test_grad_check_ablation_variants(variant):
     for seed in range(3):
         report = grad_check(micro_config(variant=variant, seed=seed),
                             tolerance=1e-3, epsilon=1e-4, seed=seed)
-        assert report.passed, "\n".join(report.summary_lines())
+        assert report.passed, report.failures()
 
 
 def test_predict_chunking_matches_single_pass():
