@@ -19,11 +19,12 @@ holds no arrays.  An inference tape
 cannot be replayed.  Sequence tensors are batch-first (B, T, F).
 
 Inside, the LSTM layer is time-major, (T, B, .): the input projection of
-every step is one (T*B, F) product, gates and states go into preallocated
-arrays, and the layer returns its hidden states as a (B, T, H) view.  Only
-the recurrence runs step by step.  Its backward fills one (T, B, 4H) array
-of gate gradients, then takes the weight, bias and input gradients each as
-one product or sum over all T*B rows.
+every step is one (T*B, F) product, gates, c and h go into preallocated
+arrays, tanh(c) into one scratch row, and the layer returns its hidden
+states as a (B, T, H) view.  Only the recurrence runs step by step.  Its
+backward recomputes tanh(c) of every step in one call, fills one
+(T, B, 4H) array of gate gradients, then takes the weight, bias and input
+gradients each as one product or sum over all T*B rows.
 """
 
 from __future__ import annotations
@@ -325,7 +326,8 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     Gate blocks in ``wx``/``wh``/``b`` are ordered input, forget, output,
     cell-candidate.  State starts at zero.  Returns the hidden sequence
     (B, T, H) as a view of time-major (T, B, H) storage; the backward
-    closure runs full backpropagation through time.  The three sigmoid
+    closure runs full backpropagation through time, recomputing tanh(c)
+    from the kept c rather than keeping a (T, B, H) copy.  The three sigmoid
     blocks of the weights enter halved (exact in binary floating point), so
     one tanh per step activates all 4H gate columns in place.
     """
@@ -345,15 +347,18 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     # time-major in the weights' dtype in one copy, none if it already is both
     xs = np.ascontiguousarray(x.value.transpose(1, 0, 2), dtype).reshape(t_len * bsz, f_in)
     act = (xs @ (wxv * half)).reshape(t_len, bsz, 4 * h_dim)
+    if not tape.recording:
+        del xs  # only backward reads it again, so inference frees it before the states
     act += b.value * half
     wh_half = whv * half
 
     # row t + 1 holds the state after step t, row 0 the zero start; an
-    # inference tape keeps c in a two-row ring and tanh(c) in one row
+    # inference tape keeps c in a two-row ring; tanh(c) is one scratch row,
+    # which backward recomputes for every step from c
     ring = t_len + 1 if tape.recording else 2
     hs = np.zeros((t_len + 1, bsz, h_dim), dtype)
     cs = np.zeros((ring, bsz, h_dim), dtype)
-    tcs = np.empty((ring - 1, bsz, h_dim), dtype)
+    tc = np.empty((bsz, h_dim), dtype)
     rec = np.empty((bsz, 4 * h_dim), dtype)
     ig = np.empty((bsz, h_dim), dtype)
     for t in range(t_len):
@@ -365,12 +370,13 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
         np.multiply(z[:, h_dim:h2], cs[t % ring], out=c)
         np.multiply(z[:, :h_dim], z[:, h3:], out=ig)
         c += ig
-        tc = np.tanh(c, out=tcs[t % (ring - 1)])
+        np.tanh(c, out=tc)
         np.multiply(z[:, h2:h3], tc, out=hs[t + 1])
     out = Var(hs[1:].transpose(1, 0, 2))
 
     def back():
         dhs = out.grad.transpose(1, 0, 2).astype(dtype, order="C")
+        tcs = np.tanh(cs[1:])
         dzs = np.empty_like(act)
         d_gate = np.empty((bsz, 4 * h_dim), dtype)
         dh_dc = np.empty((bsz, h_dim), dtype)

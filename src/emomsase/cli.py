@@ -263,15 +263,27 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_samples(cache_dir: Path) -> list[evaluate.Sample]:
-    """Each (float64) cached tensor cast to ``DTYPE``, one sample per participant and video."""
+def _load_samples(cache_dir: Path, channels=None) -> list[evaluate.Sample]:
+    """Each (float64) cached tensor cast to ``DTYPE``, one sample per participant
+    and video; ``run`` holds these tensors once, and every fold references them.
+
+    Given ``channels``, entries of other channels are skipped unread.  A tensor
+    not of its chain's shape fails here, naming its entry, before any training.
+    """
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         raise UsageError(f"cache directory not found: {cache_dir}")
     by_pair: dict[tuple[str, str], evaluate.Sample] = {}
-    tensors = (preprocess.load_tensor(stem) for stem in preprocess.entry_stems(cache_dir))
-    for tensor in filter(None, tensors):  # None for a foreign file
+    for stem in preprocess.entry_stems(cache_dir):
+        tensor = preprocess.load_tensor(stem, channels)
+        if tensor is None:  # a foreign file, or a channel not asked for
+            continue
         pid, vid, channel = tensor.source
+        shape = (preprocess.expected_timesteps(channel), preprocess.feature_size(channel))
+        if tensor.values.shape != shape:
+            raise preprocess.PreprocessError(
+                f"cache entry {stem} ({pid}/{vid}/{channel}) holds a {tensor.values.shape} "
+                f"tensor, its chain gives {shape}; clear the cache and re-run preprocessing")
         sample = by_pair.setdefault(
             (pid, vid), evaluate.Sample(participant_id=pid, video_id=vid, tensors={}))
         if channel in sample.tensors:
@@ -303,7 +315,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise UsageError(f"run needs --{key} (or a config entry)")
     model_cfg = _model_config(settings)
     train_cfg = _train_config(settings)
-    samples = _load_samples(Path(settings["cache"]))
+    samples = _load_samples(Path(settings["cache"]), model_cfg.channels)
     ratings = dataio.load_ratings(Path(settings["ratings"]))
     videos = sorted({s.video_id for s in samples})
     assignments = _resolve_labels(settings, ratings, videos)

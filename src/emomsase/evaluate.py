@@ -202,7 +202,8 @@ class ExperimentResult:
 def build_labeled_set(samples: list[Sample], labels: LabelLookup,
                       channels: tuple[str, ...],
                       participants: tuple[str, ...]) -> LabeledSet:
-    """Stack the samples of the given participants into training tensors."""
+    """The samples of the given participants as a labelled set whose rows
+    reference their tensors: it stacks nothing and copies no tensor."""
     chosen = [s for s in samples if s.participant_id in participants]
     if not chosen:
         raise EvaluateError("no samples for the requested participants")
@@ -222,7 +223,7 @@ def build_labeled_set(samples: list[Sample], labels: LabelLookup,
         y.append(label)
         owners.append(s.participant_id)
     return LabeledSet(
-        inputs={ch: np.stack(stack) for ch, stack in rows.items()},
+        rows=rows,
         labels=np.array(y, dtype=int),
         participants=tuple(owners),
     )

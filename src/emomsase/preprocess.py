@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -378,13 +379,14 @@ def prune_stale_tensors(cache_dir: Path, keys: set[str],
     return pruned
 
 
-def load_tensor(stem: Path) -> WindowedTensor | None:
-    """The tensor of the entry at ``stem``, or None if its sidecar is not ours.
+def load_tensor(stem: Path, channels: Collection[str] | None = None) -> WindowedTensor | None:
+    """The tensor of the entry at ``stem``, or None, with its binary unread,
+    if its sidecar is not ours or names a channel outside ``channels``.
     A binary that does not hold the tensor its sidecar describes raises a
     PreprocessError naming it."""
     binary, sidecar = _entry_files(Path(stem))
     meta = _read_sidecar(sidecar)
-    if meta is None:
+    if meta is None or (channels is not None and meta[0][2] not in channels):
         return None
     data = binary.read_bytes()
     try:

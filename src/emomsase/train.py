@@ -9,6 +9,7 @@ bit-identical parameters and logs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,26 +77,36 @@ class TrainLog:
 
 @dataclass
 class LabeledSet:
-    """Stacked per-channel tensors with labels, one row per sample.  In ``run``
-    they are ``DTYPE``, and so is each batch ``take`` makes: no cast to read."""
+    """Per-channel sample tensors with labels, one row per sample.
 
-    inputs: dict[str, np.ndarray]   # channel -> (N, T, F)
-    labels: np.ndarray              # (N,) class indices
-    participants: tuple[str, ...]   # per-sample owner, for leakage checks
+    ``rows`` references each sample's (T, F) tensor and copies none; an
+    (N, T, F) array is such a sequence too.  ``take`` stacks only the chosen
+    rows into a batch, and ``inputs`` stacks every row each time it is read.
+    In ``run`` the rows are ``DTYPE``, and so is each batch: no cast to read."""
+
+    rows: dict[str, Sequence[np.ndarray]]  # channel -> N (T, F) tensors
+    labels: np.ndarray                     # (N,) class indices
+    participants: tuple[str, ...]          # per-sample owner, for leakage checks
 
     def __post_init__(self):
         n = self.labels.shape[0]
         if len(self.participants) != n:
             raise TrainError("one participant id per sample required")
-        for ch, x in self.inputs.items():
-            if x.shape[0] != n:
-                raise TrainError(f"{ch}: {x.shape[0]} rows but {n} labels")
+        for ch, rows in self.rows.items():
+            if len(rows) != n:
+                raise TrainError(f"{ch}: {len(rows)} rows but {n} labels")
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
+    @property
+    def inputs(self) -> dict[str, np.ndarray]:
+        """channel -> (N, T, F), stacked anew on each read."""
+        return {ch: np.stack(rows) for ch, rows in self.rows.items()}
+
     def take(self, idx: np.ndarray) -> dict[str, np.ndarray]:
-        return {ch: x[idx] for ch, x in self.inputs.items()}
+        """channel -> the rows at ``idx`` stacked, as ``inputs[ch][idx]`` would be."""
+        return {ch: np.stack([rows[i] for i in idx]) for ch, rows in self.rows.items()}
 
 
 class AdamW:

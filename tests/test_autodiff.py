@@ -449,6 +449,25 @@ def test_lstm_keeps_no_cache_on_inference_tape():
     assert traced_peak(False) < 0.8 * traced_peak(True)
 
 
+def test_recorded_lstm_keeps_no_tanh_c_history():
+    """A recording tape keeps c, and backward recomputes tanh(c) from it, so
+    the backward closure holds (T + 1)-row states but no (T, B, H) array."""
+    shape = bsz, t_len, _, h_dim = (3, 5, 2, 4)
+    x, wx, wh, b, d_out = _lstm_draw(33, shape)
+    vs = [Var(a) for a in (x, wx, wh, b)]
+    tape = Tape()
+    out = ad.lstm_layer(tape, *vs)
+    (back,) = tape._steps
+    held = {c.cell_contents.shape for c in back.__closure__
+            if isinstance(c.cell_contents, np.ndarray)}
+    assert (t_len + 1, bsz, h_dim) in held and (t_len, bsz, h_dim) not in held
+    out.grad = d_out  # replay by hand with this output gradient
+    back()
+    for v, ref, name in zip(vs, lstm_backward_reference(x, wx, wh, b, d_out),
+                            ("x", "wx", "wh", "b")):
+        npt.assert_allclose(v.grad, ref, rtol=0, atol=1e-10, err_msg=name)
+
+
 def test_param_accumulates_across_tapes():
     w = Param("w", np.ones((2, 2)))
     x = ad.leaf(np.ones((1, 2)))

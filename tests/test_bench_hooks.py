@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 
 from emomsase import autodiff as ad
-from emomsase import model
+from emomsase import cli, model
+from emomsase.train import DTYPE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,3 +69,25 @@ def test_kernel_micro_benchmarks_run(monkeypatch, tmp_path):
     assert list(report["lstm_layer"]) == ["b2_t3_f4_h2"]
     assert all(np.isfinite(value) for value, _ in metrics.values())
     assert "autodiff.lstm_layer.gflop_s.b2_t3_f4_h2" in metrics
+
+
+def test_infer_workload_reads_stacked_sample_tensors(monkeypatch, tmp_path):
+    """The infer workload reads ``build_labeled_set(...).inputs`` as one
+    (N, T, F) array per channel and slices it; those must stay ``DTYPE``
+    stacks of the per-sample tensors, in sample order, and its pass, check
+    and finish must stay clean."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    infer = workloads.WORKLOADS["infer"]
+    monkeypatch.setattr(infer, "participants", 2)  # 26 samples: two forward chunks in finish
+    st = infer.setup(tmp_path, seed=0)
+    probs = infer.run_pass(st, spans.Tracer(), tmp_path / "pass")
+    fails, record = infer.check(st, probs)
+    assert fails == [] and infer.finish(st, [record, record]) == []
+    samples = cli._load_samples(st["cache"])
+    assert sorted(st["inputs"]) == sorted(st["channels"])
+    for ch, x in st["inputs"].items():
+        assert type(x) is np.ndarray and x.dtype == DTYPE
+        assert np.array_equal(x, np.stack([s.tensors[ch] for s in samples]))

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,8 +193,8 @@ def small_cache(tmp_path_factory):
     return root
 
 
-def _run_argv(root, out, ratings=None):
-    return ["run", "--config", str(root / "config.json"), "--cache", str(root / "cache"),
+def _run_argv(root, out, ratings=None, cache=None):
+    return ["run", "--config", str(root / "config.json"), "--cache", str(cache or root / "cache"),
             "--ratings", str(ratings or root / "data" / "ratings.csv"), "--out", str(out)]
 
 
@@ -256,6 +257,59 @@ def test_run_skips_foreign_cache_files_and_names_a_corrupt_tensor(small_cache, t
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ours[0]}: not a cached tensor")
         assert "Traceback" not in err
+
+
+def test_wrong_shape_tensor_fails_at_load_naming_its_entry(small_cache, tmp_path, capsys,
+                                                           monkeypatch):
+    cache = tmp_path / "cache"
+    shutil.copytree(small_cache / "cache", cache)
+    stem = preprocess.entry_stems(cache)[0]
+    tensor = preprocess.load_tensor(stem)
+    preprocess.save_tensor(preprocess.WindowedTensor(tensor.values[:-1], tensor.source), stem)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("training started on a cache with a wrong-shape tensor")
+
+    monkeypatch.setattr("emomsase.evaluate.fit", no_fit)
+    capsys.readouterr()
+    assert main(_run_argv(small_cache, tmp_path / "out", cache=cache)) == 1
+    err = capsys.readouterr().err
+    pid, vid, channel = tensor.source
+    assert err.startswith(f"error: cache entry {stem} ({pid}/{vid}/{channel}) holds a (18, 200)")
+    assert "its chain gives (19, 200)" in err and "Traceback" not in err
+
+
+def test_run_skips_channels_its_model_does_not_read(small_cache, tmp_path, monkeypatch):
+    """Tensors of a channel the model does not read change no output byte, and
+    their binaries are never read, so even a duplicate of one is no error."""
+    cache = tmp_path / "cache"
+    shutil.copytree(small_cache / "cache", cache)
+    for i, stem in enumerate(preprocess.entry_stems(small_cache / "cache")):
+        pid, vid, _ = preprocess.load_tensor(stem).source
+        extra = preprocess.WindowedTensor(np.ones((19, 200)), (pid, vid, "L_EP_X"))
+        preprocess.save_tensor(extra, cache / f"extra{i}")
+        if i == 0:
+            preprocess.save_tensor(extra, cache / "extra_duplicate")
+    read = []
+    real_read_bytes = Path.read_bytes
+
+    def recording_read_bytes(path):
+        read.append(path.name)
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+    assert main(_run_argv(small_cache, tmp_path / "clean")) == 0
+    read.clear()
+    assert main(_run_argv(small_cache, tmp_path / "extra", cache=cache)) == 0
+    monkeypatch.undo()
+    extra_files = [name for name in read if name.startswith("extra")]
+    assert extra_files and all(name.endswith(".json") for name in extra_files)
+
+    def outputs(out):
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    clean, extra = outputs(tmp_path / "clean"), outputs(tmp_path / "extra")
+    assert any(p.parts[0] == "logs" for p in clean) and clean == extra
 
 
 @pytest.mark.parametrize("target", ["results.csv", "report.json"])

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -254,6 +255,21 @@ def _samples_and_labels(n_participants=6, channels=("L_EP_Y",), seed=0):
     samples = [by_pair[k] for k in sorted(by_pair)]
     labels = LabelLookup(derive_labels(ratings, LabelCase.GENERAL), "valence")
     return samples, labels
+
+
+def test_build_labeled_set_references_the_sample_tensors():
+    """A fold side copies no tensor: building one over 26 samples allocates
+    less than one sample's tensors, and its rows are the samples' own."""
+    samples, labels = _samples_and_labels(n_participants=2)
+    one_sample = sum(x.nbytes for x in samples[0].tensors.values())
+    tracemalloc.start()
+    try:
+        ls = build_labeled_set(samples, labels, ("L_EP_Y",), ("p01", "p02"))
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ls) == len(samples) == 26 and allocated < one_sample
+    assert all(row is s.tensors["L_EP_Y"] for row, s in zip(ls.rows["L_EP_Y"], samples))
 
 
 def test_build_labeled_set_stacks_and_checks():

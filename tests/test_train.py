@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomsase import autodiff as ad
 from emomsase import train as train_mod
@@ -35,7 +36,7 @@ def _toy_set(n, seed=0, t_len=6, f_dim=3):
     labels = np.arange(n) % 2
     x = rng.standard_normal((n, t_len, f_dim))
     x[labels == 1] += 2.0
-    return LabeledSet(inputs={"EDA": x}, labels=labels,
+    return LabeledSet(rows={"EDA": x}, labels=labels,
                       participants=tuple(f"p{i % 4}" for i in range(n)))
 
 
@@ -80,15 +81,34 @@ def test_cross_entropy_values():
 
 def test_labeled_set_validation():
     with pytest.raises(TrainError):
-        LabeledSet(inputs={"EDA": np.zeros((3, 2, 2))}, labels=np.zeros(3, int),
+        LabeledSet(rows={"EDA": np.zeros((3, 2, 2))}, labels=np.zeros(3, int),
                    participants=("a", "b"))
     with pytest.raises(TrainError):
-        LabeledSet(inputs={"EDA": np.zeros((2, 2, 2))}, labels=np.zeros(3, int),
+        LabeledSet(rows={"EDA": np.zeros((2, 2, 2))}, labels=np.zeros(3, int),
                    participants=("a", "b", "c"))
     s = _toy_set(6)
     assert len(s) == 6
     taken = s.take(np.array([0, 2]))
     assert taken["EDA"].shape == (2, 6, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=9),
+       negative=st.booleans())
+def test_take_equals_the_stacked_rows_at_idx(n, picks, negative):
+    """``take`` stacks only the chosen rows, into the same bytes as indexing
+    the full stack; rows may repeat, come in any order or count from the end."""
+    idx = np.array([p % n - (n if negative else 0) for p in picks])
+    rng = np.random.default_rng(n)
+    rows = {"EDA": [rng.standard_normal((4, 3)).astype(train_mod.DTYPE) for _ in range(n)],
+            "TEMP": [rng.standard_normal((2, 5)) for _ in range(n)]}
+    s = LabeledSet(rows=rows, labels=np.arange(n) % 2, participants=("p",) * n)
+    taken = s.take(idx)
+    for ch, chosen in rows.items():
+        want = np.stack(chosen)[idx]
+        got = taken[ch]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert s.inputs[ch].tobytes() == np.stack(chosen).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +163,7 @@ def test_adamw_rejects_non_finite_gradients():
 def test_fit_rejects_empty_splits():
     model = EmoMsase(_tiny_config())
     data = _toy_set(4)
-    empty = LabeledSet(inputs={"EDA": np.zeros((0, 6, 3))},
+    empty = LabeledSet(rows={"EDA": np.zeros((0, 6, 3))},
                        labels=np.zeros(0, int), participants=())
     with pytest.raises(EmptySplitError):
         fit(model, empty, data)
