@@ -14,8 +14,7 @@ from emomsase import autodiff as ad
 from emomsase.autodiff import Tape, leaf
 from emomsase.gradcheck import micro_config
 from emomsase.model import (
-    EmoMsase, lstm_features, merge_timesteps, msa, scale_attention,
-    se_recalibrate,
+    EmoMsase, lstm_features, msa, scale_attention, se_recalibrate,
 )
 
 rng = np.random.default_rng(7)
@@ -33,7 +32,7 @@ print(f"full-scale attention weights: {np.round(weights.value[0], 3)} "
       f"(sum {weights.value[0].sum():.9f})")
 
 for factor, name in ((2, "pairs"), (3, "triples")):
-    merged = merge_timesteps(tape, hidden, factor)
+    merged = ad.merge_pairs_mean(tape, hidden, factor)
     print(f"merging {name}: {hidden.value.shape[1]} steps "
           f"-> {merged.value.shape[1]}")
 

@@ -89,14 +89,14 @@ class Tape:
         if self.recording:
             self._steps.append(backward_fn)
 
-    def backward(self, out: Var, seed: float = 1.0) -> None:
-        """Seed d(out) and propagate gradients back to every reachable leaf."""
+    def backward(self, out: Var) -> None:
+        """Seed d(out) with ones and propagate gradients back to every reachable leaf."""
         if not self.recording:
             raise TapeConsumedError("an inference tape recorded nothing to replay")
         if self._consumed:
             raise TapeConsumedError("tape already replayed; rerun the forward pass")
         self._consumed = True
-        out.grad = np.full_like(out.value, seed)
+        out.grad = np.ones_like(out.value)
         while self._steps:
             self._steps.pop()()
 

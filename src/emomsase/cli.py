@@ -128,8 +128,9 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         raise UsageError(f"setting synth.channels must be a non-empty list, "
                          f"not {synth_channels!r}")
     for ch in synth_channels or []:
-        if not isinstance(ch, str) or ch not in CHANNEL_CATALOG:
-            raise UsageError(f"setting synth.channels names unknown channel {ch!r}")
+        if not isinstance(ch, str) or ch not in preprocess.CHAINS:
+            raise UsageError(f"setting synth.channels names {ch!r}, "
+                             f"which has no conditioning chain")
     return settings
 
 
@@ -149,7 +150,7 @@ def _parse_domains(spec: str | list) -> list[str]:
 
 
 def _check_channels(channels) -> None:
-    """Each ``channels`` entry lists channels of the domain it is keyed by."""
+    """Each ``channels`` entry lists conditioned channels of the domain it is keyed by."""
     domains = [d.value for d in Domain]
     lists = isinstance(channels, dict) and all(isinstance(v, list) for v in channels.values())
     if not lists:
@@ -161,6 +162,8 @@ def _check_channels(channels) -> None:
         for ch in names:
             if not isinstance(ch, str) or CHANNEL_CATALOG.get(ch, (None,))[0] != domain:
                 raise UsageError(f"channel {ch!r} is not a {domain} channel")
+            if ch not in preprocess.CHAINS:
+                raise UsageError(f"channel {ch!r} has no conditioning chain")
 
 
 def _model_config(settings: dict) -> ModelConfig:
@@ -465,8 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (dataio.DataError, preprocess.PreprocessError, evaluate.EvaluateError,
-            ValueError, OSError, NonFiniteActivationError, TapeConsumedError) as exc:
+    except (ValueError, OSError, NonFiniteActivationError, TapeConsumedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,30 +41,6 @@ class DataError(ValueError):
     """Base class for ingest and labelling failures."""
 
 
-class MissingFileError(DataError):
-    pass
-
-
-class NonMonotoneTimestampsError(DataError):
-    pass
-
-
-class RateMismatchError(DataError):
-    pass
-
-
-class AmbiguousBoundaryError(DataError):
-    """Raw rating sits exactly on the low/high boundary under a strict policy."""
-
-
-class MajorityTieError(DataError):
-    """A video splits exactly 50/50 between Low and High raters."""
-
-
-class EmptyVideoError(DataError):
-    pass
-
-
 class Domain(str, Enum):
     PERIPHERAL = "Peripheral"
     TRUNK = "Trunk"
@@ -175,14 +151,14 @@ class RawRecording:
         diffs = np.diff(ts)
         if diffs.size and diffs.min() <= 0:
             row = int(np.argmax(diffs <= 0)) + 1
-            raise NonMonotoneTimestampsError(
+            raise DataError(
                 f"{self.participant_id}/{self.video_id}/{self.channel}: "
                 f"timestamp not increasing at sample {row}")
         if ts.shape[0] >= 2:
             expected = 1000.0 / self.sample_rate_hz
             observed = (ts[-1] - ts[0]) / (ts.shape[0] - 1)
             if abs(observed - expected) > 0.05 * expected:
-                raise RateMismatchError(
+                raise DataError(
                     f"{self.participant_id}/{self.video_id}/{self.channel}: "
                     f"declared {self.sample_rate_hz} Hz but observed spacing "
                     f"{observed:.3f} ms (expected {expected:.3f} ms)")
@@ -225,7 +201,7 @@ def binarize_rating(raw: int, policy: BoundaryPolicy = BoundaryPolicy.LE4_LOW) -
         return LOW if raw <= 4 else HIGH
     if policy is BoundaryPolicy.STRICT_GT4:
         if raw == 4:
-            raise AmbiguousBoundaryError(
+            raise DataError(
                 "rating 4 is neither low nor high under the strict boundary policy")
         return LOW if raw < 4 else HIGH
     raise DataError(f"unknown boundary policy {policy!r}")
@@ -235,7 +211,7 @@ def _majority(labels: list[int], video_id: str, dimension: str) -> tuple[int, fl
     n_high = sum(1 for v in labels if v == HIGH)
     frac_high = n_high / len(labels)
     if frac_high == 0.5:
-        raise MajorityTieError(
+        raise DataError(
             f"video {video_id}: {dimension} votes split exactly 50/50 "
             f"({n_high}/{len(labels)} high)")
     if frac_high > 0.5:
@@ -254,7 +230,7 @@ def derive_labels(
 
     General and MalesOnly yield one assignment per (participant, video);
     Majority and G2 yield one per video.  ``videos``, when given, is the full
-    video set expected to be covered (missing ones raise EmptyVideoError).
+    video set expected to be covered (a missing one raises a DataError).
     G2 ignores the individual ratings and passes ``g2_table`` through.
     """
     if case is LabelCase.G2:
@@ -308,7 +284,7 @@ def _check_video_cover(covered: list[str], videos: list[str] | None) -> None:
         return
     missing = sorted(set(videos) - set(covered))
     if missing:
-        raise EmptyVideoError(f"no ratings for video(s): {', '.join(missing)}")
+        raise DataError(f"no ratings for video(s): {', '.join(missing)}")
 
 
 class LabelLookup:
@@ -490,7 +466,7 @@ def read_csv(path: Path, what: str, columns: tuple[str, ...], parse, key=()) -> 
     on the ``key`` columns.
     """
     if not Path(path).is_file():
-        raise MissingFileError(f"{what} not found: {path}")
+        raise DataError(f"{what} not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
@@ -539,12 +515,25 @@ def write_dataset(recordings: list[RawRecording], ratings: list[SamRating],
 
 
 def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The timestamps and values of one sensor file, all finite and each
+    timestamp a whole number; a DataError names the file, and the line of a
+    bad row."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     if data.shape[1] != 2:
         raise DataError(f"{path}: expected two columns ({','.join(SENSOR_COLUMNS)})")
+    finite = np.isfinite(data)
+    bad = ~finite.all(axis=1) | (data[:, 0] != np.trunc(data[:, 0]))
+    if bad.any():
+        row = int(np.argmax(bad))
+        with open(path) as fh:  # loadtxt skips blank lines, and the header is line 1
+            line = [n for n, text in enumerate(fh, 1) if n > 1 and text.strip()][row]
+        col = int(np.argmin(finite[row]))  # 0 if both are finite: a fractional timestamp
+        what = "is not a whole number" if finite[row].all() else "is not finite"
+        raise DataError(f"{path} line {line}: {SENSOR_COLUMNS[col]} "
+                        f"{float(data[row, col])!r} {what}")
     return data[:, 0].astype(np.int64), data[:, 1]
 
 
@@ -562,10 +551,10 @@ def _load_recording(data_dir: Path, row: dict) -> RawRecording:
         raise DataError(f"{fpath}: {channel} belongs to domain "
                         f"{domain.value}, manifest says {row['domain']!r}")
     if native_hz is not None and rate != native_hz:
-        raise RateMismatchError(f"{fpath}: {channel} runs at {native_hz:g} Hz, "
-                                f"manifest declares {rate:g} Hz")
+        raise DataError(f"{fpath}: {channel} runs at {native_hz:g} Hz, "
+                        f"manifest declares {rate:g} Hz")
     if not fpath.is_file():
-        raise MissingFileError(f"recording not found: {fpath}")
+        raise DataError(f"recording not found: {fpath}")
     ts, values = _read_sensor_csv(fpath)
     rec = RawRecording(
         participant_id=row["participant_id"],

@@ -30,26 +30,6 @@ class EvaluateError(ValueError):
     pass
 
 
-class TooFewParticipantsError(EvaluateError):
-    pass
-
-
-class LeakageError(EvaluateError):
-    pass
-
-
-class NoClassifiersError(EvaluateError):
-    pass
-
-
-class LabelCoverageError(EvaluateError):
-    pass
-
-
-class MissingChannelError(EvaluateError):
-    pass
-
-
 @dataclass(frozen=True)
 class Fold:
     index: int
@@ -62,7 +42,7 @@ class Fold:
         if not all(sides):
             raise EvaluateError(f"fold {self.index}: every side must be non-empty")
         if sides[0] & sides[1] or sides[0] & sides[2] or sides[1] & sides[2]:
-            raise LeakageError(f"fold {self.index}: participant on two sides")
+            raise EvaluateError(f"fold {self.index}: participant on two sides")
 
 
 @dataclass(frozen=True)
@@ -99,8 +79,7 @@ def group_kfold(participants: list[str], k: int, seed: int) -> SplitPlan:
     k must leave at least one training group (k >= 3)."""
     participants = list(participants)
     if k > len(participants):
-        raise TooFewParticipantsError(
-            f"cannot make {k} groups from {len(participants)} participants")
+        raise EvaluateError(f"cannot make {k} groups from {len(participants)} participants")
     if k < 3:
         raise EvaluateError("k must be >= 3 so each fold keeps a training side")
     rng = np.random.default_rng(seed)
@@ -113,7 +92,7 @@ def loso(participants: list[str]) -> SplitPlan:
     one participant and validates on the next one (cyclically)."""
     participants = list(participants)
     if len(participants) < 3:
-        raise TooFewParticipantsError("leave-one-out needs at least 3 participants")
+        raise EvaluateError("leave-one-out needs at least 3 participants")
     return _rotate("loso", participants, [(pid,) for pid in participants])
 
 
@@ -209,24 +188,17 @@ def build_labeled_set(samples: list[Sample], labels: LabelLookup,
         raise EvaluateError("no samples for the requested participants")
     rows = {ch: [] for ch in channels}
     y = []
-    owners = []
     for s in chosen:
         label = labels.class_for(s.participant_id, s.video_id)
         if label is None:
-            raise LabelCoverageError(
+            raise EvaluateError(
                 f"no {labels.dimension} label for {s.participant_id}/{s.video_id}")
         for ch in channels:
             if ch not in s.tensors:
-                raise MissingChannelError(
-                    f"{s.participant_id}/{s.video_id} lacks channel {ch}")
+                raise EvaluateError(f"{s.participant_id}/{s.video_id} lacks channel {ch}")
             rows[ch].append(s.tensors[ch])
         y.append(label)
-        owners.append(s.participant_id)
-    return LabeledSet(
-        rows=rows,
-        labels=np.array(y, dtype=int),
-        participants=tuple(owners),
-    )
+    return LabeledSet(rows=rows, labels=np.array(y, dtype=int))
 
 
 def _fold_seeded(config, fold_index: int):
@@ -252,7 +224,7 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
 
     domains = [d for d, _ in model_config.domain_channels]
     if fusion in (FUSION_SUM, FUSION_MAX) and len(domains) < 2:
-        raise NoClassifiersError("decision fusion needs at least two domains")
+        raise EvaluateError("decision fusion needs at least two domains")
 
     members = ({"model": model_config} if fusion == FUSION_MODALITY
                else {d: model_config.restrict([d]) for d in domains})
@@ -320,7 +292,7 @@ def report_dict(results: list[ExperimentResult]) -> dict:
                 "training": {
                     name: {
                         "best_epoch": log.best_epoch,
-                        "stopped_epoch": log.stopped_epoch,
+                        "stopped_epoch": log.n_epochs(),
                         "final_val_loss": log.val_loss[log.best_epoch - 1]
                         if log.best_epoch else None,
                     } for name, log in logs.items()

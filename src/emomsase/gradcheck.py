@@ -32,8 +32,6 @@ class GradCheckEntry:
 class GradCheckReport:
     entries: tuple[GradCheckEntry, ...]
     tolerance: float
-    epsilon: float
-    seed: int
 
     @property
     def max_rel_error(self) -> float:
@@ -134,5 +132,4 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
         rel[both_zero] = 0.0
         entries.append(GradCheckEntry(name=param.name,
                                       max_rel_error=float(rel.max())))
-    return GradCheckReport(entries=tuple(entries), tolerance=tolerance,
-                           epsilon=epsilon, seed=seed)
+    return GradCheckReport(entries=tuple(entries), tolerance=tolerance)

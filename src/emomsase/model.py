@@ -29,7 +29,6 @@ N_LSTM_LAYERS = 2
 N_CLASSES = 2  # every label is Low or High
 # Attention scales, finest first: name -> timestep merge factor.
 SCALES = (("short", 1), ("medium", 2), ("long", 3))
-MERGE_FACTORS = tuple(f for _, f in SCALES if f > 1)  # half and third resolution
 PREDICT_BATCH = 128  # rows per inference tape
 
 
@@ -44,10 +43,6 @@ VARIANT_SPECS = {
     "emomsase": VariantSpec(scales=("short", "medium", "long"), se=True),
 }
 VARIANTS = tuple(VARIANT_SPECS)
-
-
-class SequenceTooShortError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -176,16 +171,6 @@ def scale_attention(tape: Tape, hidden: Var, u: Param) -> tuple[Var, Var]:
     return weights, pooled
 
 
-def merge_timesteps(tape: Tape, hidden: Var, factor: int) -> Var:
-    """Halve or third the temporal resolution by averaging adjacent steps."""
-    if factor not in MERGE_FACTORS:
-        raise ValueError(f"merge factor must be one of {MERGE_FACTORS}")
-    if hidden.value.shape[1] < factor:
-        raise SequenceTooShortError(
-            f"{hidden.value.shape[1]} timesteps cannot merge by {factor}")
-    return ad.merge_pairs_mean(tape, hidden, factor)
-
-
 def msa(tape: Tape, hidden: Var, contexts: dict[str, Param]) -> Var:
     """Multi-scale attention: pool at full, half and third resolution, for
     each scale that has a context vector, and concatenate the results, finest
@@ -193,7 +178,7 @@ def msa(tape: Tape, hidden: Var, contexts: dict[str, Param]) -> Var:
     parts = []
     for scale, factor in SCALES:
         if scale in contexts:
-            seq = hidden if factor == 1 else merge_timesteps(tape, hidden, factor)
+            seq = hidden if factor == 1 else ad.merge_pairs_mean(tape, hidden, factor)
             parts.append(scale_attention(tape, seq, contexts[scale])[1])
     return parts[0] if len(parts) == 1 else ad.concat(tape, parts, axis=-1)
 

@@ -38,34 +38,6 @@ class PreprocessError(ValueError):
     """Base class for conditioning failures."""
 
 
-class CutoffOutOfRangeError(PreprocessError):
-    pass
-
-
-class SignalTooShortError(PreprocessError):
-    pass
-
-
-class ZeroVarianceError(PreprocessError):
-    pass
-
-
-class RecordingTooShortError(PreprocessError):
-    pass
-
-
-class WindowLargerThanSignalError(PreprocessError):
-    pass
-
-
-class NonIntegerHopError(PreprocessError):
-    pass
-
-
-class UnsupportedChannelError(PreprocessError):
-    pass
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """A Butterworth band-pass or low-pass filter."""
@@ -105,14 +77,13 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
     signal = np.asarray(signal, dtype=np.float64)
     if spec.kind == BAND_PASS:
         if not (0.0 < spec.low_hz < spec.high_hz < rate_hz / 2.0):
-            raise CutoffOutOfRangeError(
+            raise PreprocessError(
                 f"band {spec.low_hz}-{spec.high_hz} Hz invalid at {rate_hz} Hz")
     elif not (0.0 < spec.high_hz < rate_hz / 2.0):
-        raise CutoffOutOfRangeError(
-            f"cutoff {spec.high_hz} Hz invalid at {rate_hz} Hz")
+        raise PreprocessError(f"cutoff {spec.high_hz} Hz invalid at {rate_hz} Hz")
     padlen = 3 * spec.order
     if signal.shape[0] <= padlen:
-        raise SignalTooShortError(
+        raise PreprocessError(
             f"need more than {padlen} samples for order {spec.order}, "
             f"got {signal.shape[0]}")
     b, a = _butter_design(spec, rate_hz)
@@ -125,7 +96,7 @@ def moving_average(signal: np.ndarray, window_len: int) -> np.ndarray:
     if window_len < 1:
         raise PreprocessError("window length must be >= 1")
     if signal.shape[0] == 0:
-        raise SignalTooShortError("empty signal")
+        raise PreprocessError("empty signal")
     kernel = np.ones(window_len)
     sums = np.convolve(signal, kernel, mode="same")
     counts = np.convolve(np.ones_like(signal), kernel, mode="same")
@@ -144,7 +115,7 @@ def upsample(signal: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
         raise PreprocessError(f"cannot downsample {from_hz} -> {to_hz} Hz")
     n_in = signal.shape[0]
     if n_in == 0:
-        raise SignalTooShortError("empty signal")
+        raise PreprocessError("empty signal")
     n_out = int(round(n_in * to_hz / from_hz))
     if n_in == 1:
         return np.full(n_out, signal[0])
@@ -161,10 +132,10 @@ def zscore(signal: np.ndarray) -> np.ndarray:
     """Standardize to zero mean and unit population (ddof=0) deviation."""
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape[0] < 2:
-        raise SignalTooShortError("z-score needs at least 2 samples")
+        raise PreprocessError("z-score needs at least 2 samples")
     std = signal.std()
     if std == 0.0:
-        raise ZeroVarianceError("constant signal has no z-score")
+        raise PreprocessError("constant signal has no z-score")
     return (signal - signal.mean()) / std
 
 
@@ -172,7 +143,7 @@ def take_tail(signal: np.ndarray, n: int) -> np.ndarray:
     """Keep the last ``n`` samples."""
     signal = np.asarray(signal)
     if signal.shape[0] < n:
-        raise RecordingTooShortError(f"need {n} samples, got {signal.shape[0]}")
+        raise PreprocessError(f"need {n} samples, got {signal.shape[0]}")
     return signal[signal.shape[0] - n:]
 
 
@@ -182,10 +153,6 @@ class WindowedTensor:
 
     values: np.ndarray
     source: tuple[str, str, str] | None = None  # (participant, video, channel)
-
-    @property
-    def n_windows(self) -> int:
-        return int(self.values.shape[0])
 
 
 def segment(signal: np.ndarray, window_samples: int,
@@ -200,12 +167,12 @@ def segment(signal: np.ndarray, window_samples: int,
     if window_samples < 1:
         raise PreprocessError("window must be >= 1 sample")
     if window_samples > signal.shape[0]:
-        raise WindowLargerThanSignalError(
+        raise PreprocessError(
             f"window {window_samples} exceeds signal length {signal.shape[0]}")
     hop_f = window_samples * (1.0 - OVERLAP)
     hop = int(round(hop_f))
     if hop < 1 or abs(hop_f - hop) > 1e-9:
-        raise NonIntegerHopError(
+        raise PreprocessError(
             f"window {window_samples} with overlap {OVERLAP} gives "
             f"non-integer hop {hop_f}")
     windows = np.lib.stride_tricks.sliding_window_view(signal, window_samples)[::hop]
@@ -255,11 +222,11 @@ CHAINS: dict[str, Chain] = {
 
 
 def chain_for(channel: str) -> Chain:
-    """The channel's row of ``CHAINS``; UnsupportedChannelError if it has none."""
+    """The channel's row of ``CHAINS``; a PreprocessError if it has none."""
     try:
         return CHAINS[channel]
     except KeyError:
-        raise UnsupportedChannelError(
+        raise PreprocessError(
             f"no conditioning chain for channel {channel!r}") from None
 
 
@@ -292,7 +259,8 @@ def preprocess_channel(rec: RawRecording) -> WindowedTensor:
     x = take_tail(zscore(x), chain.tail)
     tensor = segment(x, chain.window, source=(rec.participant_id, rec.video_id, rec.channel))
     if not np.all(np.isfinite(tensor.values)):
-        raise PreprocessError(f"{rec.channel}: non-finite values after conditioning")
+        raise PreprocessError(f"{rec.participant_id}/{rec.video_id}/{rec.channel}: "
+                              f"non-finite values after conditioning")
     return tensor
 
 

@@ -29,18 +29,6 @@ class TrainError(ValueError):
     pass
 
 
-class EmptySplitError(TrainError):
-    pass
-
-
-class DivergedLossError(TrainError):
-    pass
-
-
-class NonFiniteGradientError(TrainError):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -63,12 +51,11 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    """Per-epoch traces plus where training stopped and which epoch won."""
+    """Per-epoch traces, one entry per epoch run, and the epoch that won."""
 
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
-    stopped_epoch: int = 0
     best_epoch: int = 0
 
     def n_epochs(self) -> int:
@@ -86,12 +73,9 @@ class LabeledSet:
 
     rows: dict[str, Sequence[np.ndarray]]  # channel -> N (T, F) tensors
     labels: np.ndarray                     # (N,) class indices
-    participants: tuple[str, ...]          # per-sample owner, for leakage checks
 
     def __post_init__(self):
         n = self.labels.shape[0]
-        if len(self.participants) != n:
-            raise TrainError("one participant id per sample required")
         for ch, rows in self.rows.items():
             if len(rows) != n:
                 raise TrainError(f"{ch}: {len(rows)} rows but {n} labels")
@@ -135,7 +119,7 @@ class AdamW:
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient for {p.name}")
+                raise TrainError(f"non-finite gradient for {p.name}")
             s = np.empty_like(g)  # the one temporary, reused by every update below
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=s)
@@ -173,7 +157,7 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
     Stops once validation loss goes more than ``patience`` epochs without improving.
     """
     if len(train_set) == 0 or len(val_set) == 0:
-        raise EmptySplitError("both training and validation sets must be non-empty")
+        raise TrainError("both training and validation sets must be non-empty")
     model.cast(DTYPE)
     rng = np.random.default_rng(config.seed)
     opt = AdamW(model.parameters(), config)
@@ -191,14 +175,14 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
             idx = order[start:start + config.batch_size]
             loss, tape = model.forward(train_set.take(idx), labels=train_set.labels[idx])
             if not np.isfinite(loss.value):
-                raise DivergedLossError(f"training loss diverged at epoch {epoch}")
+                raise TrainError(f"training loss diverged at epoch {epoch}")
             model.zero_grad()
             tape.backward(loss)
             opt.step()
             total += float(loss.value) * idx.shape[0]
         val_loss, val_acc = evaluate_loss(model, val_set)
         if not np.isfinite(val_loss):
-            raise DivergedLossError(f"validation loss diverged at epoch {epoch}")
+            raise TrainError(f"validation loss diverged at epoch {epoch}")
         log.train_loss.append(total / n)
         log.val_loss.append(val_loss)
         log.val_accuracy.append(val_acc)
@@ -213,7 +197,6 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         if bad_streak > config.patience:
             break
 
-    log.stopped_epoch = log.n_epochs()
     log.best_epoch = best_epoch
     for p, value in zip(model.parameters(), best_values):
         p.value = value

@@ -234,6 +234,28 @@ def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row, line, message", [
+    ("1000,nan", 3, "value nan is not finite"),
+    ("1000,-inf", 3, "value -inf is not finite"),
+    ("nan,0.5", 3, "timestamp_ms nan is not finite"),
+    ("1000.5,0.5", 3, "timestamp_ms 1000.5 is not a whole number"),
+    ("\n1000,nan", 4, "value nan is not finite"),  # a blank line still counts
+], ids=["value-nan", "value-inf", "timestamp-nan", "timestamp-fraction", "after-blank-line"])
+def test_bad_sensor_row_exits_1_naming_file_and_line(tmp_path, capsys, row, line, message):
+    cfg = _write_config(tmp_path, {})
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    assert main(["synth", "--config", cfg, "--out", str(data), "--participants", "1"]) == 0
+    path = data / "p01_video07_L_EP_Y.csv"
+    lines = path.read_text().split("\n")
+    lines[2] = row  # the second data row
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    argv = ["preprocess", "--config", cfg, "--data", str(data), "--cache", str(cache)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path} line {line}: {message}\n"
+    assert list(cache.glob("*.bin")) == []
+
+
 def test_run_skips_foreign_cache_files_and_names_a_corrupt_tensor(small_cache, tmp_path,
                                                                   capsys):
     cache = tmp_path / "cache"
@@ -494,11 +516,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (run, {"channels": {"Head": ["BOGUS"]}}, "channel 'BOGUS' is not a Head channel"),
             (run, {"channels": {"Hed": ["ACC_Z"]}}, "channels key 'Hed' is not a domain"),
             (run, {"channels": {"Head": "L_EP_Y"}}, "setting channels must map"),
+            (run, {"channels": {"Trunk": ["GSR"]}}, "channel 'GSR' has no conditioning chain"),
             (synth, {"synth": {"participants": None}}, "setting participants must be"),
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
             (synth, {"synth": {"participants": "6"}}, "setting participants must be of type int"),
             (synth, {"seed": None}, "setting seed must be"),
             (synth, {"synth": {"channels": ["Hed"]}}, "setting synth.channels names"),
+            (synth, {"synth": {"channels": ["GSR"]}},
+             "setting synth.channels names 'GSR', which has no conditioning chain"),
             (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
             (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty")]:
         bad.write_text(json.dumps(cfg))

@@ -12,9 +12,8 @@ from emomsase import autodiff as ad
 from emomsase.autodiff import Param, ShapeMismatchError, Tape, Var
 from emomsase.gradcheck import grad_check, micro_config
 from emomsase.model import (
-    MERGE_FACTORS, N_CLASSES, SCALES, ClassifierHead, EmoMsase, ModelConfig,
-    SeBlock, SequenceTooShortError, VARIANTS, fuse_and_classify,
-    init_lstm_stack, lstm_features, merge_timesteps, msa, scale_attention,
+    N_CLASSES, SCALES, ClassifierHead, EmoMsase, ModelConfig, SeBlock, VARIANTS,
+    fuse_and_classify, init_lstm_stack, lstm_features, msa, scale_attention,
     se_recalibrate,
 )
 
@@ -140,19 +139,6 @@ def test_attention_invariants_random_draws():
         assert np.all(pooled.value <= hi + 1e-12)
 
 
-def test_merge_timesteps_semantics():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 7, 4))
-    for factor in MERGE_FACTORS:
-        out = merge_timesteps(Tape(), Var(x), factor)
-        npt.assert_allclose(out.value, merge_timesteps_reference(x, factor),
-                            atol=1e-14)
-    with pytest.raises(ValueError):
-        merge_timesteps(Tape(), Var(x), 4)
-    with pytest.raises(SequenceTooShortError):
-        merge_timesteps(Tape(), Var(x[:, :2]), 3)
-
-
 def test_msa_concatenates_three_scales():
     rng = np.random.default_rng(4)
     hidden = rng.standard_normal((2, 9, 4))
@@ -164,7 +150,7 @@ def test_msa_concatenates_three_scales():
         seq = hidden if factor == 1 else merge_timesteps_reference(hidden, factor)
         _, ref = attention_reference(seq, ctx[scale].value)
         npt.assert_allclose(cav.value[:, 4 * i:4 * (i + 1)], ref, atol=1e-12)
-    with pytest.raises(SequenceTooShortError):
+    with pytest.raises(ShapeMismatchError, match="cannot merge 2 timesteps by 3"):
         msa(Tape(), Var(hidden[:, :2]), ctx)
 
 

@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from emomsase import dataio, preprocess
 from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
 from emomsase.preprocess import (
-    BAND_PASS, CHAINS, LOW_PASS, CutoffOutOfRangeError, FilterSpec,
-    NonIntegerHopError, PreprocessError, RecordingTooShortError,
-    SignalTooShortError, WindowLargerThanSignalError, ZeroVarianceError,
-    butterworth_filter, expected_timesteps, feature_size, load_tensor,
-    moving_average, preprocess_channel, save_tensor, segment, take_tail,
-    tensor_cache_key, upsample, zscore,
+    BAND_PASS, CHAINS, LOW_PASS, FilterSpec, PreprocessError, butterworth_filter,
+    expected_timesteps, feature_size, load_tensor, moving_average,
+    preprocess_channel, save_tensor, segment, take_tail, tensor_cache_key,
+    upsample, zscore,
 )
 
 from reference_impls import (
@@ -98,13 +96,13 @@ def test_lowpass_amplitude_response():
 
 
 def test_filter_rejects_bad_cutoffs_and_short_signals():
-    with pytest.raises(CutoffOutOfRangeError):
+    with pytest.raises(PreprocessError, match=r"band 20\.0-0\.5 Hz invalid at 64\.0 Hz"):
         butterworth_filter(np.zeros(100), 64.0, FilterSpec(BAND_PASS, 20.0, 0.5))
-    with pytest.raises(CutoffOutOfRangeError):
+    with pytest.raises(PreprocessError, match=r"band 0\.5-40\.0 Hz invalid at 64\.0 Hz"):
         butterworth_filter(np.zeros(100), 64.0, FilterSpec(BAND_PASS, 0.5, 40.0))
-    with pytest.raises(CutoffOutOfRangeError):
+    with pytest.raises(PreprocessError, match=r"cutoff 32\.0 Hz invalid at 64\.0 Hz"):
         butterworth_filter(np.zeros(100), 64.0, FilterSpec(LOW_PASS, high_hz=32.0))
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(PreprocessError, match="need more than 12 samples for order 4, got 12"):
         butterworth_filter(np.zeros(12), 64.0, FilterSpec(LOW_PASS, high_hz=0.5))
     with pytest.raises(PreprocessError):
         FilterSpec(BAND_PASS, low_hz=0.5)  # missing the upper cutoff
@@ -148,7 +146,7 @@ def test_moving_average_matches_reference():
                             moving_average_reference(x, window), atol=1e-12)
     with pytest.raises(PreprocessError):
         moving_average(x, 0)
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(PreprocessError, match="empty signal"):
         moving_average(np.array([]), 3)
 
 
@@ -173,7 +171,7 @@ def test_upsample_edge_cases():
     npt.assert_allclose(upsample(np.array([1.0, 2.0]), 64.0, 64.0), [1.0, 2.0])
     with pytest.raises(PreprocessError):
         upsample(np.array([1.0, 2.0]), 64.0, 4.0)
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(PreprocessError, match="empty signal"):
         upsample(np.array([]), 4.0, 64.0)
 
 
@@ -184,9 +182,9 @@ def test_zscore_population_moments():
     npt.assert_allclose(z.mean(), 0.0, atol=1e-12)
     npt.assert_allclose(z.std(), 1.0, atol=1e-12)  # ddof=0
     npt.assert_allclose(z, (x - x.mean()) / x.std(ddof=0), atol=1e-12)
-    with pytest.raises(ZeroVarianceError):
+    with pytest.raises(PreprocessError, match="constant signal has no z-score"):
         zscore(np.full(10, 2.5))
-    with pytest.raises(SignalTooShortError):
+    with pytest.raises(PreprocessError, match="z-score needs at least 2 samples"):
         zscore(np.array([1.0]))
 
 
@@ -199,11 +197,11 @@ def test_take_tail_lengths():
     tail = take_tail(x, 2560)  # 40 s at 64 Hz
     assert tail.shape == (2560,)
     npt.assert_array_equal(tail, x[-2560:])
-    with pytest.raises(RecordingTooShortError):
+    with pytest.raises(PreprocessError, match="need 2560 samples, got 2559"):
         take_tail(np.zeros(2559), 2560)
     eye = take_tail(np.arange(2500.0), 2000)
     assert eye.shape == (2000,)
-    with pytest.raises(RecordingTooShortError):
+    with pytest.raises(PreprocessError, match="need 2000 samples, got 1999"):
         take_tail(np.zeros(1999), 2000)
 
 
@@ -213,15 +211,15 @@ def test_segment_layout_and_counts():
         x = rng.standard_normal(n)
         tensor = segment(x, window)
         hop = window // 2
-        assert tensor.n_windows == count_windows_reference(n, window, hop)
-        for t in range(tensor.n_windows):
+        assert tensor.values.shape[0] == count_windows_reference(n, window, hop)
+        for t in range(tensor.values.shape[0]):
             npt.assert_array_equal(tensor.values[t], x[t * hop:t * hop + window])
 
 
 def test_segment_rejects_bad_geometry():
-    with pytest.raises(WindowLargerThanSignalError):
+    with pytest.raises(PreprocessError, match="window 128 exceeds signal length 100"):
         segment(np.zeros(100), 128)
-    with pytest.raises(NonIntegerHopError):
+    with pytest.raises(PreprocessError, match=r"non-integer hop 1\.5"):
         segment(np.zeros(100), 3)  # hop would be 1.5
     with pytest.raises(PreprocessError):
         segment(np.zeros(100), 0)
@@ -237,8 +235,8 @@ def test_segment_rows_are_hop_spaced_slices(seed, hop, extra):
     window = 2 * hop
     x = np.random.default_rng(seed).standard_normal(window + extra)
     tensor = segment(x, window)
-    assert tensor.n_windows == count_windows_reference(x.shape[0], window, hop)
-    for t in range(tensor.n_windows):
+    assert tensor.values.shape[0] == count_windows_reference(x.shape[0], window, hop)
+    for t in range(tensor.values.shape[0]):
         npt.assert_array_equal(tensor.values[t], x[t * hop:t * hop + window])
 
 
@@ -267,7 +265,7 @@ def test_zscore_moments(seed, n, scale, offset):
 def test_take_tail_keeps_the_last_n(n, extra):
     x = np.arange(float(n + extra))
     npt.assert_array_equal(take_tail(x, n), x[extra:])
-    with pytest.raises(RecordingTooShortError):
+    with pytest.raises(PreprocessError, match=f"need {n + extra + 1} samples, got {n + extra}"):
         take_tail(x, n + extra + 1)
 
 
@@ -337,6 +335,18 @@ def test_temp_faster_than_working_rate_is_refused():
         values=np.random.default_rng(0).standard_normal(n))
     with pytest.raises(PreprocessError,
                        match=r"p01/video01/TEMP: cannot downsample 128 Hz to the 64 Hz"):
+        preprocess_channel(rec)
+
+
+def test_non_finite_conditioning_names_its_recording():
+    values = np.random.default_rng(0).standard_normal(2500)
+    values[7] = np.nan
+    rec = dataio.RawRecording(
+        participant_id="p01", video_id="video01", domain=dataio.Domain.HEAD,
+        channel="L_EP_Y", sample_rate_hz=1.0,
+        timestamps_ms=np.arange(2500, dtype=np.int64) * 1000, values=values)
+    with pytest.raises(PreprocessError,
+                       match="^p01/video01/L_EP_Y: non-finite values after conditioning$"):
         preprocess_channel(rec)
 
 

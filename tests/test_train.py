@@ -13,8 +13,7 @@ from emomsase.autodiff import Param, ShapeMismatchError
 from emomsase.gradcheck import micro_config
 from emomsase.model import EmoMsase, ModelConfig
 from emomsase.train import (
-    AdamW, EmptySplitError, LabeledSet, NonFiniteGradientError, TrainConfig,
-    TrainError, evaluate_loss, fit,
+    AdamW, LabeledSet, TrainConfig, TrainError, evaluate_loss, fit,
 )
 
 from reference_impls import adamw_steps_reference
@@ -36,8 +35,7 @@ def _toy_set(n, seed=0, t_len=6, f_dim=3):
     labels = np.arange(n) % 2
     x = rng.standard_normal((n, t_len, f_dim))
     x[labels == 1] += 2.0
-    return LabeledSet(rows={"EDA": x}, labels=labels,
-                      participants=tuple(f"p{i % 4}" for i in range(n)))
+    return LabeledSet(rows={"EDA": x}, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +78,8 @@ def test_cross_entropy_values():
 
 
 def test_labeled_set_validation():
-    with pytest.raises(TrainError):
-        LabeledSet(rows={"EDA": np.zeros((3, 2, 2))}, labels=np.zeros(3, int),
-                   participants=("a", "b"))
-    with pytest.raises(TrainError):
-        LabeledSet(rows={"EDA": np.zeros((2, 2, 2))}, labels=np.zeros(3, int),
-                   participants=("a", "b", "c"))
+    with pytest.raises(TrainError, match="EDA: 2 rows but 3 labels"):
+        LabeledSet(rows={"EDA": np.zeros((2, 2, 2))}, labels=np.zeros(3, int))
     s = _toy_set(6)
     assert len(s) == 6
     taken = s.take(np.array([0, 2]))
@@ -102,7 +96,7 @@ def test_take_equals_the_stacked_rows_at_idx(n, picks, negative):
     rng = np.random.default_rng(n)
     rows = {"EDA": [rng.standard_normal((4, 3)).astype(train_mod.DTYPE) for _ in range(n)],
             "TEMP": [rng.standard_normal((2, 5)) for _ in range(n)]}
-    s = LabeledSet(rows=rows, labels=np.arange(n) % 2, participants=("p",) * n)
+    s = LabeledSet(rows=rows, labels=np.arange(n) % 2)
     taken = s.take(idx)
     for ch, chosen in rows.items():
         want = np.stack(chosen)[idx]
@@ -152,7 +146,7 @@ def test_adamw_rejects_non_finite_gradients():
     p = Param("p", np.ones(2))
     p.grad[...] = [np.nan, 0.0]
     opt = AdamW([p], TrainConfig())
-    with pytest.raises(NonFiniteGradientError):
+    with pytest.raises(TrainError, match="non-finite gradient for p$"):
         opt.step()
 
 
@@ -163,11 +157,10 @@ def test_adamw_rejects_non_finite_gradients():
 def test_fit_rejects_empty_splits():
     model = EmoMsase(_tiny_config())
     data = _toy_set(4)
-    empty = LabeledSet(rows={"EDA": np.zeros((0, 6, 3))},
-                       labels=np.zeros(0, int), participants=())
-    with pytest.raises(EmptySplitError):
+    empty = LabeledSet(rows={"EDA": np.zeros((0, 6, 3))}, labels=np.zeros(0, int))
+    with pytest.raises(TrainError, match="both training and validation sets must be non-empty"):
         fit(model, empty, data)
-    with pytest.raises(EmptySplitError):
+    with pytest.raises(TrainError, match="both training and validation sets must be non-empty"):
         fit(model, data, empty)
 
 
@@ -208,11 +201,11 @@ def test_fit_on_data_cast_to_the_training_dtype_is_bit_identical():
         labels = np.arange(n) % 2
         inputs = {ch: rng.standard_normal((n, 6, config.feature_sizes[ch]))
                   + labels[:, None, None] for ch in config.channels}
-        return LabeledSet(inputs, labels, tuple(f"p{i % 3}" for i in range(n)))
+        return LabeledSet(inputs, labels)
 
     def cast(data):
         return LabeledSet({ch: x.astype(train_mod.DTYPE) for ch, x in data.inputs.items()},
-                          data.labels, data.participants)
+                          data.labels)
 
     train_set, val_set, test_set = labeled(10), labeled(4), labeled(5)
     train_config = TrainConfig(max_epochs=2, patience=2, batch_size=4, seed=3)
@@ -239,7 +232,7 @@ def test_fit_peak_stays_flat_from_step_to_step():
             labels = np.arange(n) % 2
             inputs = {ch: rng.standard_normal((n, 20, config.feature_sizes[ch]))
                       + labels[:, None, None] for ch in config.channels}
-            return LabeledSet(inputs, labels, tuple(f"p{i % 3}" for i in range(n)))
+            return LabeledSet(inputs, labels)
 
         train_set, val_set, model = labeled(n_train), labeled(4), EmoMsase(config)
         tracemalloc.start()
@@ -321,7 +314,6 @@ def test_early_stopping_patience_semantics(monkeypatch):
     # and stops on the second, directly after epoch 3
     _, log = _scripted_fit(monkeypatch, [1.0, 2.0, 3.0, 0.1, 0.1],
                            max_epochs=5, patience=1)
-    assert log.stopped_epoch == 3
     assert log.best_epoch == 1
     assert log.n_epochs() == 3
 
@@ -330,14 +322,14 @@ def test_early_stopping_requires_strict_improvement(monkeypatch):
     # a plateau does not reset the streak
     _, log = _scripted_fit(monkeypatch, [1.0, 1.0, 1.0, 1.0, 1.0],
                            max_epochs=5, patience=2)
-    assert log.stopped_epoch == 4  # bad epochs 2,3,4 exceed patience 2
+    assert log.n_epochs() == 4  # bad epochs 2,3,4 exceed patience 2
     assert log.best_epoch == 1
 
 
 def test_early_stopping_runs_out_the_clock(monkeypatch):
     _, log = _scripted_fit(monkeypatch, [5.0, 4.0, 3.0, 2.0, 1.0],
                            max_epochs=5, patience=1)
-    assert log.stopped_epoch == 5
+    assert log.n_epochs() == 5
     assert log.best_epoch == 5
 
 
@@ -349,7 +341,7 @@ def test_fit_restores_best_epoch_parameters(monkeypatch):
     # parameters must equal A's end-of-epoch-2 state
     m_b, log_b = _scripted_fit(monkeypatch, [1.0, 0.4, 0.9, 0.9],
                                max_epochs=10, patience=1)
-    assert log_b.stopped_epoch == 4
+    assert log_b.n_epochs() == 4
     assert log_b.best_epoch == 2
     for pa, pb in zip(m_a.parameters(), m_b.parameters()):
         npt.assert_array_equal(pa.value, pb.value)
