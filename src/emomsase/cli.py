@@ -127,10 +127,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     if synth_channels is not None and not (isinstance(synth_channels, list) and synth_channels):
         raise UsageError(f"setting synth.channels must be a non-empty list, "
                          f"not {synth_channels!r}")
-    for ch in synth_channels or []:
+    for i, ch in enumerate(synth_channels or []):
         if not isinstance(ch, str) or ch not in preprocess.CHAINS:
             raise UsageError(f"setting synth.channels names {ch!r}, "
                              f"which has no conditioning chain")
+        if ch in synth_channels[:i]:
+            raise UsageError(f"setting synth.channels lists {ch!r} more than once")
     return settings
 
 
@@ -159,11 +161,13 @@ def _check_channels(channels) -> None:
         if domain not in domains:
             raise UsageError(f"channels key {domain!r} is not a domain "
                              f"(choose from {', '.join(domains)})")
-        for ch in names:
+        for i, ch in enumerate(names):
             if not isinstance(ch, str) or CHANNEL_CATALOG.get(ch, (None,))[0] != domain:
                 raise UsageError(f"channel {ch!r} is not a {domain} channel")
             if ch not in preprocess.CHAINS:
                 raise UsageError(f"channel {ch!r} has no conditioning chain")
+            if ch in names[:i]:
+                raise UsageError(f"channel {ch!r} is listed more than once")
 
 
 def _model_config(settings: dict) -> ModelConfig:

@@ -447,8 +447,9 @@ def write_atomic(path: Path, data: bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path: Path, header: tuple[str, ...], rows) -> None:

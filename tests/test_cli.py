@@ -517,6 +517,8 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (run, {"channels": {"Hed": ["ACC_Z"]}}, "channels key 'Hed' is not a domain"),
             (run, {"channels": {"Head": "L_EP_Y"}}, "setting channels must map"),
             (run, {"channels": {"Trunk": ["GSR"]}}, "channel 'GSR' has no conditioning chain"),
+            (run, {"domains": ["Head"], "channels": {"Head": ["L_EP_Y", "L_EP_Y"]}},
+             "channel 'L_EP_Y' is listed more than once"),
             (synth, {"synth": {"participants": None}}, "setting participants must be"),
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
             (synth, {"synth": {"participants": "6"}}, "setting participants must be of type int"),
@@ -525,11 +527,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (synth, {"synth": {"channels": ["GSR"]}},
              "setting synth.channels names 'GSR', which has no conditioning chain"),
             (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
-            (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty")]:
+            (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty"),
+            (synth, {"synth": {"channels": ["EDA", "TEMP", "EDA"]}},
+             "setting synth.channels lists 'EDA' more than once")]:
         bad.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main([*command, "--config", str(bad)]) == 2, cfg
         assert f"error: {message}" in capsys.readouterr().err, cfg
+    assert not (tmp_path / "x").exists()  # no refused synth wrote anything
 
     def no_load(*args, **kwargs):
         raise AssertionError("a refused seed must stop before any data loads")

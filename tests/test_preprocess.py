@@ -1,11 +1,17 @@
 """Signal conditioning tests against loop-based and filter-design oracles."""
 
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal as scipy_signal
 
 from emomsase import dataio, preprocess
 from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
@@ -26,12 +32,14 @@ from reference_impls import (
 # Butterworth filtering vs a from-scratch design + difference equation
 # ---------------------------------------------------------------------------
 
-# The two routes share no code: the package designs via scipy and runs
-# scipy's filtfilt, the oracle designs from prototype poles and runs a
-# plain difference equation.  Their initial-condition handling differs,
-# so the comparison drops 20 s from each end: the slowest pole (radius
-# about 0.995 for the 0.5 Hz edge) leaves the mismatch at its 1e-8
-# arithmetic floor by then, measured directly on these bands.
+# The two routes share no code: the package designs in numpy and filters
+# by one FFT convolution plus pole-residue end terms, the oracle designs
+# from prototype poles and runs a plain difference equation.  Their
+# initial-condition handling differs, so the comparison drops 20 s from
+# each end: the slowest pole (radius about 0.995 for the 0.5 Hz edge)
+# leaves the mismatch at its 1e-8 arithmetic floor by then, measured
+# directly on these bands.  scipy serves below as a second, test-only
+# oracle that keeps filtfilt's initial conditions.
 _CHAIN_BANDS = [
     ("acc", BAND_PASS, (0.5, 20.0), 64.0),
     ("ecg", BAND_PASS, (0.5, 45.0), 256.0),
@@ -112,20 +120,95 @@ def test_filter_rejects_bad_cutoffs_and_short_signals():
 
 def test_conditioning_designs_each_filter_once(monkeypatch):
     designs = []
-    butter = preprocess.butter
+    butter_zpk = preprocess.butter_zpk
 
-    def counted(order, cutoff, btype, fs):
-        designs.append((order, tuple(np.atleast_1d(cutoff)), btype, fs))
-        return butter(order, cutoff, btype=btype, fs=fs)
+    def counted(spec, rate_hz):
+        designs.append((spec, rate_hz))
+        return butter_zpk(spec, rate_hz)
 
-    monkeypatch.setattr(preprocess, "butter", counted)
-    preprocess._butter_design.cache_clear()
+    monkeypatch.setattr(preprocess, "butter_zpk", counted)
+    preprocess._design.cache_clear()
+    preprocess._plan.cache_clear()
     recs, _ = make_synthetic(SyntheticSpec(
         n_participants=1, seed=3, class_separation=1.0,
         channels=default_synth_channels()))
     for rec in recs:
         preprocess_channel(rec)
     assert designs and len(designs) == len(set(designs)), designs
+
+
+_DESIGNS = sorted({(c.filter, c.rate_hz) for c in CHAINS.values() if c.filter is not None},
+                  key=repr)
+
+
+def _scipy_wn(spec):
+    return [spec.low_hz, spec.high_hz] if spec.kind == BAND_PASS else spec.high_hz
+
+
+@pytest.mark.parametrize("spec,fs", _DESIGNS, ids=[f"{s.kind}-{s.high_hz}-{fs:g}"
+                                                   for s, fs in _DESIGNS])
+def test_design_is_scipys_zpk(spec, fs):
+    z, p, k = preprocess.butter_zpk(spec, fs)
+    ref_z, ref_p, ref_k = scipy_signal.butter(spec.order, _scipy_wn(spec), btype=spec.kind,
+                                              fs=fs, output="zpk")
+    npt.assert_array_equal(z, ref_z)
+    npt.assert_array_equal(p, ref_p)
+    assert k == ref_k
+
+
+@pytest.mark.parametrize("seconds", [60, 300])
+@pytest.mark.parametrize("spec,fs", _DESIGNS, ids=[f"{s.kind}-{s.high_hz}-{fs:g}"
+                                                   for s, fs in _DESIGNS])
+def test_filter_matches_scipy_sosfiltfilt(spec, fs, seconds):
+    n = int(seconds * fs)
+    rng = np.random.default_rng(seconds)
+    x = rng.standard_normal(n) + 3.0 + np.linspace(0.0, 5.0, n)  # noise, offset, drift
+    sos = scipy_signal.butter(spec.order, _scipy_wn(spec), btype=spec.kind, fs=fs,
+                              output="sos")
+    ref = scipy_signal.sosfiltfilt(sos, x, padlen=3 * spec.order)
+    npt.assert_allclose(butterworth_filter(x, fs, spec), ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [13, 40, 300])
+def test_short_signals_match_scipy_sosfiltfilt(n):
+    # shorter than the slowest pole's window: the end terms overlap
+    spec = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=20.0)
+    x = np.random.default_rng(n).standard_normal(n)
+    sos = scipy_signal.butter(4, [0.5, 20.0], btype=BAND_PASS, fs=64.0, output="sos")
+    npt.assert_allclose(butterworth_filter(x, 64.0, spec),
+                        scipy_signal.sosfiltfilt(sos, x, padlen=12), rtol=0, atol=1e-12)
+
+
+def test_filter_spec_refuses_odd_orders():
+    for order in (3, 1, 0, 2.0):
+        with pytest.raises(PreprocessError, match="filter order must be an even integer"):
+            FilterSpec(LOW_PASS, high_hz=0.5, order=order)
+    assert FilterSpec(LOW_PASS, high_hz=0.5, order=2).order == 2
+
+
+_THREAD_SCRIPT = """
+import hashlib
+from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
+from emomsase.preprocess import CHAINS, preprocess_channel
+recs, _ = make_synthetic(SyntheticSpec(n_participants=1, seed=5, class_separation=1.0,
+                                       channels=default_synth_channels(list(CHAINS))))
+h = hashlib.sha256()
+for rec in recs:
+    h.update(preprocess_channel(rec).values.tobytes())
+print(len(recs), h.hexdigest())
+"""
+
+
+def test_conditioning_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(preprocess.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        digests.add(out.strip())
+    assert len(digests) == 1, digests
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +468,31 @@ def test_cache_key_depends_on_content_and_identity():
         channel=rec.channel, sample_rate_hz=rec.sample_rate_hz,
         timestamps_ms=rec.timestamps_ms, values=rec.values)
     assert tensor_cache_key(renamed) != key
+
+
+def _key_from_copies(rec):
+    """The cache key as it was built before it hashed the arrays' buffers."""
+    h = hashlib.sha256()
+    h.update(f"{rec.participant_id}|{rec.video_id}|{rec.channel}|"
+             f"{rec.sample_rate_hz!r}|v2|{CHAINS[rec.channel]!r}|{preprocess.OVERLAP!r}|"
+             .encode())
+    h.update(rec.timestamps_ms.astype("<i8").tobytes())
+    h.update(rec.values.astype("<f8").tobytes())
+    return h.hexdigest()[:20]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=_seeds, step=st.sampled_from([1, 2, 3]),
+       ts_dtype=st.sampled_from(["<i8", ">i8", "<i4"]),
+       value_dtype=st.sampled_from(["<f8", ">f8", "<f4"]))
+def test_cache_key_hashes_the_same_bytes_as_copies(n, seed, step, ts_dtype, value_dtype):
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(1, 100, n * step)).astype(ts_dtype)[::step]
+    values = rng.standard_normal(n * step).astype(value_dtype)[::step]
+    rec = dataio.RawRecording(
+        participant_id="p01", video_id="video01", domain=dataio.Domain.PERIPHERAL,
+        channel="EDA", sample_rate_hz=64.0, timestamps_ms=ts, values=values)
+    assert tensor_cache_key(rec) == _key_from_copies(rec)
 
 
 def test_cache_key_follows_the_chain(monkeypatch):
