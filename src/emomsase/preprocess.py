@@ -28,10 +28,8 @@ OVERLAP = 0.5
 EYE_TAIL_SAMPLES = 2000
 EYE_WINDOW_SAMPLES = 200
 FILTER_ORDER = 4
-# A pole's geometric terms are dropped once |p|^i falls below this, and
-# each pole's window of terms is rounded up to whole blocks of samples.
+# A pole's geometric terms are dropped once |p|^i falls below this.
 POLE_TAIL_TOLERANCE = 2.0 ** -53  # float64 unit roundoff
-POLE_WINDOW_BLOCK = 256
 
 BAND_PASS = "bandpass"
 LOW_PASS = "lowpass"
@@ -62,167 +60,97 @@ class FilterSpec:
                                   f"got {self.order!r}")
 
 
+def _warped(spec: FilterSpec, rate_hz: float) -> np.ndarray:
+    """The cutoffs pre-warped for the bilinear transform at the normalized rate 2."""
+    cutoffs = [spec.low_hz, spec.high_hz] if spec.kind == BAND_PASS else [spec.high_hz]
+    return 4.0 * np.tan(np.pi * (np.asarray(cutoffs, dtype=np.float64) / (rate_hz / 2)) / 2.0)
+
+
 def butter_zpk(spec: FilterSpec, rate_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Digital zeros, poles and gain of the filter: the analog prototype's
     poles, the low-pass or band-pass transform, then the bilinear transform,
     step for step as ``scipy.signal.butter(..., output="zpk")`` computes them."""
     n = spec.order
     proto = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n))
-    cutoffs = [spec.low_hz, spec.high_hz] if spec.kind == BAND_PASS else spec.high_hz
-    # pre-warped for the bilinear transform at the normalized rate 2
-    warped = 4.0 * np.tan(np.pi * (np.asarray(cutoffs, dtype=np.float64) / (rate_hz / 2)) / 2.0)
+    warped = _warped(spec, rate_hz)
     if spec.kind == BAND_PASS:
         bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
         p_lp = proto * bw / 2
         root = np.sqrt(p_lp ** 2 - wo ** 2)
         z, p, k = np.zeros(n), np.concatenate((p_lp + root, p_lp - root)), bw ** n
     else:
-        wo = float(warped)
+        wo = float(warped[0])
         z, p, k = np.zeros(0), wo * proto, wo ** n
     z_d = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(len(p) - len(z))))
     return z_d, (4.0 + p) / (4.0 - p), k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
 
 
-def _shared(a: np.ndarray) -> np.ndarray:
-    """A contiguous read-only copy of ``a``, safe to hand out from a cache."""
-    a = np.array(a, order="C")
-    a.flags.writeable = False
-    return a
-
-
-def _real_map(a: np.ndarray, b) -> np.ndarray:
-    """The real matrix of s -> a s + b conj(s) on vectors stored (re, im) per entry."""
-    out = np.empty((2 * a.shape[0], 2 * a.shape[1]))
-    out[0::2, 0::2], out[0::2, 1::2] = (a + b).real, (b - a).imag
-    out[1::2, 0::2], out[1::2, 1::2] = (a + b).imag, (a - b).real
-    return out
-
-
-def _response(zpk: tuple, z_inv) -> np.ndarray:
-    """H at the points where z^-1 is ``z_inv``, from zeros, poles and gain."""
-    z, p, k = zpk
-    z_inv = np.asarray(z_inv)[..., None]
-    return k * np.prod(1 - z_inv * z, axis=-1) / np.prod(1 - z_inv * p, axis=-1)
+@lru_cache(maxsize=64)  # 5 designs, each at the few FFT sizes its lengths round up to
+def _power_response(spec: FilterSpec, rate_hz: float, size: int) -> np.ndarray:
+    """|H|^2 at the frequencies of an rfft of ``size`` samples, in closed form:
+    the analog Butterworth's 1 / (1 + x^2n) at the frequency 4 tan(w / 2)
+    that the bilinear transform maps to w."""
+    omega = 4.0 * np.tan(np.pi / size * np.arange(size // 2 + 1))
+    warped = _warped(spec, rate_hz)
+    with np.errstate(divide="ignore", over="ignore"):  # x is infinite at DC for a band-pass
+        if spec.kind == BAND_PASS:
+            x = (omega - warped[0] * warped[1] / omega) / (warped[1] - warped[0])
+        else:
+            x = omega / warped[0]
+        gain = 1.0 / (1.0 + (x * x) ** spec.order)
+    gain.flags.writeable = False
+    return gain
 
 
 @dataclass(frozen=True)
 class _Design:
-    """What ``_Plan`` needs of one filter at any length.
+    """What ``butterworth_filter`` needs of one filter, at any length.
 
     In partial fractions H(z) = direct + sum_l r_l / (1 - p_l z^-1), over
     poles that are distinct and come in conjugate pairs.  ``up`` holds the
-    poles in the upper half plane, slowest first, ``autocorr`` each one's
-    r_l H(1/p_l), the coefficient of its terms in the autocorrelation a,
-    ``end`` the real map from the end states and d[M-1] to the end
-    coefficients, and ``chunks`` the poles' nested windows.
+    poles in the upper half plane and ``autocorr`` each one's r_l H(1/p_l),
+    the coefficient of its terms in the autocorrelation.  ``end`` maps the
+    end states, their conjugates and d[M-1] to the end terms' coefficients.
+    ``windows`` gives each pole's window, where |p_l|^i stays above
+    POLE_TAIL_TOLERANCE, the slowest pole first, and ``powers`` holds
+    Re p_l^i and Im p_l^i, a row each per pole in that order.
     """
 
-    zpk: tuple[np.ndarray, np.ndarray, float]
-    dc_gain_sq: float
     up: np.ndarray
     autocorr: np.ndarray
     end: np.ndarray
-    chunks: tuple[tuple[int, int, int, np.ndarray, np.ndarray], ...]
+    windows: tuple[int, ...]
+    powers: np.ndarray
 
 
 @lru_cache(maxsize=32)  # the chains use 5 designs
 def _design(spec: FilterSpec, rate_hz: float) -> _Design:
-    zpk = z, p, k = butter_zpk(spec, rate_hz)
+    z, p, k = butter_zpk(spec, rate_hz)
     r = np.array([k * np.prod(1 - z / pl) / np.prod(1 - np.delete(p, i) / pl)
                   for i, pl in enumerate(p)])
     direct = k * np.prod(z) / np.prod(p)
     up = np.flatnonzero(p.imag > 0)
-    blocks = np.ceil(np.log(POLE_TAIL_TOLERANCE) / np.log(np.abs(p[up])) / POLE_WINDOW_BLOCK)
-    windows = blocks.astype(int) * POLE_WINDOW_BLOCK
-    order = np.argsort(-windows, kind="stable")
-    up, windows = up[order], windows[order]
-    pu, ru, nu = p[up], r[up], len(up)
+    windows = np.ceil(np.log(POLE_TAIL_TOLERANCE) / np.log(np.abs(p[up]))).astype(int)
+    up, windows = up[np.argsort(-windows, kind="stable")], np.sort(windows)[::-1]
+    pu, ru = p[up], r[up]
     conj = np.array([np.argmin(np.abs(p - np.conj(pl))) for pl in pu])
+    # H(1/p_l), from the zeros, poles and gain
+    h_inv = k * np.prod(1 - pu[:, None] * z, axis=-1) / np.prod(1 - pu[:, None] * p, axis=-1)
     # e_l per end state, and per d[M-1]; both times p_l, so that the end
     # terms run p_l^i back from the last sample
     cross = ru[:, None] * r * (p / (1 - pu[:, None] * p) - 1 / (1 - pu[:, None])) * pu[:, None]
-    last = -ru * direct / (1 - pu) * pu
-    end = np.empty((2 * nu, 2 * nu + 1))
-    end[:, :-1] = _real_map(cross[:, up], cross[:, conj])
-    end[0::2, -1], end[1::2, -1] = last.real, last.imag
     powers = pu[:, None] ** np.arange(windows[0])
-    reads = np.empty((2 * nu, windows[0]))
-    reads[0::2], reads[1::2] = powers.real, powers.imag
-    writes = np.empty_like(reads)  # 2 Re(c p^i) = writes . (Re c, Im c)
-    writes[0::2], writes[1::2] = 2 * powers.real, -2 * powers.imag
-    chunks, lo = [], 0
-    for i in range(nu - 1, -1, -1):
-        hi, rows = int(windows[i]), 2 * (i + 1)
-        if hi > lo:
-            chunks.append((lo, hi, rows, *(_shared(a[:rows, lo:hi]) for a in (reads, writes))))
-            lo = hi
-    dc = float(np.real(_response(zpk, 1.0)))
-    return _Design(zpk, dc * dc, pu, (r * _response(zpk, p))[up], end, tuple(chunks))
+    powers = np.stack((powers.real, powers.imag), axis=1).reshape(2 * len(pu), windows[0])
+    powers.flags.writeable = False
+    last = -ru * direct / (1 - pu) * pu
+    return _Design(pu, ru * h_inv, np.column_stack((cross[:, up], cross[:, conj], last)),
+                   tuple(windows.tolist()), powers)
 
 
-@lru_cache(maxsize=16)
-def _spectrum(spec: FilterSpec, rate_hz: float, size: int) -> np.ndarray:
-    """|H|^2 at the frequencies of an rfft of ``size`` samples."""
-    z_inv = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
-    return _shared(np.abs(_response(_design(spec, rate_hz).zpk, z_inv)) ** 2)
-
-
-def _fft_size(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n."""
-    while True:
-        m = n
-        for f in (2, 3, 5):
-            while m % f == 0:
-                m //= f
-        if m == 1:
-            return n
-        n += 1
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Zero-phase filtering of ``length`` samples by one FFT convolution.
-
-    Let d be the extended signal minus its first sample d0, M its length,
-    and H(z) = direct + sum_l r_l / (1 - p_l z^-1).  filtfilt's two passes,
-    each started in the steady state of its first input, give
-
-        y[n] = H(1)^2 d0 + sum_j a[n - j] d[j] - sum_l e_l p_l^(M - n),
-
-    where a is the impulse response's autocorrelation, whose DTFT is |H|^2,
-    and each e_l is linear in d[M-1] and the end states
-    sigma_k = sum_i p_k^i d[M-1-i].  An FFT of ``fft_size`` >= M samples
-    convolves with a periodized, which wraps more terms onto both ends:
-    p_l^n terms linear in sigma_l and p_l^(M-n) terms linear in the start
-    states tau_l = sum_i p_l^i d[i].  ``mix`` maps the states (re, im for
-    each pole in the upper half plane: end states, start states, then
-    d[M-1]) to the coefficients of the end terms, then of the start terms.
-    A pole's states and terms are read and written only over its window,
-    where |p|^i stays above POLE_TAIL_TOLERANCE; ``chunks`` cuts the nested
-    windows into (start, stop, rows, state weights, term values), slowest
-    pole first.  Every sum runs in the FFT or ``np.einsum``, numpy's own
-    loops, so the result does not depend on BLAS or its thread count.
-    """
-
-    fft_size: int
-    dc_gain_sq: float
-    mix: np.ndarray
-    window: int
-    chunks: tuple[tuple[int, int, int, np.ndarray, np.ndarray], ...]
-
-
-@lru_cache(maxsize=64)
-def _plan(spec: FilterSpec, rate_hz: float, length: int) -> _Plan:
-    des = _design(spec, rate_hz)
-    size, pu, nu = _fft_size(length), des.up, len(des.up)
-    # a[k] = sum_l r_l H(1/p_l) p_l^|k| for k != 0, summed over its periods
-    wrap = _real_map(np.diag(des.autocorr / (1 - pu ** size) * pu ** (size - length + 1)), 0)
-    mix = np.zeros((4 * nu, 4 * nu + 1))
-    mix[:2 * nu, :2 * nu], mix[:2 * nu, -1] = des.end[:, :-1], des.end[:, -1]
-    mix[:2 * nu, 2 * nu:4 * nu] = mix[2 * nu:, :2 * nu] = wrap
-    chunks = tuple((lo, min(hi, length), rows, reads[:, :length - lo], writes[:, :length - lo])
-                   for lo, hi, rows, reads, writes in des.chunks if lo < length)
-    return _Plan(size, des.dc_gain_sq, _shared(mix), chunks[-1][1], chunks)
+# every 2^a 3^b 5^c up to 2^40: the lengths numpy's FFT is fastest at
+_FFT_SIZES = np.multiply.outer(np.multiply.outer(2.0 ** np.arange(41), 3.0 ** np.arange(26)),
+                               5.0 ** np.arange(18)).ravel()
+_FFT_SIZES = np.unique(_FFT_SIZES[_FFT_SIZES <= 2.0 ** 40]).astype(np.int64)
 
 
 def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> np.ndarray:
@@ -231,8 +159,23 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
     Output has the same length as the input.  Cutoffs must sit strictly
     inside (0, rate/2); the signal must be longer than 3x the filter order.
     The result is filtfilt's: odd extension by 3x the order at each end, each
-    pass started in the steady state of its first sample, computed from the
-    poles and residues in numpy alone (see ``_Plan``).
+    pass started in the steady state of its first sample.  It is computed
+    from the poles and residues in numpy alone, as follows.
+
+    Let d be the extended signal minus its first sample d0, M its length,
+    and H(z) = direct + sum_l r_l / (1 - p_l z^-1).  The two passes give
+
+        y[n] = H(1)^2 d0 + sum_j a[n - j] d[j] - sum_l e_l p_l^(M - n),
+
+    where a is the impulse response's autocorrelation, whose DTFT is |H|^2,
+    and each e_l is linear in d[M-1] and the end states
+    sigma_k = sum_i p_k^i d[M-1-i].  An FFT of N >= M samples convolves
+    with a periodized, which wraps more terms onto both ends: p_l^n terms
+    linear in sigma_l and p_l^(M-n) terms linear in the start states
+    tau_l = sum_i p_l^i d[i].  N is the next 2^a 3^b 5^c, so signals of
+    nearby lengths share N and its |H|^2.  Every sum runs in the FFT or
+    ``np.einsum``, numpy's own loops, so the result does not depend on BLAS
+    or its thread count.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if spec.kind == BAND_PASS:
@@ -246,25 +189,36 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
     if n <= padlen:
         raise PreprocessError(
             f"need more than {padlen} samples for order {spec.order}, got {n}")
-    ext = np.concatenate((2 * signal[0] - signal[padlen:0:-1], signal,
-                          2 * signal[-1] - signal[-2:-padlen - 2:-1]))
-    plan = _plan(spec, rate_hz, ext.shape[0])
-    d = ext - ext[0]
-    spectrum = np.fft.rfft(d, plan.fft_size) * _spectrum(spec, rate_hz, plan.fft_size)
-    spectrum[0] += plan.dc_gain_sq * ext[0] * plan.fft_size  # H(1)^2 d0 on every sample
-    y = np.fft.irfft(spectrum, plan.fft_size)[:d.shape[0]]
-    w = plan.window
-    ends = np.stack((d[::-1][:w], d[:w]))
-    states = np.zeros(plan.mix.shape[1])  # end states, start states, d[M-1]
-    for lo, hi, rows, reads, _ in plan.chunks:
-        states[:-1].reshape(2, -1)[:, :rows] += np.einsum("kt,jt->jk", reads, ends[:, lo:hi])
-    states[-1] = d[-1]
-    coef = np.einsum("ij,j->i", plan.mix, states).reshape(2, -1)
-    terms = np.empty((2, w))
-    for lo, hi, rows, _, writes in plan.chunks:
-        np.einsum("kt,jk->jt", writes, coef[:, :rows], out=terms[:, lo:hi])
-    y[::-1][:w] -= terms[0]
-    y[:w] -= terms[1]
+    d = np.concatenate((2 * signal[0] - signal[padlen:0:-1], signal,
+                        2 * signal[-1] - signal[-2:-padlen - 2:-1]))
+    d0, m = d[0], d.shape[0]
+    d -= d0
+    des = _design(spec, rate_hz)
+    size = int(_FFT_SIZES[np.searchsorted(_FFT_SIZES, m)])
+    gain = _power_response(spec, rate_hz, size)
+    spectrum = np.fft.rfft(d, size)
+    spectrum *= gain
+    spectrum[0] += gain[0] * d0 * size  # H(1)^2 d0 on every sample
+    y = np.fft.irfft(spectrum, size)[:m]
+    # pole l's window ends at bounds[l], so samples lo:hi reach the first l + 1 poles
+    bounds = [min(w, m) for w in des.windows] + [0]
+    spans = [(bounds[l + 1], bounds[l], 2 * l + 2) for l in range(len(des.windows))]
+    w = bounds[0]
+    ends = np.concatenate((d[::-1][:w], d[:w])).reshape(2, w)
+    states = np.zeros((2, des.powers.shape[0]))  # end, start; (Re, Im) per pole
+    for lo, hi, rows in spans:
+        states[:, :rows] += np.einsum("kt,jt->jk", des.powers[:rows, lo:hi], ends[:, lo:hi])
+    sigma, tau = states.view(np.complex128)
+    # a[k] = sum_l r_l H(1/p_l) p_l^|k| for k != 0, summed over its periods
+    wrap = des.autocorr / (1 - des.up ** size) * des.up ** (size - m + 1)
+    end = np.einsum("lk,k->l", des.end, np.concatenate((sigma, sigma.conj(), d[-1:])))
+    coef = np.concatenate((end + wrap * tau, wrap * sigma))  # end terms, then start terms
+    # each conjugate pair adds 2 Re(c p^i) = 2 Re c Re p^i - 2 Im c Im p^i
+    weights = (2 * coef.conj()).view(np.float64).reshape(2, -1)
+    for lo, hi, rows in spans:
+        np.einsum("kt,jk->jt", des.powers[:rows, lo:hi], weights[:, :rows], out=ends[:, lo:hi])
+    y[::-1][:w] -= ends[0]  # ends now holds the terms
+    y[:w] -= ends[1]
     return y[padlen:padlen + n]
 
 

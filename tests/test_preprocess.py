@@ -128,7 +128,6 @@ def test_conditioning_designs_each_filter_once(monkeypatch):
 
     monkeypatch.setattr(preprocess, "butter_zpk", counted)
     preprocess._design.cache_clear()
-    preprocess._plan.cache_clear()
     recs, _ = make_synthetic(SyntheticSpec(
         n_participants=1, seed=3, class_separation=1.0,
         channels=default_synth_channels()))
