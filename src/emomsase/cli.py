@@ -1,6 +1,6 @@
 """Batch entry points: synthesize, preprocess, train/evaluate, check, report.
 
-Settings resolve in three layers: build-in defaults, then a JSON config
+Settings resolve in three layers: built-in defaults, then a JSON config
 file (--config), then explicit command-line flags.  Unknown config keys
 are rejected.  The tensor cache directory can also come from the
 EMOMSASE_CACHE environment variable.

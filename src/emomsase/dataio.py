@@ -440,12 +440,16 @@ def level_code(dimension: str, label: int) -> str:
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    """Write ``path`` whole or not at all, via a temporary sibling, making its parents."""
+    """Write ``path`` whole or not at all, via a temporary sibling, making its
+    parents if they are missing."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

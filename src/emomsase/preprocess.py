@@ -28,7 +28,7 @@ OVERLAP = 0.5
 EYE_TAIL_SAMPLES = 2000
 EYE_WINDOW_SAMPLES = 200
 FILTER_ORDER = 4
-# A pole's geometric terms are dropped once |p|^i falls below this.
+# The FFT leaves room for the impulse response until |p|^i falls below this.
 POLE_TAIL_TOLERANCE = 2.0 ** -53  # float64 unit roundoff
 
 BAND_PASS = "bandpass"
@@ -60,19 +60,15 @@ class FilterSpec:
                                   f"got {self.order!r}")
 
 
-def _warped(spec: FilterSpec, rate_hz: float) -> np.ndarray:
-    """The cutoffs pre-warped for the bilinear transform at the normalized rate 2."""
-    cutoffs = [spec.low_hz, spec.high_hz] if spec.kind == BAND_PASS else [spec.high_hz]
-    return 4.0 * np.tan(np.pi * (np.asarray(cutoffs, dtype=np.float64) / (rate_hz / 2)) / 2.0)
-
-
 def butter_zpk(spec: FilterSpec, rate_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Digital zeros, poles and gain of the filter: the analog prototype's
     poles, the low-pass or band-pass transform, then the bilinear transform,
     step for step as ``scipy.signal.butter(..., output="zpk")`` computes them."""
     n = spec.order
     proto = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n))
-    warped = _warped(spec, rate_hz)
+    cutoffs = [spec.low_hz, spec.high_hz] if spec.kind == BAND_PASS else [spec.high_hz]
+    # pre-warped for the bilinear transform at the normalized rate 2
+    warped = 4.0 * np.tan(np.pi * (np.asarray(cutoffs, dtype=np.float64) / (rate_hz / 2)) / 2.0)
     if spec.kind == BAND_PASS:
         bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
         p_lp = proto * bw / 2
@@ -85,66 +81,24 @@ def butter_zpk(spec: FilterSpec, rate_hz: float) -> tuple[np.ndarray, np.ndarray
     return z_d, (4.0 + p) / (4.0 - p), k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
 
 
-@lru_cache(maxsize=64)  # 5 designs, each at the few FFT sizes its lengths round up to
-def _power_response(spec: FilterSpec, rate_hz: float, size: int) -> np.ndarray:
-    """|H|^2 at the frequencies of an rfft of ``size`` samples, in closed form:
-    the analog Butterworth's 1 / (1 + x^2n) at the frequency 4 tan(w / 2)
-    that the bilinear transform maps to w."""
-    omega = 4.0 * np.tan(np.pi / size * np.arange(size // 2 + 1))
-    warped = _warped(spec, rate_hz)
-    with np.errstate(divide="ignore", over="ignore"):  # x is infinite at DC for a band-pass
-        if spec.kind == BAND_PASS:
-            x = (omega - warped[0] * warped[1] / omega) / (warped[1] - warped[0])
-        else:
-            x = omega / warped[0]
-        gain = 1.0 / (1.0 + (x * x) ** spec.order)
-    gain.flags.writeable = False
-    return gain
-
-
-@dataclass(frozen=True)
-class _Design:
-    """What ``butterworth_filter`` needs of one filter, at any length.
-
-    In partial fractions H(z) = direct + sum_l r_l / (1 - p_l z^-1), over
-    poles that are distinct and come in conjugate pairs.  ``up`` holds the
-    poles in the upper half plane and ``autocorr`` each one's r_l H(1/p_l),
-    the coefficient of its terms in the autocorrelation.  ``end`` maps the
-    end states, their conjugates and d[M-1] to the end terms' coefficients.
-    ``windows`` gives each pole's window, where |p_l|^i stays above
-    POLE_TAIL_TOLERANCE, the slowest pole first, and ``powers`` holds
-    Re p_l^i and Im p_l^i, a row each per pole in that order.
-    """
-
-    up: np.ndarray
-    autocorr: np.ndarray
-    end: np.ndarray
-    windows: tuple[int, ...]
-    powers: np.ndarray
-
-
 @lru_cache(maxsize=32)  # the chains use 5 designs
-def _design(spec: FilterSpec, rate_hz: float) -> _Design:
+def _design(spec: FilterSpec, rate_hz: float) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The zeros, poles and gain, and the window over which the slowest
+    pole's |p|^i stays above POLE_TAIL_TOLERANCE."""
     z, p, k = butter_zpk(spec, rate_hz)
-    r = np.array([k * np.prod(1 - z / pl) / np.prod(1 - np.delete(p, i) / pl)
-                  for i, pl in enumerate(p)])
-    direct = k * np.prod(z) / np.prod(p)
-    up = np.flatnonzero(p.imag > 0)
-    windows = np.ceil(np.log(POLE_TAIL_TOLERANCE) / np.log(np.abs(p[up]))).astype(int)
-    up, windows = up[np.argsort(-windows, kind="stable")], np.sort(windows)[::-1]
-    pu, ru = p[up], r[up]
-    conj = np.array([np.argmin(np.abs(p - np.conj(pl))) for pl in pu])
-    # H(1/p_l), from the zeros, poles and gain
-    h_inv = k * np.prod(1 - pu[:, None] * z, axis=-1) / np.prod(1 - pu[:, None] * p, axis=-1)
-    # e_l per end state, and per d[M-1]; both times p_l, so that the end
-    # terms run p_l^i back from the last sample
-    cross = ru[:, None] * r * (p / (1 - pu[:, None] * p) - 1 / (1 - pu[:, None])) * pu[:, None]
-    powers = pu[:, None] ** np.arange(windows[0])
-    powers = np.stack((powers.real, powers.imag), axis=1).reshape(2 * len(pu), windows[0])
-    powers.flags.writeable = False
-    last = -ru * direct / (1 - pu) * pu
-    return _Design(pu, ru * h_inv, np.column_stack((cross[:, up], cross[:, conj], last)),
-                   tuple(windows.tolist()), powers)
+    window = int(np.ceil(np.log(POLE_TAIL_TOLERANCE) / np.log(np.abs(p).max())))
+    return z, p, k, window
+
+
+@lru_cache(maxsize=64)  # 5 designs, each at the few FFT sizes its lengths round up to
+def _response(spec: FilterSpec, rate_hz: float, size: int) -> np.ndarray:
+    """H(e^jw) at the frequencies of an rfft of ``size`` samples."""
+    z, p, k, _ = _design(spec, rate_hz)
+    z_inv = np.exp(-2j * np.pi / size * np.arange(size // 2 + 1))
+    response = k * (np.prod(1 - z[:, None] * z_inv, axis=0)
+                    / np.prod(1 - p[:, None] * z_inv, axis=0))
+    response.flags.writeable = False
+    return response
 
 
 # every 2^a 3^b 5^c up to 2^40: the lengths numpy's FFT is fastest at
@@ -158,24 +112,13 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
 
     Output has the same length as the input.  Cutoffs must sit strictly
     inside (0, rate/2); the signal must be longer than 3x the filter order.
-    The result is filtfilt's: odd extension by 3x the order at each end, each
-    pass started in the steady state of its first sample.  It is computed
-    from the poles and residues in numpy alone, as follows.
-
-    Let d be the extended signal minus its first sample d0, M its length,
-    and H(z) = direct + sum_l r_l / (1 - p_l z^-1).  The two passes give
-
-        y[n] = H(1)^2 d0 + sum_j a[n - j] d[j] - sum_l e_l p_l^(M - n),
-
-    where a is the impulse response's autocorrelation, whose DTFT is |H|^2,
-    and each e_l is linear in d[M-1] and the end states
-    sigma_k = sum_i p_k^i d[M-1-i].  An FFT of N >= M samples convolves
-    with a periodized, which wraps more terms onto both ends: p_l^n terms
-    linear in sigma_l and p_l^(M-n) terms linear in the start states
-    tau_l = sum_i p_l^i d[i].  N is the next 2^a 3^b 5^c, so signals of
-    nearby lengths share N and its |H|^2.  Every sum runs in the FFT or
-    ``np.einsum``, numpy's own loops, so the result does not depend on BLAS
-    or its thread count.
+    The result is filtfilt's: odd extension by 3x the order at each end, then
+    a forward and a backward pass, each started in the steady state of its
+    first sample x0, that is, the response to x - x0 plus H(1) x0.  Each pass
+    is one rfft/irfft product with H.  The FFT size is the next 2^a 3^b 5^c
+    at least the extended length plus the slowest pole's window, so no term
+    of the impulse response above POLE_TAIL_TOLERANCE wraps around.  numpy's
+    FFT does not use BLAS, so the result does not depend on its thread count.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if spec.kind == BAND_PASS:
@@ -189,36 +132,16 @@ def butterworth_filter(signal: np.ndarray, rate_hz: float, spec: FilterSpec) -> 
     if n <= padlen:
         raise PreprocessError(
             f"need more than {padlen} samples for order {spec.order}, got {n}")
-    d = np.concatenate((2 * signal[0] - signal[padlen:0:-1], signal,
+    y = np.concatenate((2 * signal[0] - signal[padlen:0:-1], signal,
                         2 * signal[-1] - signal[-2:-padlen - 2:-1]))
-    d0, m = d[0], d.shape[0]
-    d -= d0
-    des = _design(spec, rate_hz)
-    size = int(_FFT_SIZES[np.searchsorted(_FFT_SIZES, m)])
-    gain = _power_response(spec, rate_hz, size)
-    spectrum = np.fft.rfft(d, size)
-    spectrum *= gain
-    spectrum[0] += gain[0] * d0 * size  # H(1)^2 d0 on every sample
-    y = np.fft.irfft(spectrum, size)[:m]
-    # pole l's window ends at bounds[l], so samples lo:hi reach the first l + 1 poles
-    bounds = [min(w, m) for w in des.windows] + [0]
-    spans = [(bounds[l + 1], bounds[l], 2 * l + 2) for l in range(len(des.windows))]
-    w = bounds[0]
-    ends = np.concatenate((d[::-1][:w], d[:w])).reshape(2, w)
-    states = np.zeros((2, des.powers.shape[0]))  # end, start; (Re, Im) per pole
-    for lo, hi, rows in spans:
-        states[:, :rows] += np.einsum("kt,jt->jk", des.powers[:rows, lo:hi], ends[:, lo:hi])
-    sigma, tau = states.view(np.complex128)
-    # a[k] = sum_l r_l H(1/p_l) p_l^|k| for k != 0, summed over its periods
-    wrap = des.autocorr / (1 - des.up ** size) * des.up ** (size - m + 1)
-    end = np.einsum("lk,k->l", des.end, np.concatenate((sigma, sigma.conj(), d[-1:])))
-    coef = np.concatenate((end + wrap * tau, wrap * sigma))  # end terms, then start terms
-    # each conjugate pair adds 2 Re(c p^i) = 2 Re c Re p^i - 2 Im c Im p^i
-    weights = (2 * coef.conj()).view(np.float64).reshape(2, -1)
-    for lo, hi, rows in spans:
-        np.einsum("kt,jk->jt", des.powers[:rows, lo:hi], weights[:, :rows], out=ends[:, lo:hi])
-    y[::-1][:w] -= ends[0]  # ends now holds the terms
-    y[:w] -= ends[1]
+    m = y.shape[0]
+    *_, window = _design(spec, rate_hz)
+    size = int(_FFT_SIZES[np.searchsorted(_FFT_SIZES, m + window)])
+    response = _response(spec, rate_hz, size)
+    for _ in range(2):  # forward, then backward over the reversed result
+        x0 = y[0]
+        y = np.fft.irfft(np.fft.rfft(y - x0, size) * response, size)[m - 1::-1]
+        y += response[0].real * x0  # response[0] is H(1)
     return y[padlen:padlen + n]
 
 
@@ -287,6 +210,18 @@ class WindowedTensor:
     source: tuple[str, str, str] | None = None  # (participant, video, channel)
 
 
+def _hop(window_samples: int) -> int:
+    """The hop between windows, window * (1 - OVERLAP); a PreprocessError
+    unless it comes out to a whole number of samples."""
+    hop_f = window_samples * (1.0 - OVERLAP)
+    hop = int(round(hop_f))
+    if hop < 1 or abs(hop_f - hop) > 1e-9:
+        raise PreprocessError(
+            f"window {window_samples} with overlap {OVERLAP} gives "
+            f"non-integer hop {hop_f}")
+    return hop
+
+
 def segment(signal: np.ndarray, window_samples: int,
             source: tuple[str, str, str] | None = None) -> WindowedTensor:
     """Cut a stream into windows overlapping by ``OVERLAP``, dropping any
@@ -301,13 +236,8 @@ def segment(signal: np.ndarray, window_samples: int,
     if window_samples > signal.shape[0]:
         raise PreprocessError(
             f"window {window_samples} exceeds signal length {signal.shape[0]}")
-    hop_f = window_samples * (1.0 - OVERLAP)
-    hop = int(round(hop_f))
-    if hop < 1 or abs(hop_f - hop) > 1e-9:
-        raise PreprocessError(
-            f"window {window_samples} with overlap {OVERLAP} gives "
-            f"non-integer hop {hop_f}")
-    windows = np.lib.stride_tricks.sliding_window_view(signal, window_samples)[::hop]
+    windows = np.lib.stride_tricks.sliding_window_view(signal, window_samples)
+    windows = windows[::_hop(window_samples)]
     return WindowedTensor(values=np.ascontiguousarray(windows), source=source)
 
 
@@ -370,8 +300,7 @@ def feature_size(channel: str) -> int:
 def expected_timesteps(channel: str) -> int:
     """Window count the chain produces for a channel (39 sensor, 19 eye)."""
     chain = chain_for(channel)
-    hop = int(round(chain.window * (1.0 - OVERLAP)))
-    return (chain.tail - chain.window) // hop + 1
+    return (chain.tail - chain.window) // _hop(chain.window) + 1
 
 
 def preprocess_channel(rec: RawRecording) -> WindowedTensor:
@@ -408,7 +337,7 @@ def tensor_cache_key(rec: RawRecording) -> str:
     """Content hash of one recording and the chain that conditions it."""
     h = hashlib.sha256()
     h.update(f"{rec.participant_id}|{rec.video_id}|{rec.channel}|"
-             f"{rec.sample_rate_hz!r}|v2|{chain_for(rec.channel)!r}|{OVERLAP!r}|".encode())
+             f"{rec.sample_rate_hz!r}|v3|{chain_for(rec.channel)!r}|{OVERLAP!r}|".encode())
     h.update(np.ascontiguousarray(rec.timestamps_ms, "<i8"))
     h.update(np.ascontiguousarray(rec.values, _MAGIC_DTYPE))
     return h.hexdigest()[:20]

@@ -1,6 +1,7 @@
 """Ingest, rating binarization, label derivation and synthetic data tests."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -362,6 +363,15 @@ def test_write_csv_then_read_csv_round_trips(tmp_path_factory, rows, crlf):
     back = dataio.read_csv(path, "table", columns,
                            lambda r: (r["name"], float(r["value"]), r["note"]))
     assert back == rows  # floats go out by repr, so they come back exact
+
+
+def test_write_into_an_existing_directory_makes_no_directory(tmp_path, monkeypatch):
+    made = []
+    monkeypatch.setattr(Path, "mkdir", lambda self, *a, **k: made.append(self))
+    dataio.write_atomic(tmp_path / "out.bin", b"bytes")
+    assert (tmp_path / "out.bin").read_bytes() == b"bytes"
+    assert made == []
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_level_codes():

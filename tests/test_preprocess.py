@@ -27,13 +27,15 @@ from reference_impls import (
     count_windows_reference, moving_average_reference, upsample_reference,
 )
 
+_seeds = st.integers(0, 2**32 - 1)
+
 
 # ---------------------------------------------------------------------------
 # Butterworth filtering vs a from-scratch design + difference equation
 # ---------------------------------------------------------------------------
 
 # The two routes share no code: the package designs in numpy and filters
-# by one FFT convolution plus pole-residue end terms, the oracle designs
+# in two FFT passes, forward and backward, with H; the oracle designs
 # from prototype poles and runs a plain difference equation.  Their
 # initial-condition handling differs, so the comparison drops 20 s from
 # each end: the slowest pole (radius about 0.995 for the 0.5 Hz edge)
@@ -170,12 +172,27 @@ def test_filter_matches_scipy_sosfiltfilt(spec, fs, seconds):
 
 @pytest.mark.parametrize("n", [13, 40, 300])
 def test_short_signals_match_scipy_sosfiltfilt(n):
-    # shorter than the slowest pole's window: the end terms overlap
+    # shorter than the slowest pole's window, which sets the FFT size
     spec = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=20.0)
     x = np.random.default_rng(n).standard_normal(n)
     sos = scipy_signal.butter(4, [0.5, 20.0], btype=BAND_PASS, fs=64.0, output="sos")
     npt.assert_allclose(butterworth_filter(x, 64.0, spec),
                         scipy_signal.sosfiltfilt(sos, x, padlen=12), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(design=st.sampled_from(_DESIGNS), n=st.integers(13, 40_000), seed=_seeds,
+       scale=st.floats(1e-3, 1e3), offset=st.floats(-1e3, 1e3), drift=st.floats(-1e3, 1e3))
+def test_filter_matches_scipy_sosfiltfilt_at_any_length(design, n, seed, scale, offset, drift):
+    # lengths from 13 samples to 10 min at 64 Hz cross many FFT sizes
+    spec, fs = design
+    x = (scale * np.random.default_rng(seed).standard_normal(n) + offset
+         + drift * np.linspace(0.0, 1.0, n))
+    sos = scipy_signal.butter(spec.order, _scipy_wn(spec), btype=spec.kind, fs=fs,
+                              output="sos")
+    ref = scipy_signal.sosfiltfilt(sos, x, padlen=3 * spec.order)
+    npt.assert_allclose(butterworth_filter(x, fs, spec), ref, rtol=0,
+                        atol=1e-11 * np.abs(x).max())
 
 
 def test_filter_spec_refuses_odd_orders():
@@ -308,9 +325,6 @@ def test_segment_rejects_bad_geometry():
 
 
 # Properties over random lengths and rates
-_seeds = st.integers(0, 2**32 - 1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=_seeds, hop=st.integers(1, 64), extra=st.integers(0, 400))
 def test_segment_rows_are_hop_spaced_slices(seed, hop, extra):
@@ -473,7 +487,7 @@ def _key_from_copies(rec):
     """The cache key as it was built before it hashed the arrays' buffers."""
     h = hashlib.sha256()
     h.update(f"{rec.participant_id}|{rec.video_id}|{rec.channel}|"
-             f"{rec.sample_rate_hz!r}|v2|{CHAINS[rec.channel]!r}|{preprocess.OVERLAP!r}|"
+             f"{rec.sample_rate_hz!r}|v3|{CHAINS[rec.channel]!r}|{preprocess.OVERLAP!r}|"
              .encode())
     h.update(rec.timestamps_ms.astype("<i8").tobytes())
     h.update(rec.values.astype("<f8").tobytes())
