@@ -321,6 +321,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         if settings[key] is None:
             raise UsageError(f"run needs --{key} (or a config entry)")
     model_cfg = _model_config(settings)
+    try:  # refuse a fusion mode the domains cannot serve before loading any data
+        evaluate.member_plan(model_cfg, settings["fusion"])
+    except evaluate.EvaluateError as exc:
+        raise UsageError(str(exc)) from None
     train_cfg = _train_config(settings)
     samples = _load_samples(Path(settings["cache"]), model_cfg.channels)
     ratings = dataio.load_ratings(Path(settings["ratings"]))
@@ -346,8 +350,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     evaluate.write_results_csv(out_dir / "results.csv", results)
     evaluate.write_report_json(out_dir / "report.json", results)
     for result in results:
-        for fold_logs, fold in zip(result.train_logs, result.fold_results):
-            for name, log in fold_logs.items():
+        for fold in result.fold_results:
+            for name, log in fold.train_logs.items():
                 dataio.write_csv(
                     out_dir / "logs" / f"{result.dimension}_fold{fold.fold_index}_{name}.csv",
                     ("epoch", "train_loss", "val_loss", "val_accuracy"),

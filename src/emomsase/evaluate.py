@@ -106,9 +106,11 @@ class FoldResult:
     train_participants: tuple[str, ...]
     val_participants: tuple[str, ...]
     test_participants: tuple[str, ...]
+    train_logs: dict[str, TrainLog]  # keyed by member name
 
 
-def _result_from_classes(fold: Fold, predicted: np.ndarray, true: np.ndarray) -> FoldResult:
+def _result_from_classes(fold: Fold, predicted: np.ndarray, true: np.ndarray,
+                         logs: dict[str, TrainLog]) -> FoldResult:
     """Accuracy, High-class recall and confusion counts of one fold's test classes."""
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
     np.add.at(confusion, (true, predicted), 1)
@@ -123,6 +125,7 @@ def _result_from_classes(fold: Fold, predicted: np.ndarray, true: np.ndarray) ->
         train_participants=fold.train,
         val_participants=fold.val,
         test_participants=fold.test,
+        train_logs=logs,
     )
 
 
@@ -167,7 +170,6 @@ class ExperimentResult:
     fusion: str
     scheme: str
     fold_results: list[FoldResult]
-    train_logs: list[dict[str, TrainLog]]  # per fold, keyed by model name
 
     @property
     def mean_accuracy(self) -> float:
@@ -201,64 +203,63 @@ def build_labeled_set(samples: list[Sample], labels: LabelLookup,
     return LabeledSet(rows=rows, labels=np.array(y, dtype=int))
 
 
-def _fold_seeded(config, fold_index: int):
-    return replace(config, seed=config.seed + 1000 * (fold_index + 1))
+def member_plan(model_config: ModelConfig,
+                fusion: str) -> tuple[dict[str, ModelConfig], str]:
+    """The models a fusion mode trains, by name, and the rule that fuses their
+    test probabilities: one model on all domains, or one model per domain."""
+    if fusion not in FUSION_MODES:
+        raise EvaluateError(f"unknown fusion mode {fusion!r}")
+    if fusion == FUSION_MODALITY:
+        # the sum of one member's probabilities is that member's own decision
+        return {"model": model_config}, FUSION_SUM
+    domains = [d for d, _ in model_config.domain_channels]
+    if len(domains) < 2:
+        raise EvaluateError("decision fusion needs at least two domains")
+    return {d: model_config.restrict([d]) for d in domains}, fusion
+
+
+def fit_member(samples: list[Sample], labels: LabelLookup, fold: Fold,
+               model_config: ModelConfig,
+               train_config: TrainConfig) -> tuple[np.ndarray, np.ndarray, TrainLog]:
+    """One member's fold-seeded fit: its (N, C) test probabilities, the (N,) test
+    labels and its log.  Pure; it returns no model, so its weights are freed on return."""
+    model_config, train_config = (replace(c, seed=c.seed + 1000 * (fold.index + 1))
+                                  for c in (model_config, train_config))
+    tr, va, te = (build_labeled_set(samples, labels, model_config.channels, side)
+                  for side in (fold.train, fold.val, fold.test))
+    model, log = fit(EmoMsase(model_config), tr, va, train_config)
+    return model.predict(te.inputs), te.labels, log
 
 
 def run_experiment(samples: list[Sample], labels: LabelLookup,
                    model_config: ModelConfig, split: SplitPlan,
                    fusion: str = FUSION_MODALITY,
                    train_config: TrainConfig = TrainConfig()) -> ExperimentResult:
-    """Train and score one model configuration across every fold of a split.
-
-    Modality fusion trains a single model on all configured domains;
-    sum/max decision fusion trains one model per domain and fuses their
-    test probabilities.
-    """
-    if fusion not in FUSION_MODES:
-        raise EvaluateError(f"unknown fusion mode {fusion!r}")
-    sample_pids = {s.participant_id for s in samples}
-    missing = set(split.participants) - sample_pids
+    """Train and score one model configuration across every fold of a split:
+    each fold fits the members of ``member_plan`` one after another and
+    fuses their test probabilities."""
+    members, rule = member_plan(model_config, fusion)
+    missing = set(split.participants) - {s.participant_id for s in samples}
     if missing:
         raise EvaluateError(f"split names unknown participants: {sorted(missing)}")
 
-    domains = [d for d, _ in model_config.domain_channels]
-    if fusion in (FUSION_SUM, FUSION_MAX) and len(domains) < 2:
-        raise EvaluateError("decision fusion needs at least two domains")
-
-    members = ({"model": model_config} if fusion == FUSION_MODALITY
-               else {d: model_config.restrict([d]) for d in domains})
-    # the sum of one member's probabilities is that member's own decision
-    rule = FUSION_SUM if fusion == FUSION_MODALITY else fusion
     fold_results = []
-    fold_logs = []
     for fold in split.folds:
-        fold.check_disjoint()  # belt and braces before any training
-        train_cfg = _fold_seeded(train_config, fold.index)
-        logs: dict[str, TrainLog] = {}
-        probs = []
-        for name, cfg in members.items():
-            cfg = _fold_seeded(cfg, fold.index)
-            # rebinding ``model`` first frees the last member's weights before this fit
-            model = EmoMsase(cfg)
-            tr = build_labeled_set(samples, labels, cfg.channels, fold.train)
-            va = build_labeled_set(samples, labels, cfg.channels, fold.val)
-            te = build_labeled_set(samples, labels, cfg.channels, fold.test)
-            model, logs[name] = fit(model, tr, va, train_cfg)
-            probs.append(model.predict(te.inputs))
-        predicted, _ = fuse_decisions(probs, rule)
-        fold_results.append(_result_from_classes(fold, predicted, te.labels))
-        fold_logs.append(logs)
+        fold.check_disjoint()  # before any training; perfbench times a fold from here
+        probs, true, logs = zip(*[fit_member(samples, labels, fold, cfg, train_config)
+                                  for cfg in members.values()])
+        predicted, _ = fuse_decisions(list(probs), rule)
+        fold_results.append(
+            _result_from_classes(fold, predicted, true[0], dict(zip(members, logs))))
 
     return ExperimentResult(
-        combination="+".join(domains),
+        combination="+".join(d for d, _ in model_config.domain_channels),
         label_case=labels.case_name,
         dimension=labels.dimension,
         variant=model_config.variant,
         fusion=fusion,
         scheme=split.scheme,
         fold_results=fold_results,
-        train_logs=fold_logs,
     )
 
 
@@ -279,7 +280,7 @@ def report_dict(results: list[ExperimentResult]) -> dict:
     out = []
     for r in results:
         folds = []
-        for f, logs in zip(r.fold_results, r.train_logs):
+        for f in r.fold_results:
             folds.append({
                 "fold": f.fold_index,
                 "accuracy": f.accuracy,
@@ -295,7 +296,7 @@ def report_dict(results: list[ExperimentResult]) -> dict:
                         "stopped_epoch": log.n_epochs(),
                         "final_val_loss": log.val_loss[log.best_epoch - 1]
                         if log.best_epoch else None,
-                    } for name, log in logs.items()
+                    } for name, log in f.train_logs.items()
                 },
             })
         out.append({

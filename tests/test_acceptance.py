@@ -272,11 +272,13 @@ def test_criterion_08_majority_labels():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_run_determinism(tmp_path):
-    """Two identical seeded runs write byte-identical results."""
+    """Two identical seeded runs write byte-identical results and logs, for a
+    single model and for decision fusion over two domains."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "domains": ["Head"],
-        "channels": {"Head": ["L_EP_Y"]},
+        "channels": {"Head": ["L_EP_Y"], "Peripheral": ["EDA"]},
+        "synth": {"channels": ["EDA", "L_EP_Y"]},
         "hidden_size": 8,
         "target": "valence",
         "split": "kfold5",
@@ -292,22 +294,27 @@ def test_criterion_09_run_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
+    def written(out):
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
     emomsase("synth", "--config", str(config), "--out", str(data),
              "--participants", "6")
     emomsase("preprocess", "--config", str(config), "--data", str(data),
              "--cache", str(cache))
-    for out in ("run1", "run2"):
-        emomsase("run", "--config", str(config), "--seed", "7",
-                 "--cache", str(cache), "--ratings", str(data / "ratings.csv"),
-                 "--out", str(tmp_path / out))
-
-    first = (tmp_path / "run1" / "results.csv").read_bytes()
-    second = (tmp_path / "run2" / "results.csv").read_bytes()
-    assert first == second
-    assert (tmp_path / "run1" / "report.json").read_bytes() == \
-        (tmp_path / "run2" / "report.json").read_bytes()
-    print("\ncriterion 9: two seed-7 runs produced byte-identical "
-          "results.csv and report.json")
+    for pair, extra in enumerate(([], ["--domains", "peripheral,head", "--fusion", "sum"])):
+        outs = [tmp_path / f"pair{pair}_run{i}" for i in (1, 2)]
+        for out in outs:
+            emomsase("run", "--config", str(config), "--seed", "7", *extra,
+                     "--cache", str(cache), "--ratings", str(data / "ratings.csv"),
+                     "--out", str(out))
+        first, second = (written(out) for out in outs)
+        logs = [name for name in first if name.startswith("logs/")]
+        assert {"results.csv", "report.json"} <= set(first)
+        assert len(logs) == 5 * (2 if extra else 1)
+        assert first == second
+    print("\ncriterion 9: two seed-7 runs produced byte-identical results.csv, "
+          "report.json and logs/, for one model and for sum fusion of two")
 
 
 # ---------------------------------------------------------------------------

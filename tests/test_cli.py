@@ -519,6 +519,8 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (run, {"channels": {"Trunk": ["GSR"]}}, "channel 'GSR' has no conditioning chain"),
             (run, {"domains": ["Head"], "channels": {"Head": ["L_EP_Y", "L_EP_Y"]}},
              "channel 'L_EP_Y' is listed more than once"),
+            (run, {"fusion": "sum", "domains": ["Head"]},
+             "decision fusion needs at least two domains"),
             (synth, {"synth": {"participants": None}}, "setting participants must be"),
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
             (synth, {"synth": {"participants": "6"}}, "setting participants must be of type int"),

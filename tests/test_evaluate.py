@@ -126,7 +126,7 @@ def test_metrics_counts():
         [0.7, 0.3],    # missed positive
         [0.4, 0.6],    # false positive
     ])
-    r = _result_from_classes(FOLD, probs.argmax(axis=1), np.array([LOW, HIGH, HIGH, LOW]))
+    r = _result_from_classes(FOLD, probs.argmax(axis=1), np.array([LOW, HIGH, HIGH, LOW]), {})
     npt.assert_allclose(r.accuracy, 0.5)
     npt.assert_allclose(r.recall, 0.5)
     npt.assert_array_equal(r.confusion, [[1, 1], [1, 1]])
@@ -136,7 +136,7 @@ def test_metrics_counts():
 
 
 def test_metrics_recall_without_positives_is_zero():
-    r = _result_from_classes(FOLD, np.array([LOW, LOW]), np.array([LOW, LOW]))
+    r = _result_from_classes(FOLD, np.array([LOW, LOW]), np.array([LOW, LOW]), {})
     npt.assert_allclose(r.accuracy, 1.0)
     assert r.recall == 0.0
 
@@ -147,7 +147,7 @@ def test_metrics_recall_without_positives_is_zero():
 def test_metrics_count_like_a_loop(pairs):
     """Rows of the confusion matrix are true classes, columns predicted ones."""
     true, predicted = (np.array(side) for side in zip(*pairs))
-    r = _result_from_classes(FOLD, predicted, true)
+    r = _result_from_classes(FOLD, predicted, true, {})
     expected = np.zeros((2, 2), dtype=int)
     for t, p in pairs:
         expected[t, p] += 1
@@ -324,7 +324,7 @@ def test_run_experiment_modality_fusion():
         assert f.test_participants == fold.test
         assert f.n_test_samples == 13 * len(fold.test)
         assert f.confusion.sum() == f.n_test_samples
-        assert "model" in result.train_logs[f.fold_index]
+        assert "model" in f.train_logs
 
 
 def test_run_experiment_decision_fusion_two_domains():
@@ -335,8 +335,8 @@ def test_run_experiment_decision_fusion_two_domains():
                             train_config=tc)
     assert result.fusion == "sum"
     assert result.combination == "Peripheral+Head"
-    for logs in result.train_logs:
-        assert set(logs) == {"Peripheral", "Head"}
+    for f in result.fold_results:
+        assert set(f.train_logs) == {"Peripheral", "Head"}
 
     single = ModelConfig(
         domain_channels=(("Head", ("L_EP_Y",)),),
@@ -413,6 +413,60 @@ def test_run_experiment_holds_one_model_at_a_time(monkeypatch, fusion):
         return real_fit(model, *args)
     monkeypatch.setattr(evaluate, "fit", counting_fit)
     run_experiment(samples, labels, config, split, fusion=fusion, train_config=tc)
+
+
+def test_run_experiment_marks_each_fold_before_its_fits(monkeypatch):
+    """Each fold calls ``check_disjoint`` once, before its members' fits: the
+    benchmark times a fold from its marker to the next one."""
+    samples, labels, config, tc = _experiment_pieces(
+        (("Peripheral", ("EDA",)), ("Head", ("L_EP_Y",))))
+    split = group_kfold(_pids(6), k=3, seed=1)  # before the spies: SplitPlan checks too
+    calls = []
+    real_check, real_fit = Fold.check_disjoint, evaluate.fit
+
+    def marking_check(fold):
+        calls.append(("check", fold.index))
+        return real_check(fold)
+
+    def marking_fit(model, train, val, config):
+        calls.append(("fit", (config.seed - tc.seed) // 1000 - 1))  # fold of its seed
+        return real_fit(model, train, val, config)
+    monkeypatch.setattr(evaluate.Fold, "check_disjoint", marking_check)
+    monkeypatch.setattr(evaluate, "fit", marking_fit)
+    run_experiment(samples, labels, config, split, fusion="sum", train_config=tc)
+    assert calls == [(step, fold.index) for fold in split.folds
+                     for step in ("check", "fit", "fit")]
+
+
+def test_fit_member_is_pure(monkeypatch):
+    """Equal arguments give equal bytes, no sample tensor changes, and no
+    model outlives the call."""
+    samples, labels, config, tc = _experiment_pieces((("Head", ("L_EP_Y",)),))
+    fold = group_kfold(_pids(6), k=3, seed=1).folds[1]
+    before = [{ch: t.copy() for ch, t in s.tensors.items()} for s in samples]
+    alive = weakref.WeakSet()
+    real_fit = evaluate.fit
+
+    def tracking_fit(model, *args):
+        alive.add(model)
+        fitted, log = real_fit(model, *args)
+        alive.add(fitted)
+        return fitted, log
+    monkeypatch.setattr(evaluate, "fit", tracking_fit)
+    first, second = (evaluate.fit_member(samples, labels, fold, config, tc)
+                     for _ in range(2))
+    gc.collect()
+    assert len(alive) == 0
+    for a, b in zip(first[:2], second[:2]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert first[2].n_epochs() >= 1
+    for name in ("train_loss", "val_loss", "val_accuracy"):
+        assert np.array(getattr(first[2], name)).tobytes() == \
+            np.array(getattr(second[2], name)).tobytes()
+    assert first[2].best_epoch == second[2].best_epoch
+    for sample, tensors in zip(samples, before):
+        for ch, t in tensors.items():
+            assert sample.tensors[ch].tobytes() == t.tobytes()
 
 
 def test_run_experiment_input_validation():
