@@ -350,10 +350,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     evaluate.write_results_csv(out_dir / "results.csv", results)
     evaluate.write_report_json(out_dir / "report.json", results)
     for result in results:
-        for fold in result.fold_results:
-            for name, log in fold.train_logs.items():
+        for f in result.fold_results:
+            for name, log in f.train_logs.items():
                 dataio.write_csv(
-                    out_dir / "logs" / f"{result.dimension}_fold{fold.fold_index}_{name}.csv",
+                    out_dir / "logs" / f"{result.dimension}_fold{f.fold.index}_{name}.csv",
                     ("epoch", "train_loss", "val_loss", "val_accuracy"),
                     [(e + 1, *epoch) for e, epoch in enumerate(
                         zip(log.train_loss, log.val_loss, log.val_accuracy))])

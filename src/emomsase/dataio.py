@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import os
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -524,9 +525,13 @@ def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     timestamp a whole number; a DataError names the file, and the line of a
     bad row."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # a file with no rows is our error, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise DataError(f"{path}: no data rows")
     if data.shape[1] != 2:
         raise DataError(f"{path}: expected two columns ({','.join(SENSOR_COLUMNS)})")
     finite = np.isfinite(data)

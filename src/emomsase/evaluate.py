@@ -98,14 +98,11 @@ def loso(participants: list[str]) -> SplitPlan:
 
 @dataclass
 class FoldResult:
-    fold_index: int
+    fold: Fold
     accuracy: float
     recall: float
     n_test_samples: int
     confusion: np.ndarray  # rows true class, columns predicted class
-    train_participants: tuple[str, ...]
-    val_participants: tuple[str, ...]
-    test_participants: tuple[str, ...]
     train_logs: dict[str, TrainLog]  # keyed by member name
 
 
@@ -117,14 +114,11 @@ def _result_from_classes(fold: Fold, predicted: np.ndarray, true: np.ndarray,
     positives = confusion[HIGH, :].sum()
     recall = confusion[HIGH, HIGH] / positives if positives else 0.0
     return FoldResult(
-        fold_index=fold.index,
+        fold=fold,
         accuracy=float((predicted == true).mean()),
         recall=float(recall),
         n_test_samples=int(true.shape[0]),
         confusion=confusion,
-        train_participants=fold.train,
-        val_participants=fold.val,
-        test_participants=fold.test,
         train_logs=logs,
     )
 
@@ -282,14 +276,14 @@ def report_dict(results: list[ExperimentResult]) -> dict:
         folds = []
         for f in r.fold_results:
             folds.append({
-                "fold": f.fold_index,
+                "fold": f.fold.index,
                 "accuracy": f.accuracy,
                 "recall": f.recall,
                 "n_test_samples": f.n_test_samples,
                 "confusion": f.confusion.tolist(),
-                "train_participants": list(f.train_participants),
-                "val_participants": list(f.val_participants),
-                "test_participants": list(f.test_participants),
+                "train_participants": list(f.fold.train),
+                "val_participants": list(f.fold.val),
+                "test_participants": list(f.fold.test),
                 "training": {
                     name: {
                         "best_epoch": log.best_epoch,

@@ -103,58 +103,23 @@ class ModelConfig:
         return replace(self, domain_channels=kept)
 
 
-@dataclass
-class LstmLayerParams:
-    wx: Param  # (F, 4H), gate blocks ordered input, forget, output, cell-candidate
-    wh: Param  # (H, 4H)
-    b: Param   # (4H,)
-
-
-@dataclass
-class SeBlock:
-    """Squeeze-and-excitation gate over a domain's modality stack."""
-
-    w1: Param  # (L, L/r)
-    w2: Param  # (L/r, L)
-
-
-@dataclass
-class ClassifierHead:
-    w: Param
-    b: Param
-
-
 def _uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_lstm_stack(rng: np.random.Generator, name: str, f_in: int,
-                    hidden: int) -> tuple[LstmLayerParams, ...]:
-    """Two LSTM layers; biases start at zero except the forget gate at +1."""
-    layers = []
-    width = f_in
-    for layer in range(N_LSTM_LAYERS):
-        b0 = np.zeros(4 * hidden)
-        b0[hidden:2 * hidden] = 1.0
-        layers.append(LstmLayerParams(
-            wx=Param(f"{name}/lstm{layer}/wx",
-                     _uniform_init(rng, (width, 4 * hidden), width)),
-            wh=Param(f"{name}/lstm{layer}/wh",
-                     _uniform_init(rng, (hidden, 4 * hidden), hidden)),
-            b=Param(f"{name}/lstm{layer}/b", b0),
-        ))
-        width = hidden
-    return tuple(layers)
+def lstm_features(tape: Tape, x: Var, layers: list[tuple[Param, Param, Param]]) -> Var:
+    """Hidden sequence (B, T, H) of the top LSTM layer for windowed input x.
 
-
-def lstm_features(tape: Tape, x: Var, layers: tuple[LstmLayerParams, ...]) -> Var:
-    """Hidden sequence (B, T, H) of the top LSTM layer for windowed input x."""
+    ``layers`` holds one (wx, wh, b) triple per layer, bottom first: wx is
+    (F, 4H), gate blocks ordered input, forget, output, cell-candidate; wh is
+    (H, 4H) and b is (4H,).
+    """
     if x.value.ndim != 3:
         raise ShapeMismatchError(f"expected (B, T, F) input, got {x.value.shape}")
     h = x
-    for layer in layers:
-        h = ad.lstm_layer(tape, h, layer.wx, layer.wh, layer.b)
+    for wx, wh, b in layers:
+        h = ad.lstm_layer(tape, h, wx, wh, b)
     return h
 
 
@@ -183,33 +148,34 @@ def msa(tape: Tape, hidden: Var, contexts: dict[str, Param]) -> Var:
     return parts[0] if len(parts) == 1 else ad.concat(tape, parts, axis=-1)
 
 
-def se_recalibrate(tape: Tape, stacked: Var, se: SeBlock) -> Var:
+def se_recalibrate(tape: Tape, stacked: Var, w1: Param, w2: Param) -> Var:
     """Gate a (B, M, L) modality stack by squeeze-and-excitation.
 
     Squeeze averages over the modality axis; the excitation MLP
-    (L -> L/r -> L, ReLU then sigmoid) yields per-feature gates in (0, 1)
-    that multiply every modality row.
+    (L -> L/r -> L through w1 (L, L/r) and w2 (L/r, L), ReLU then sigmoid)
+    yields per-feature gates in (0, 1) that multiply every modality row.
     """
     if stacked.value.ndim != 3:
         raise ShapeMismatchError(f"expected (B, M, L), got {stacked.value.shape}")
     z = ad.mean_axis(tape, stacked, axis=1)
-    s = ad.sigmoid(tape, ad.matmul(tape, ad.relu(tape, ad.matmul(tape, z, se.w1)), se.w2))
+    s = ad.sigmoid(tape, ad.matmul(tape, ad.relu(tape, ad.matmul(tape, z, w1)), w2))
     b, l = s.value.shape
     return ad.mul(tape, stacked, ad.reshape(tape, s, (b, 1, l)))
 
 
-def fuse_and_classify(tape: Tape, domain_blocks: list[Var], head: ClassifierHead) -> Var:
-    """Concatenate (B, M_d, L) blocks over modalities into (B, C) class logits."""
+def fuse_and_classify(tape: Tape, domain_blocks: list[Var], w: Param, b: Param) -> Var:
+    """Concatenate (B, M_d, L) blocks over modalities into (B, C) class logits
+    through the head's (M L, C) weights ``w`` and (C,) bias ``b``."""
     if not domain_blocks:
         raise ShapeMismatchError("no domain blocks to fuse")
     fused = domain_blocks[0] if len(domain_blocks) == 1 else ad.concat(
         tape, domain_blocks, axis=1)
-    b, m, l = fused.value.shape
-    if m * l != head.w.value.shape[0]:
+    n, m, l = fused.value.shape
+    if m * l != w.value.shape[0]:
         raise ShapeMismatchError(
-            f"fused width {m * l} does not match head input {head.w.value.shape[0]}")
-    flat = ad.reshape(tape, fused, (b, m * l))
-    return ad.add(tape, ad.matmul(tape, flat, head.w), head.b)
+            f"fused width {m * l} does not match head input {w.value.shape[0]}")
+    flat = ad.reshape(tape, fused, (n, m * l))
+    return ad.add(tape, ad.matmul(tape, flat, w), b)
 
 
 class EmoMsase:
@@ -220,44 +186,35 @@ class EmoMsase:
         rng = np.random.default_rng(config.seed)
         h = config.hidden_size
         cav_len = config.cav_length
+        # every weight, by name: <channel>/lstm<i>/{wx,wh,b}, <channel>/attn/u_<scale>,
+        # <domain>/se/{w1,w2} and head/{w,b}, in draw order
+        self.params: dict[str, Param] = {}
 
-        self.stacks: dict[str, tuple[LstmLayerParams, ...]] = {}
-        self.contexts: dict[str, dict[str, Param]] = {}  # channel -> scale -> u
-        self.se_blocks: dict[str, SeBlock] = {}
+        def add(name: str, value: np.ndarray) -> None:
+            self.params[name] = Param(name, value)
+
         for domain, channels in config.domain_channels:
             for ch in channels:
-                self.stacks[ch] = init_lstm_stack(
-                    rng, ch, config.feature_sizes[ch], h)
-                self.contexts[ch] = {
-                    scale: Param(f"{ch}/attn/u_{scale}", _uniform_init(rng, (h,), h))
-                    for scale in config.spec.scales}
+                width = config.feature_sizes[ch]
+                for layer in range(N_LSTM_LAYERS):
+                    add(f"{ch}/lstm{layer}/wx", _uniform_init(rng, (width, 4 * h), width))
+                    add(f"{ch}/lstm{layer}/wh", _uniform_init(rng, (h, 4 * h), h))
+                    b0 = np.zeros(4 * h)
+                    b0[h:2 * h] = 1.0  # forget gate starts at +1, the other biases at 0
+                    add(f"{ch}/lstm{layer}/b", b0)
+                    width = h
+                for scale in config.spec.scales:
+                    add(f"{ch}/attn/u_{scale}", _uniform_init(rng, (h,), h))
             if config.spec.se:
                 se_hidden = cav_len // config.se_reduction
-                self.se_blocks[domain] = SeBlock(
-                    w1=Param(f"{domain}/se/w1",
-                             _uniform_init(rng, (cav_len, se_hidden), cav_len)),
-                    w2=Param(f"{domain}/se/w2",
-                             _uniform_init(rng, (se_hidden, cav_len), se_hidden)),
-                )
+                add(f"{domain}/se/w1", _uniform_init(rng, (cav_len, se_hidden), cav_len))
+                add(f"{domain}/se/w2", _uniform_init(rng, (se_hidden, cav_len), se_hidden))
         in_dim = len(config.channels) * cav_len
-        self.head = ClassifierHead(
-            w=Param("head/w", _uniform_init(rng, (in_dim, N_CLASSES), in_dim)),
-            b=Param("head/b", np.zeros(N_CLASSES)),
-        )
-
-    def channel_parameters(self, channel: str) -> list[Param]:
-        """The LSTM weights and attention contexts of one modality branch."""
-        params = [p for layer in self.stacks[channel]
-                  for p in (layer.wx, layer.wh, layer.b)]
-        return params + list(self.contexts[channel].values())
+        add("head/w", _uniform_init(rng, (in_dim, N_CLASSES), in_dim))
+        add("head/b", np.zeros(N_CLASSES))
 
     def parameters(self) -> list[Param]:
-        params = [p for ch in self.config.channels
-                  for p in self.channel_parameters(ch)]
-        for se in self.se_blocks.values():
-            params.extend([se.w1, se.w2])
-        params.extend([self.head.w, self.head.b])
-        return params
+        return list(self.params.values())
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -274,19 +231,24 @@ class EmoMsase:
         if x.value.ndim != 3 or x.value.shape[2] != expected_f:
             raise ShapeMismatchError(
                 f"{channel}: expected (B, T, {expected_f}), got {x.value.shape}")
-        hidden = lstm_features(tape, x, self.stacks[channel])
-        return msa(tape, hidden, self.contexts[channel])
+        p = self.params
+        hidden = lstm_features(tape, x, [
+            tuple(p[f"{channel}/lstm{layer}/{w}"] for w in ("wx", "wh", "b"))
+            for layer in range(N_LSTM_LAYERS)])
+        return msa(tape, hidden, {scale: p[f"{channel}/attn/u_{scale}"]
+                                  for scale in self.config.spec.scales})
 
     def classify(self, tape: Tape, cavs: dict[str, Var]) -> Var:
         """Stack per-modality CAVs per domain, recalibrate, fuse, and score
         into class logits."""
+        p = self.params
         blocks = []
         for domain, channels in self.config.domain_channels:
             block = ad.stack_rows(tape, [cavs[ch] for ch in channels])
             if self.config.spec.se:
-                block = se_recalibrate(tape, block, self.se_blocks[domain])
+                block = se_recalibrate(tape, block, p[f"{domain}/se/w1"], p[f"{domain}/se/w2"])
             blocks.append(block)
-        return fuse_and_classify(tape, blocks, self.head)
+        return fuse_and_classify(tape, blocks, p["head/w"], p["head/b"])
 
     def logits(self, tape: Tape, batch: dict[str, np.ndarray]) -> Var:
         """Class logits (B, C) for a batch of per-channel tensors, on ``tape``:

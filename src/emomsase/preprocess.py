@@ -153,8 +153,10 @@ def moving_average(signal: np.ndarray, window_len: int) -> np.ndarray:
     if signal.shape[0] == 0:
         raise PreprocessError("empty signal")
     kernel = np.ones(window_len)
-    sums = np.convolve(signal, kernel, mode="same")
-    counts = np.convolve(np.ones_like(signal), kernel, mode="same")
+    # crop the full convolution: mode="same" returns max(n, window) samples
+    s, n = (window_len - 1) // 2, signal.shape[0]
+    sums = np.convolve(signal, kernel)[s:s + n]
+    counts = np.convolve(np.ones_like(signal), kernel)[s:s + n]
     return sums / counts
 
 

@@ -24,7 +24,7 @@ from emomsase.evaluate import (
 )
 from emomsase.gradcheck import grad_check, micro_config
 from emomsase.model import (
-    EmoMsase, ModelConfig, SeBlock, scale_attention, se_recalibrate,
+    EmoMsase, ModelConfig, scale_attention, se_recalibrate,
 )
 from emomsase.train import TrainConfig
 
@@ -120,15 +120,14 @@ def test_criterion_04_se_invariants():
         r = int(rng.choice([2, 4]))
         length = r * int(rng.integers(1, 4))
         stacked = rng.standard_normal((b, m, length)) * 10.0 ** rng.integers(-1, 3)
-        se = SeBlock(w1=Param("w1", rng.standard_normal((length, length // r))),
-                     w2=Param("w2", rng.standard_normal((length // r, length))))
-        out = se_recalibrate(Tape(), Var(stacked), se).value
+        w1 = Param("w1", rng.standard_normal((length, length // r)))
+        w2 = Param("w2", rng.standard_normal((length // r, length)))
+        out = se_recalibrate(Tape(), Var(stacked), w1, w2).value
         assert np.all(np.abs(out) <= np.abs(stacked))
 
     stacked = rng.standard_normal((3, 2, 8))
-    zeroed = SeBlock(w1=Param("w1", np.zeros((8, 4))),
-                     w2=Param("w2", np.zeros((4, 8))))
-    out = se_recalibrate(Tape(), Var(stacked), zeroed).value
+    zeroed = Param("w1", np.zeros((8, 4))), Param("w2", np.zeros((4, 8)))
+    out = se_recalibrate(Tape(), Var(stacked), *zeroed).value
     npt.assert_array_equal(out, 0.5 * stacked)
     print("\ncriterion 4: 500 random trials never grew a feature; "
           "zero weights gave exactly half")

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 
 from emomsase import autodiff as ad
-from emomsase import cli, model
-from emomsase.train import DTYPE
+from emomsase import cli, evaluate, model
+from emomsase.gradcheck import micro_config
+from emomsase.train import DTYPE, LabeledSet, TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,6 +29,31 @@ def test_every_traced_name_resolves(monkeypatch):
         tracer.restore()
     assert model.EmoMsase.predict is predict
     assert ad.Tape.record is record
+
+
+def test_traced_fit_marks_each_train_step(monkeypatch):
+    """``Profile.steps`` runs from a forward that ``fit`` calls to the next
+    ``AdamW.step``; the train workload's profile check reads those steps."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    cfg = micro_config()
+    rng = np.random.default_rng(0)
+    data = LabeledSet(rows={ch: rng.standard_normal((10, 6, cfg.feature_sizes[ch]))
+                            for ch in cfg.channels},
+                      labels=rng.integers(0, 2, size=10))
+    tracer = spans.Tracer()
+    try:
+        layers.instrument(tracer)
+        evaluate.fit(model.EmoMsase(cfg), data, data,
+                     TrainConfig(batch_size=4, max_epochs=1, patience=1))
+    finally:
+        tracer.restore()
+    profile = layers.Profile(tracer.spans, n_passes=1)
+    assert len(profile.steps()) == 3  # batches of 4, 4 and 2
+    assert profile.count("train.AdamW.step") == 3
+    assert "lstm_layer" in profile.step_shares()
 
 
 def test_traced_lstm_backward_is_one_span(monkeypatch):

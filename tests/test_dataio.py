@@ -345,6 +345,14 @@ def test_unparseable_sensor_value_names_its_file(tmp_path):
         dataio.load_recordings(tmp_path)
 
 
+@pytest.mark.filterwarnings("error")  # numpy's empty-input warning must not escape
+def test_sensor_file_without_rows_says_so(tmp_path):
+    _manifest_row(tmp_path, "Peripheral", "EDA", 4.0)
+    (tmp_path / "rec.csv").write_text("timestamp_ms,value\n")
+    with pytest.raises(DataError, match=r"rec\.csv: no data rows"):
+        dataio.load_recordings(tmp_path)
+
+
 # Text with the characters CSV must quote or keep, and no line breaks.
 _FIELD = st.text(alphabet=st.sampled_from(list('ab ,"\';\té')), max_size=6)
 

@@ -131,8 +131,7 @@ def test_metrics_counts():
     npt.assert_allclose(r.recall, 0.5)
     npt.assert_array_equal(r.confusion, [[1, 1], [1, 1]])
     assert r.n_test_samples == 4
-    assert (r.fold_index, r.train_participants, r.val_participants,
-            r.test_participants) == (2, ("a",), ("b",), ("c",))
+    assert r.fold is FOLD
 
 
 def test_metrics_recall_without_positives_is_zero():
@@ -320,8 +319,7 @@ def test_run_experiment_modality_fusion():
     assert result.label_case == "general"
     assert 0.0 <= result.mean_accuracy <= 1.0
     for fold, f in zip(split.folds, result.fold_results):
-        assert f.train_participants == fold.train
-        assert f.test_participants == fold.test
+        assert f.fold == fold
         assert f.n_test_samples == 13 * len(fold.test)
         assert f.confusion.sum() == f.n_test_samples
         assert "model" in f.train_logs

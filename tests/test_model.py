@@ -12,9 +12,8 @@ from emomsase import autodiff as ad
 from emomsase.autodiff import Param, ShapeMismatchError, Tape, Var
 from emomsase.gradcheck import grad_check, micro_config
 from emomsase.model import (
-    N_CLASSES, SCALES, ClassifierHead, EmoMsase, ModelConfig, SeBlock, VARIANTS,
-    fuse_and_classify, init_lstm_stack, lstm_features, msa, scale_attention,
-    se_recalibrate,
+    N_CLASSES, SCALES, EmoMsase, ModelConfig, VARIANTS, fuse_and_classify,
+    lstm_features, msa, scale_attention, se_recalibrate,
 )
 
 from reference_impls import (
@@ -80,30 +79,35 @@ def test_config_restrict():
 # LSTM stack
 # ---------------------------------------------------------------------------
 
-def test_init_lstm_stack_forget_bias():
-    rng = np.random.default_rng(0)
-    stack = init_lstm_stack(rng, "ch", f_in=6, hidden=4)
-    assert len(stack) == 2
-    for layer in stack:
-        b = layer.b.value
+def _stack(model, channel):
+    """The (wx, wh, b) triple of each of a channel's LSTM layers, bottom first."""
+    return [tuple(model.params[f"{channel}/lstm{layer}/{w}"] for w in ("wx", "wh", "b"))
+            for layer in range(2)]
+
+
+def test_lstm_params_forget_bias_and_fan_in():
+    model = EmoMsase(ModelConfig(domain_channels=(("Peripheral", ("ch",)),),
+                                 feature_sizes={"ch": 6}, hidden_size=4))
+    stack = _stack(model, "ch")
+    assert "ch/lstm2/wx" not in model.params
+    for _, _, b in stack:
+        b = b.value
         npt.assert_array_equal(b[4:8], np.ones(4))     # forget block at +1
         npt.assert_array_equal(b[:4], np.zeros(4))
         npt.assert_array_equal(b[8:], np.zeros(8))
-    assert stack[0].wx.value.shape == (6, 16)
-    assert stack[1].wx.value.shape == (4, 16)
+    assert stack[0][0].value.shape == (6, 16)
+    assert stack[1][0].value.shape == (4, 16)
     # fan-in bound on the uniform init
-    assert np.abs(stack[0].wx.value).max() <= 1.0 / np.sqrt(6)
+    assert np.abs(stack[0][0].value).max() <= 1.0 / np.sqrt(6)
 
 
 def test_lstm_features_matches_stacked_reference():
     rng = np.random.default_rng(1)
-    stack = init_lstm_stack(rng, "ch", f_in=3, hidden=4)
+    stack = _stack(EmoMsase(_micro_config(seed=1)), "EDA")
     x = rng.standard_normal((2, 6, 3))
     out = lstm_features(Tape(), Var(x), stack)
-    l1 = lstm_sequence_reference(x, stack[0].wx.value, stack[0].wh.value,
-                                 stack[0].b.value)
-    l2 = lstm_sequence_reference(l1, stack[1].wx.value, stack[1].wh.value,
-                                 stack[1].b.value)
+    l1 = lstm_sequence_reference(x, *(p.value for p in stack[0]))
+    l2 = lstm_sequence_reference(l1, *(p.value for p in stack[1]))
     npt.assert_allclose(out.value, l2, atol=1e-12)
     with pytest.raises(ShapeMismatchError):
         lstm_features(Tape(), Var(np.zeros((2, 6))), stack)
@@ -162,11 +166,10 @@ def test_se_matches_reference_and_shrinks():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         stacked = rng.standard_normal((2, 3, 8)) * rng.uniform(0.5, 5.0)
-        se = SeBlock(w1=Param("w1", rng.standard_normal((8, 2))),
-                     w2=Param("w2", rng.standard_normal((2, 8))))
-        out = se_recalibrate(Tape(), Var(stacked), se)
-        npt.assert_allclose(out.value,
-                            se_reference(stacked, se.w1.value, se.w2.value),
+        w1 = Param("w1", rng.standard_normal((8, 2)))
+        w2 = Param("w2", rng.standard_normal((2, 8)))
+        out = se_recalibrate(Tape(), Var(stacked), w1, w2)
+        npt.assert_allclose(out.value, se_reference(stacked, w1.value, w2.value),
                             atol=1e-12)
         assert np.all(np.abs(out.value) <= np.abs(stacked) + 1e-15)
 
@@ -174,12 +177,11 @@ def test_se_matches_reference_and_shrinks():
 def test_se_zero_weights_halve_exactly():
     rng = np.random.default_rng(5)
     stacked = rng.standard_normal((3, 2, 8))
-    se = SeBlock(w1=Param("w1", np.zeros((8, 2))),
-                 w2=Param("w2", np.zeros((2, 8))))
-    out = se_recalibrate(Tape(), Var(stacked), se)
+    se = Param("w1", np.zeros((8, 2))), Param("w2", np.zeros((2, 8)))
+    out = se_recalibrate(Tape(), Var(stacked), *se)
     npt.assert_array_equal(out.value, 0.5 * stacked)
     with pytest.raises(ShapeMismatchError):
-        se_recalibrate(Tape(), Var(stacked[:, 0]), se)
+        se_recalibrate(Tape(), Var(stacked[:, 0]), *se)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +192,14 @@ def test_fuse_and_classify_uniform_at_zero_head():
     rng = np.random.default_rng(6)
     blocks = [Var(rng.standard_normal((4, 2, 6))),
               Var(rng.standard_normal((4, 1, 6)))]
-    head = ClassifierHead(w=Param("w", np.zeros((18, 2))),
-                          b=Param("b", np.zeros(2)))
-    logits = fuse_and_classify(Tape(), blocks, head)
+    head = Param("w", np.zeros((18, 2))), Param("b", np.zeros(2))
+    logits = fuse_and_classify(Tape(), blocks, *head)
     npt.assert_array_equal(logits.value, np.zeros((4, 2)))
     npt.assert_allclose(ad.softmax(Tape(), logits).value, np.full((4, 2), 0.5))
     with pytest.raises(ShapeMismatchError):
-        fuse_and_classify(Tape(), [], head)
+        fuse_and_classify(Tape(), [], *head)
     with pytest.raises(ShapeMismatchError):
-        fuse_and_classify(Tape(), [blocks[0]], head)  # width 12 vs head 18
+        fuse_and_classify(Tape(), [blocks[0]], *head)  # width 12 vs head 18
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,50 @@ def test_parameter_census_and_determinism():
     other = EmoMsase(_micro_config(seed=1))
     assert any(not np.array_equal(a.value, b.value)
                for a, b in zip(model.parameters(), other.parameters()))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_params_are_keyed_by_name_in_draw_order(variant):
+    """Replaying the seed's draws over ``parameters()`` rebuilds every weight
+    bit for bit: each drawn weight is uniform within 1/sqrt(fan-in), its
+    first axis, and only the biases are not drawn."""
+    model = EmoMsase(_micro_config(variant=variant, seed=3))
+    assert all(key == p.name for key, p in model.params.items())
+    assert model.parameters() == list(model.params.values())
+    rng = np.random.default_rng(3)
+    for p in model.parameters():
+        if p.name.endswith("/b"):
+            continue
+        bound = 1.0 / np.sqrt(p.value.shape[0])
+        assert np.array_equal(p.value, rng.uniform(-bound, bound, p.value.shape)), p.name
+
+
+@pytest.mark.parametrize("variant,scales,se", [
+    ("lstmsa", ("short",), False),
+    ("lstmmsa", ("short", "medium", "long"), False),
+    ("emomsase", ("short", "medium", "long"), True),
+])
+def test_each_variant_holds_exactly_the_weights_it_reads(variant, scales, se):
+    model = EmoMsase(_micro_config(variant=variant))
+    expected = {"head/w", "head/b"}
+    for ch in ("ACC_Z", "EDA", "LAT_ACC"):
+        expected |= {f"{ch}/lstm{i}/{w}" for i in (0, 1) for w in ("wx", "wh", "b")}
+        expected |= {f"{ch}/attn/u_{scale}" for scale in scales}
+    if se:
+        expected |= {f"{d}/se/{w}" for d in ("Peripheral", "Trunk") for w in ("w1", "w2")}
+    assert set(model.params) == expected
+
+
+def test_weights_copied_by_name_reproduce_predict():
+    """The name map is the whole model: values copied by name into a model of
+    another seed give the source model's predictions bit for bit."""
+    source = EmoMsase(_micro_config(seed=0))
+    target = EmoMsase(_micro_config(seed=1))
+    inputs = _inputs(source.config, 5, seed=17)
+    assert not np.array_equal(target.predict(inputs), source.predict(inputs))
+    for name, p in source.params.items():
+        target.params[name].value[...] = p.value
+    assert np.array_equal(target.predict(inputs), source.predict(inputs))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

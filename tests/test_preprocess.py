@@ -237,6 +237,16 @@ def test_moving_average_edge_truncation():
     npt.assert_allclose(moving_average(np.ones(10), 4), np.ones(10))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), window=st.integers(1, 80), seed=_seeds)
+def test_moving_average_keeps_length_for_any_window(n, window, seed):
+    """Windows longer than the signal truncate to all of it at every sample."""
+    x = np.random.default_rng(seed).standard_normal(n)
+    out = moving_average(x, window)
+    assert out.shape == (n,)
+    npt.assert_allclose(out, moving_average_reference(x, window), atol=1e-12)
+
+
 def test_moving_average_matches_reference():
     rng = np.random.default_rng(7)
     for window in (1, 2, 3, 5, 64):
