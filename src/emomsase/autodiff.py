@@ -8,7 +8,8 @@ backpropagation through time in one step, and a log-sum-exp cross-entropy.
 An op computes in its operands' dtype and allocates in it, so its output
 and the gradients it passes back share that dtype; the LSTM layer casts its
 input to its weights' dtype.  A ``Param`` keeps its value's dtype, and so
-does its ``grad``.
+does its ``grad``, which exists only from the backward that first reaches
+the weight until an optimizer step consumes it.
 
 Values live in ``Var`` nodes; trainable leaves are ``Param``.  Each op
 appends a closure to the tape; ``Tape.backward`` seeds the output gradient
@@ -61,17 +62,14 @@ class Var:
 
 
 class Param(Var):
-    """Named trainable leaf; every backward adds into its gradient in place."""
+    """Named trainable leaf.  Its ``grad`` is None until a backward reaches it;
+    further backwards add into it in place until an optimizer step consumes it."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value: np.ndarray):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 class Tape:
@@ -104,16 +102,18 @@ class Tape:
 def _acc(var: Var, grad: np.ndarray) -> None:
     """Add ``grad`` into ``var.grad``.
 
-    A Param owns its gradient and sums in place.  Any other grad may be a
-    view of another node's (``reshape``, ``stack_rows``, ``concat``), so it
-    is never written into: a second contribution makes a new array.
+    A Param owns its gradient: the first contribution is copied in its dtype
+    (``_unbroadcast`` may pass on another node's grad as is), later ones sum
+    in place.  Any other grad may be a view of another node's (``reshape``,
+    ``stack_rows``, ``concat``), so it is never written into: a second
+    contribution makes a new array.
     """
     if not var.requires_grad:
         return
-    if isinstance(var, Param):
+    if var.grad is None:
+        var.grad = grad.astype(var.value.dtype) if isinstance(var, Param) else grad
+    elif isinstance(var, Param):
         var.grad += grad
-    elif var.grad is None:
-        var.grad = grad
     else:
         var.grad = var.grad + grad
 
@@ -327,9 +327,10 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     cell-candidate.  State starts at zero.  Returns the hidden sequence
     (B, T, H) as a view of time-major (T, B, H) storage; the backward
     closure runs full backpropagation through time, recomputing tanh(c)
-    from the kept c rather than keeping a (T, B, H) copy.  The three sigmoid
-    blocks of the weights enter halved (exact in binary floating point), so
-    one tanh per step activates all 4H gate columns in place.
+    from the kept c and the time-major input rows from x rather than keeping
+    either.  The three sigmoid blocks of the weights enter halved (exact in
+    binary floating point), so one tanh per step activates all 4H gate
+    columns in place.
     """
     bsz, t_len, f_in = x.value.shape
     if wx.value.shape[0] != f_in:
@@ -342,13 +343,12 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
     wxv, whv = wx.value, wh.value
     dtype = wxv.dtype
 
+    def time_major():  # x as (T*B, F) rows in the weights' dtype: one copy, none if it is both
+        return np.ascontiguousarray(x.value.transpose(1, 0, 2), dtype).reshape(-1, f_in)
+
     half = np.ones(4 * h_dim, dtype)
     half[:h3] = 0.5
-    # time-major in the weights' dtype in one copy, none if it already is both
-    xs = np.ascontiguousarray(x.value.transpose(1, 0, 2), dtype).reshape(t_len * bsz, f_in)
-    act = (xs @ (wxv * half)).reshape(t_len, bsz, 4 * h_dim)
-    if not tape.recording:
-        del xs  # only backward reads it again, so inference frees it before the states
+    act = (time_major() @ (wxv * half)).reshape(t_len, bsz, 4 * h_dim)
     act += b.value * half
     wh_half = whv * half
 
@@ -406,7 +406,7 @@ def lstm_layer(tape: Tape, x: Var, wx: Var, wh: Var, b: Var) -> Var:
             dc *= gates[:, h_dim:h2]
             np.matmul(dz, wh_t, out=dh_next)
         flat = dzs.reshape(t_len * bsz, 4 * h_dim)
-        _acc(wx, xs.T @ flat)
+        _acc(wx, time_major().T @ flat)
         _acc(wh, hs[:-1].reshape(t_len * bsz, h_dim).T @ flat)
         _acc(b, flat.sum(axis=0))
         if x.requires_grad:

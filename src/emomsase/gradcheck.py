@@ -82,7 +82,6 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
     labels = rng.integers(0, N_CLASSES, size=2)
 
     loss, tape = model.forward(batch, labels=labels)
-    model.zero_grad()
     tape.backward(loss)
 
     # Pooled per-modality feature values at the unperturbed parameters.
@@ -106,7 +105,7 @@ def grad_check(config: ModelConfig, tolerance: float = 1e-3, *,
     entries = []
     for param in model.parameters():
         touched = param.name.split("/")[0]  # its channel; a domain or head is none
-        analytic = param.grad.copy()
+        analytic = param.grad
         fd = np.empty_like(analytic)
         flat = param.value.reshape(-1)
         fd_flat = fd.reshape(-1)

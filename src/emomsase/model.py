@@ -216,15 +216,12 @@ class EmoMsase:
     def parameters(self) -> list[Param]:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def cast(self, dtype) -> None:
-        """Cast every weight and its gradient to ``dtype`` (no copy if already)."""
+        """Cast every weight, and a gradient where backward left one, to ``dtype``."""
         for p in self.parameters():
             p.value = p.value.astype(dtype, copy=False)
-            p.grad = p.grad.astype(dtype, copy=False)
+            if p.grad is not None:
+                p.grad = p.grad.astype(dtype, copy=False)
 
     def modality_cav(self, tape: Tape, x: Var, channel: str) -> Var:
         expected_f = self.config.feature_sizes[channel]

@@ -99,6 +99,8 @@ class AdamW:
     The decay step w -= lr * wd * w happens alongside (not inside) the
     moment-scaled gradient step, so decay is independent of the gradient
     history; a zero-gradient parameter still shrinks by lr * wd per step.
+    Each step takes every ``grad`` and leaves it None, one that backward did
+    not reach counting as 0; a non-finite one raises before anything moves.
     """
 
     def __init__(self, params: list[ad.Param], config: TrainConfig):
@@ -110,6 +112,9 @@ class AdamW:
         self._v = [np.zeros_like(p.value) for p in params]
 
     def step(self) -> None:
+        for p in self.params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TrainError(f"non-finite gradient for {p.name}")
         self.t += 1
         # both bias corrections fold into two scalars:
         # lr * m_hat / (sqrt(v_hat) + eps) = step * m / (sqrt(v) / root_c2 + eps)
@@ -117,9 +122,8 @@ class AdamW:
         root_c2 = (1.0 - BETA2 ** self.t) ** 0.5  # a Python float keeps float32 loops
         decay = self.lr * self.weight_decay
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainError(f"non-finite gradient for {p.name}")
+            g = np.zeros_like(p.value) if p.grad is None else p.grad
+            p.grad = None  # the step consumes it
             s = np.empty_like(g)  # the one temporary, reused by every update below
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=s)
@@ -151,8 +155,9 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         config: TrainConfig = TrainConfig()) -> tuple[EmoMsase, TrainLog]:
     """Train in place and return the model restored to its best-epoch weights.
 
-    Training is in ``DTYPE``: the weights and their gradients are cast first,
-    so steps, validation and the returned model's predictions are float32.
+    Training is in ``DTYPE``: the weights are cast first, so steps, validation
+    and the returned model's predictions are float32.  Each step consumes the
+    gradients its backward made, so the returned weights hold none.
     Batches come from a seeded shuffle each epoch, keeping a short last one.
     Stops once validation loss goes more than ``patience`` epochs without improving.
     """
@@ -176,7 +181,6 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
             loss, tape = model.forward(train_set.take(idx), labels=train_set.labels[idx])
             if not np.isfinite(loss.value):
                 raise TrainError(f"training loss diverged at epoch {epoch}")
-            model.zero_grad()
             tape.backward(loss)
             opt.step()
             total += float(loss.value) * idx.shape[0]

@@ -21,6 +21,7 @@ from emomsase.autodiff import (
 )
 from emomsase.gradcheck import micro_config
 from emomsase.model import EmoMsase, scale_attention
+from emomsase.train import AdamW, TrainConfig
 
 from reference_impls import cross_entropy_reference, fd_gradient, \
     lstm_backward_reference, lstm_sequence_reference, merge_timesteps_reference
@@ -428,7 +429,7 @@ def test_inference_tape_keeps_nothing_and_refuses_backward():
     with pytest.raises(TapeConsumedError, match="inference tape"):
         infer.backward(out)
     for p in (wx, wh, b):
-        assert not p.grad.any(), p.name
+        assert p.grad is None, p.name
 
 
 def test_lstm_keeps_no_cache_on_inference_tape():
@@ -454,8 +455,10 @@ def test_lstm_keeps_no_cache_on_inference_tape():
 
 def test_recorded_lstm_keeps_no_tanh_c_history():
     """A recording tape keeps c, and backward recomputes tanh(c) from it, so
-    the backward closure holds (T + 1)-row states but no (T, B, H) array."""
-    shape = bsz, t_len, _, h_dim = (3, 5, 2, 4)
+    the backward closure holds (T + 1)-row states but no (T, B, H) array.  It
+    holds no (T*B, F) time-major input copy either: the forward frees it
+    after the input projection, and backward rebuilds it from x."""
+    shape = bsz, t_len, f_in, h_dim = (3, 5, 2, 4)
     x, wx, wh, b, d_out = _lstm_draw(33, shape)
     vs = [Var(a) for a in (x, wx, wh, b)]
     tape = Tape()
@@ -464,6 +467,7 @@ def test_recorded_lstm_keeps_no_tanh_c_history():
     held = {c.cell_contents.shape for c in back.__closure__
             if isinstance(c.cell_contents, np.ndarray)}
     assert (t_len + 1, bsz, h_dim) in held and (t_len, bsz, h_dim) not in held
+    assert (t_len * bsz, f_in) not in held
     out.grad = d_out  # replay by hand with this output gradient
     back()
     for v, ref, name in zip(vs, lstm_backward_reference(x, wx, wh, b, d_out),
@@ -479,8 +483,26 @@ def test_param_accumulates_across_tapes():
         out = ad.matmul(tape, x, w)
         tape.backward(out)
     npt.assert_allclose(w.grad, 2.0 * np.ones((2, 2)))
-    w.zero_grad()
-    npt.assert_array_equal(w.grad, np.zeros((2, 2)))
+    AdamW([w], TrainConfig()).step()  # a step consumes the gradient
+    assert w.grad is None
+
+
+def test_param_gradient_starts_at_first_backward_and_aliases_nothing():
+    """A Param's first gradient is a copy, even where ``_unbroadcast`` hands
+    it the output's gradient itself, so the next backward sums into the
+    Param's own array and leaves that output's gradient as it was."""
+    w = Param("w", np.ones((2, 3)))
+    assert w.grad is None
+    h = Var(np.full((2, 3), 2.0))  # a non-Param of the same shape
+    tape = Tape()
+    out = ad.add(tape, w, h)
+    tape.backward(out)
+    assert not np.shares_memory(w.grad, out.grad)
+    npt.assert_array_equal(w.grad, np.ones((2, 3)))
+    tape = Tape()
+    tape.backward(ad.add(tape, w, h))
+    npt.assert_array_equal(w.grad, 2.0 * np.ones((2, 3)))
+    npt.assert_array_equal(out.grad, np.ones((2, 3)))
 
 
 def test_shared_intermediate_sums_its_gradients_without_mutating_upstream():
@@ -599,9 +621,10 @@ def test_float32_step_allocates_no_float64(monkeypatch):
         monkeypatch.setattr(ad, "np", recorder)
         loss, tape = model.forward({ch: x.astype(dtype) for ch, x in batch.items()},
                                    labels=np.array([0, 1, 1]))
-        model.zero_grad()
         tape.backward(loss)
         monkeypatch.undo()
+        for p in model.parameters():
+            assert p.grad.dtype == np.float32, p.name
         assert recorder.float_dtypes
         wide = [(name, dt) for name, dt in recorder.float_dtypes if dt != np.float32]
         assert not wide, (dtype, wide)
@@ -658,4 +681,6 @@ def test_values_keep_their_float_dtype():
     assert Param("i", np.array([1, 2, 3])).value.dtype == np.float64
     for dtype in (np.float32, np.float64):
         p = Param("p", np.ones(3, dtype=dtype))
+        tape = Tape()
+        tape.backward(ad.mul(tape, p, ad.leaf(np.ones(3))))  # a float64 contribution
         assert p.value.dtype == dtype and p.grad.dtype == dtype

@@ -315,7 +315,6 @@ def test_every_parameter_reaches_the_loss(variant):
     batch = {ch: rng.standard_normal((2, 6, cfg.feature_sizes[ch]))
              for ch in cfg.channels}
     loss, tape = model.forward(batch, labels=np.array([0, 1]))
-    model.zero_grad()
     tape.backward(loss)
     for p in params:
         assert np.abs(p.grad).max() > 0.0, p.name
@@ -332,18 +331,18 @@ F32_GRAD_GAP = 2e-3
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(VARIANTS))
 def test_float32_tape_gradients_track_float64(seed, variant):
     cfg = micro_config(variant=variant, seed=seed)
-    model = EmoMsase(cfg)
     rng = np.random.default_rng(seed)
     batch = {ch: rng.standard_normal((4, 6, cfg.feature_sizes[ch]))
              for ch in cfg.channels}
     labels = rng.integers(0, N_CLASSES, size=4)
     grads = {}
-    for dtype in (np.float64, np.float32):  # float64 first: the cast rounds the weights
+    for dtype in (np.float64, np.float32):  # one seed's weights, cast to each dtype
+        model = EmoMsase(cfg)
         model.cast(dtype)
-        model.zero_grad()
         loss, tape = model.forward(batch, labels=labels)
         assert loss.value.dtype == dtype
         tape.backward(loss)
+        assert all(p.grad.dtype == dtype for p in model.parameters())
         grads[dtype] = [p.grad.copy() for p in model.parameters()]
     for p, g32, g64 in zip(model.parameters(), grads[np.float32], grads[np.float64]):
         gap = np.abs(g32 - g64).max() / max(np.abs(g64).max(), 1e-4)
@@ -397,7 +396,7 @@ def test_predict_leaves_gradients_and_tape_empty():
     model = EmoMsase(_micro_config())
     rng = np.random.default_rng(12)
     for p in model.parameters():
-        p.grad[...] = rng.standard_normal(p.grad.shape)
+        p.grad = rng.standard_normal(p.value.shape)
     before = [p.grad.copy() for p in model.parameters()]
     inputs = _inputs(model.config, 5, seed=13)
     model.predict(inputs, batch_size=2)
@@ -407,6 +406,19 @@ def test_predict_leaves_gradients_and_tape_empty():
     model.logits(tape, inputs)
     assert tape._steps == []
     assert model.forward(inputs)[1]._steps
+
+
+def test_gradients_exist_only_from_backward_to_step():
+    """A fresh model holds no gradient, nor does one that predicted or ran a
+    recording forward without backward; a backward makes one per weight."""
+    model = EmoMsase(_micro_config())
+    inputs = _inputs(model.config, 3, seed=14)
+    assert all(p.grad is None for p in model.parameters())
+    model.predict(inputs, batch_size=2)
+    loss, tape = model.forward(inputs, labels=np.array([0, 1, 1]))
+    assert all(p.grad is None for p in model.parameters())
+    tape.backward(loss)
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def _traced_peak(fn) -> int:

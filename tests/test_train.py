@@ -118,7 +118,7 @@ def test_adamw_matches_elementwise_reference():
     p = Param("p", start.copy())
     opt = AdamW([p], config)
     for g in grads:
-        p.grad[...] = g
+        p.grad = g
         opt.step()
     ref = adamw_steps_reference(start, grads, lr=0.01, beta1=train_mod.BETA1,
                                 beta2=train_mod.BETA2, eps=train_mod.EPS,
@@ -136,7 +136,7 @@ def test_adamw_decay_moves_zero_gradient_weights():
 def test_adamw_first_step_is_signed_learning_rate():
     # with bias correction the first update is lr * g / (|g| + eps)
     p = Param("p", np.array([0.0, 0.0]))
-    p.grad[...] = np.array([0.5, -2.0])
+    p.grad = np.array([0.5, -2.0])
     opt = AdamW([p], TrainConfig(learning_rate=0.01, weight_decay=0.0))
     opt.step()
     npt.assert_allclose(p.value, [-0.01, 0.01], rtol=1e-6)
@@ -144,10 +144,32 @@ def test_adamw_first_step_is_signed_learning_rate():
 
 def test_adamw_rejects_non_finite_gradients():
     p = Param("p", np.ones(2))
-    p.grad[...] = [np.nan, 0.0]
+    p.grad = np.array([np.nan, 0.0])
     opt = AdamW([p], TrainConfig())
     with pytest.raises(TrainError, match="non-finite gradient for p$"):
         opt.step()
+
+
+def test_adamw_step_that_raises_moves_nothing():
+    first, second = Param("first", np.ones(2)), Param("second", np.ones(2))
+    opt = AdamW([first, second], TrainConfig())
+    first.grad, second.grad = np.array([0.5, -1.0]), np.array([0.0, np.nan])
+    with pytest.raises(TrainError, match="non-finite gradient for second$"):
+        opt.step()
+    assert opt.t == 0
+    npt.assert_array_equal(first.value, np.ones(2))
+    for moment in opt._m + opt._v:
+        npt.assert_array_equal(moment, np.zeros(2))
+
+
+def test_adamw_step_consumes_gradients_and_steps_unreached_weights_as_zero():
+    reached, unreached = Param("reached", np.ones(2)), Param("unreached", np.ones(2))
+    zero = Param("zero", np.ones(2))
+    opt = AdamW([reached, unreached, zero], TrainConfig(weight_decay=0.5))
+    reached.grad, zero.grad = np.array([0.5, -1.0]), np.zeros(2)
+    opt.step()
+    assert reached.grad is None and unreached.grad is None and zero.grad is None
+    assert unreached.value.tobytes() == zero.value.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +275,16 @@ F32_PREDICT_GAP = 2.4e-7
 
 
 def test_fit_trains_in_float32_and_predicts_in_float32(monkeypatch):
-    optimizers = []
+    optimizers, grad_dtypes = [], set()
 
     class RecordedAdamW(AdamW):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             optimizers.append(self)
+
+        def step(self):  # gradients exist from backward to the step
+            grad_dtypes.update(p.grad.dtype for p in self.params)
+            super().step()
 
     monkeypatch.setattr(train_mod, "AdamW", RecordedAdamW)
     model = EmoMsase(_tiny_config())
@@ -277,8 +303,9 @@ def test_fit_trains_in_float32_and_predicts_in_float32(monkeypatch):
     assert loss_dtypes == [np.float32] * 4
     (opt,) = optimizers
     assert opt.t == 4
-    for p in model.parameters():  # restored best-epoch weights and last grads
-        assert p.value.dtype == np.float32 and p.grad.dtype == np.float32, p.name
+    assert grad_dtypes == {np.dtype(np.float32)}
+    for p in model.parameters():  # restored best-epoch weights; each step consumed its grads
+        assert p.value.dtype == np.float32 and p.grad is None, p.name
     for moment in opt._m + opt._v:
         assert moment.dtype == np.float32
     # inference computes in the weights' dtype: one chunk equals a float32 forward
