@@ -115,6 +115,9 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             settings["synth"][key] = value
     if settings["cache"] is None:
         settings["cache"] = os.environ.get(CACHE_ENV)
+    for key in ("cache", "ratings", "g2", "out"):
+        if not (settings[key] is None or isinstance(settings[key], str)):
+            raise UsageError(f"setting {key} must be a path string, not {settings[key]!r}")
     for key, choices in CHOICES.items():
         if settings[key] not in choices:
             raise UsageError(f"setting {key} must be one of {', '.join(choices)}, "

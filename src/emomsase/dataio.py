@@ -1,4 +1,4 @@
-"""Recording ingest, self-assessment ratings, label derivation, synthetic data.
+"""Channel catalogue, recording and rating ingest, label derivation, synthetic data.
 
 File formats (all CSV with a header row and LF line ends; readers accept CRLF):
   sensor file   timestamp_ms,value          one file per participant/video/channel
@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,61 +68,42 @@ class LabelCase(str, Enum):
     G2 = "g2"
 
 
-# Channel catalogue: canonical domain and the native sampling rate where the
-# hardware fixes one.  Temperature and eye-position channels carry whatever
-# rate the manifest declares (eye traces are unit-rate coordinate streams).
-CHANNEL_CATALOG: dict[str, tuple[Domain, float | None]] = {
-    "ACC_X": (Domain.PERIPHERAL, 64.0),
-    "ACC_Y": (Domain.PERIPHERAL, 64.0),
-    "ACC_Z": (Domain.PERIPHERAL, 64.0),
-    "TEMP": (Domain.PERIPHERAL, None),
-    "EDA": (Domain.PERIPHERAL, 4.0),
-    "BVP": (Domain.PERIPHERAL, 64.0),
-    "ECG1": (Domain.TRUNK, 256.0),
-    "ECG2": (Domain.TRUNK, 256.0),
-    "LAT_ACC": (Domain.TRUNK, 256.0),
-    "LONG_ACC": (Domain.TRUNK, 256.0),
-    "VERT_ACC": (Domain.TRUNK, 256.0),
-    "GSR": (Domain.TRUNK, 256.0),
-    "L_EP_X": (Domain.HEAD, None),
-    "L_EP_Y": (Domain.HEAD, None),
-    "L_EP_Z": (Domain.HEAD, None),
-    "R_EP_X": (Domain.HEAD, None),
-    "R_EP_Y": (Domain.HEAD, None),
-    "R_EP_Z": (Domain.HEAD, None),
+class Channel(NamedTuple):
+    """What the package knows of one channel, one row of ``CHANNEL_CATALOG``."""
+
+    domain: Domain          # the domain of the device that records it
+    rate_hz: float | None   # fixed by the hardware; None where the manifest declares it
+    synth_hz: float         # the rate synthetic data is drawn at
+    tone_hz: float | None   # the High-class synthetic tone; None: no synthetic recipe
+
+
+# Each tone is chosen to survive its channel's conditioning chain: Hz, or cycles
+# per sample for the eye traces, which are unit-rate coordinate streams.
+CHANNEL_CATALOG: dict[str, Channel] = {
+    "ACC_X": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
+    "ACC_Y": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
+    "ACC_Z": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
+    "TEMP": Channel(Domain.PERIPHERAL, None, 4.0, 0.3),
+    "EDA": Channel(Domain.PERIPHERAL, 4.0, 4.0, 0.25),
+    "BVP": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
+    "ECG1": Channel(Domain.TRUNK, 256.0, 256.0, 5.0),
+    "ECG2": Channel(Domain.TRUNK, 256.0, 256.0, 5.0),
+    "LAT_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0),
+    "LONG_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0),
+    "VERT_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0),
+    "GSR": Channel(Domain.TRUNK, 256.0, 256.0, None),
+    "L_EP_X": Channel(Domain.HEAD, None, 1.0, 0.025),
+    "L_EP_Y": Channel(Domain.HEAD, None, 1.0, 0.025),
+    "L_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025),
+    "R_EP_X": Channel(Domain.HEAD, None, 1.0, 0.025),
+    "R_EP_Y": Channel(Domain.HEAD, None, 1.0, 0.025),
+    "R_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025),
 }
 
 EYE_CHANNELS = ("L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_X", "R_EP_Y", "R_EP_Z")
 # The paper's best channel combination, in domain order: what synth and run default to.
 BEST_CHANNELS = ("ACC_Z", "EDA", "TEMP", "LAT_ACC", "LONG_ACC",
                  "L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_Y", "R_EP_Z")
-
-# Rates used when synthesising data for channels whose catalogue rate is open.
-SYNTH_RATES: dict[str, float] = {"TEMP": 4.0}
-SYNTH_RATES.update({ch: 1.0 for ch in EYE_CHANNELS})
-
-# Tone frequency injected into positive-class synthetic recordings, chosen to
-# survive each channel's conditioning chain (Hz; cycles per sample for eyes).
-SYNTH_TONE_HZ: dict[str, float] = {
-    "ACC_X": 2.0, "ACC_Y": 2.0, "ACC_Z": 2.0,
-    "LAT_ACC": 2.0, "LONG_ACC": 2.0, "VERT_ACC": 2.0,
-    "ECG1": 5.0, "ECG2": 5.0,
-    "EDA": 0.25,
-    "BVP": 2.0,
-    "TEMP": 0.3,
-}
-SYNTH_TONE_HZ.update({ch: 0.025 for ch in EYE_CHANNELS})
-
-
-def synth_rate(channel: str) -> float:
-    """Sampling rate used for a channel when generating synthetic data."""
-    domain_rate = CHANNEL_CATALOG.get(channel)
-    if domain_rate is None:
-        raise DataError(f"unknown channel {channel!r}")
-    rate = domain_rate[1]
-    if rate is None:
-        rate = SYNTH_RATES[channel]
-    return rate
 
 
 @dataclass
@@ -326,15 +308,16 @@ class LabelLookup:
 class SyntheticSpec:
     """Recipe for a deterministic class-conditioned synthetic dataset.
 
-    Positive-class recordings carry an additive sinusoid of amplitude
-    ``class_separation`` on top of unit-variance noise; at 0 the two classes
-    are statistically identical.
+    Each of ``channels`` is a ``CHANNEL_CATALOG`` name, drawn at its row's
+    ``synth_hz``. Positive-class recordings carry an additive sinusoid at the
+    row's ``tone_hz``, of amplitude ``class_separation``, on top of
+    unit-variance noise; at 0 the two classes are statistically identical.
     """
 
     n_participants: int
     seed: int
     class_separation: float
-    channels: tuple[tuple[str, float], ...]  # (channel, sample_rate_hz)
+    channels: tuple[str, ...]
 
     def __post_init__(self):
         if self.n_participants <= 0:
@@ -344,18 +327,19 @@ class SyntheticSpec:
                             f"not {self.class_separation}")
         if not self.channels:
             raise DataError("need at least one channel")
+        for i, ch in enumerate(self.channels):
+            if ch not in CHANNEL_CATALOG:
+                raise DataError(f"unknown channel {ch!r}")
+            if CHANNEL_CATALOG[ch].tone_hz is None:
+                raise DataError(f"no synthetic recipe for channel {ch!r}; the trunk unit "
+                                f"records it but the pipeline leaves it out")
+            if ch in self.channels[:i]:
+                raise DataError(f"channel {ch!r} is listed more than once")
 
 
-def default_synth_channels(channels: list[str] | None = None) -> tuple[tuple[str, float], ...]:
-    """Pair channel names with their synthesis rates (best combination by default)."""
-    if channels is None:
-        channels = BEST_CHANNELS
-    for ch in channels:
-        if ch not in SYNTH_TONE_HZ:
-            raise DataError(
-                f"no synthetic recipe for channel {ch!r}; the trunk unit "
-                f"records it but the pipeline leaves it out")
-    return tuple((ch, synth_rate(ch)) for ch in channels)
+def default_synth_channels(channels: list[str] | None = None) -> tuple[str, ...]:
+    """Channel names for a ``SyntheticSpec``, the best combination by default."""
+    return tuple(BEST_CHANNELS if channels is None else channels)
 
 
 def video_class(video_index: int) -> int:
@@ -383,18 +367,14 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[list[RawRecording], list[SamRat
         sex = Sex.FEMALE if p % 4 == 3 else Sex.MALE
         for v, vid in enumerate(videos):
             cls = video_class(v)
-            for channel, rate in spec.channels:
-                domain = CHANNEL_CATALOG[channel][0]
-                if channel in EYE_CHANNELS:
-                    n = SYNTH_EYE_SAMPLES
-                    t = np.arange(n, dtype=np.float64)  # unit-rate: cycles/sample
-                else:
-                    n = int(round(SYNTH_DURATION_S * rate))
-                    t = np.arange(n, dtype=np.float64) / rate
+            for channel in spec.channels:
+                domain, _, rate, tone = CHANNEL_CATALOG[channel]
+                n = (SYNTH_EYE_SAMPLES if channel in EYE_CHANNELS
+                     else int(round(SYNTH_DURATION_S * rate)))
+                t = np.arange(n, dtype=np.float64) / rate
                 x = rng.standard_normal(n) * SYNTH_NOISE_STD
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 if cls == HIGH:
-                    tone = SYNTH_TONE_HZ[channel]
                     x = x + spec.class_separation * np.sin(2.0 * np.pi * tone * t + phase)
                 recordings.append(RawRecording(
                     participant_id=pid,
@@ -527,7 +507,8 @@ def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with warnings.catch_warnings():  # a file with no rows is our error, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
+                              comments=None)  # no table has comments
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     if data.size == 0:
@@ -556,7 +537,7 @@ def _load_recording(data_dir: Path, row: dict) -> RawRecording:
         raise DataError(f"{fpath}: sample_rate_hz {raw_rate!r} is not a number") from None
     if channel not in CHANNEL_CATALOG:
         raise DataError(f"{fpath}: unknown channel {channel!r}")
-    domain, native_hz = CHANNEL_CATALOG[channel]
+    domain, native_hz, _, _ = CHANNEL_CATALOG[channel]
     if row["domain"] != domain.value:
         raise DataError(f"{fpath}: {channel} belongs to domain "
                         f"{domain.value}, manifest says {row['domain']!r}")
@@ -587,11 +568,18 @@ def load_recordings(data_dir: Path) -> list[RawRecording]:
                     key=("participant_id", "video_id", "channel"))
 
 
+def _score(text: str) -> int:
+    score = int(text)
+    if not RATING_MIN <= score <= RATING_MAX:
+        raise ValueError(f"rating {score} outside {RATING_MIN}..{RATING_MAX}")
+    return score
+
+
 def load_ratings(path: Path) -> list[SamRating]:
     return read_csv(path, "ratings file", RATINGS_COLUMNS, lambda row: SamRating(
         participant_id=row["participant_id"],
         video_id=row["video_id"],
-        **{dim: int(row[dim]) for dim in DIMENSIONS},
+        **{dim: _score(row[dim]) for dim in DIMENSIONS},
         sex=Sex(row["sex"]),
     ), key=("participant_id", "video_id"))
 

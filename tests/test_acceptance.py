@@ -51,7 +51,7 @@ def test_criterion_01_window_shapes():
 
     mismatches = []
     for rec in recordings:
-        domain, _ = dataio.CHANNEL_CATALOG[rec.channel]
+        domain = dataio.CHANNEL_CATALOG[rec.channel].domain
         shape = preprocess.preprocess_channel(rec).values.shape
         if shape != expected_by_domain[domain]:
             mismatches.append((rec.channel, shape))

@@ -117,3 +117,18 @@ def test_infer_workload_reads_stacked_sample_tensors(monkeypatch, tmp_path):
     for ch, x in st["inputs"].items():
         assert type(x) is np.ndarray and x.dtype == DTYPE
         assert np.array_equal(x, np.stack([s.tensors[ch] for s in samples]))
+
+
+def test_ingest_probe_passes_its_gates(monkeypatch, tmp_path):
+    """The traced run's ingest probe: the cache `synth` and `preprocess`
+    build must equal, byte for byte, the library's conditioning of the same
+    ``make_synthetic`` output, and a warm pass must hit every entry."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    probe = workloads.INGEST_PROBE
+    st = probe.setup(tmp_path / "setup", seed=0)
+    out = probe.run_pass(st, spans.Tracer(), tmp_path / "pass")
+    fails, _ = probe.check(st, out)
+    assert fails == []

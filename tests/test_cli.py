@@ -214,9 +214,10 @@ G2_HEADER = "video_id,g2_valence,g2_arousal\n"
     ("ratings.csv", RATINGS_HEADER + "p01,video01,6,6,Male\np01,video01,2,2,Male\n", 3),
     ("g2_table.csv", G2_HEADER + "video01,HV,HA\nvideo01,LV,LA\n", 3),
     ("g2_table.csv", G2_HEADER + "video01,HA,HA\n", 2),
+    ("ratings.csv", RATINGS_HEADER + "p01,video01,9,2,Male\n", 2),
 ], ids=["manifest-no-rate-column", "ratings-no-sex-column", "ratings-not-a-number",
         "g2-unknown-code", "g2-short-row", "ratings-long-row", "ratings-repeated-pair",
-        "g2-repeated-video", "g2-arousal-code-for-valence"])
+        "g2-repeated-video", "g2-arousal-code-for-valence", "ratings-out-of-scale"])
 def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, capsys,
                                                       table, text, line):
     path = tmp_path / table
@@ -531,7 +532,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
             (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty"),
             (synth, {"synth": {"channels": ["EDA", "TEMP", "EDA"]}},
-             "setting synth.channels lists 'EDA' more than once")]:
+             "setting synth.channels lists 'EDA' more than once"),
+            (["synth"], {"out": 5}, "setting out must be a path string, not 5"),
+            (["run"], {"cache": ["x"], "ratings": "r.csv", "out": "o"},
+             "setting cache must be a path string, not ['x']"),
+            (["preprocess", "--data", str(tmp_path)], {"cache": 3},
+             "setting cache must be a path string, not 3")]:
         bad.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main([*command, "--config", str(bad)]) == 2, cfg

@@ -237,6 +237,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n_participants=1, seed=0, class_separation=-0.1, channels=chans)
     with pytest.raises(DataError):
         SyntheticSpec(n_participants=1, seed=0, class_separation=1.0, channels=())
+    for channels, message in [(["EDA", "Hed"], "unknown channel 'Hed'"),
+                              (["GSR"], "no synthetic recipe for channel 'GSR'"),
+                              (["EDA", "TEMP", "EDA"], "channel 'EDA' is listed more than once")]:
+        with pytest.raises(DataError, match=f"^{message}"):
+            SyntheticSpec(n_participants=1, seed=0, class_separation=1.0,
+                          channels=dataio.default_synth_channels(channels))
 
 
 # Every non-finite float64: the all-ones exponent with any mantissa (0 is
@@ -336,12 +342,17 @@ def test_manifest_refuses_a_repeated_recording(tmp_path):
         dataio.load_recordings(tmp_path)
 
 
-def test_unparseable_sensor_value_names_its_file(tmp_path):
-    (tmp_path / "rec.csv").write_text("timestamp_ms,value\n0,0.5\n250,abc\n")
+@pytest.mark.parametrize("rows, message", [
+    ("0,0.5\n250,abc\n", "'abc'"),
+    ("0,0.5\n# note\n250,nan\n", "columns changed"),  # a comment is no row
+    ("0,0.5\n250,2.0 # note\n", r"'2\.0 # note'"),
+], ids=["not-a-number", "comment-line", "trailing-comment"])
+def test_unparseable_sensor_value_names_its_file(tmp_path, rows, message):
+    (tmp_path / "rec.csv").write_text("timestamp_ms,value\n" + rows)
     (tmp_path / "manifest.csv").write_text(
         "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
         "rec.csv,p01,video01,Peripheral,EDA,4.0\n")
-    with pytest.raises(DataError, match=r"rec\.csv: .*'abc'"):
+    with pytest.raises(DataError, match=r"rec\.csv: .*" + message):
         dataio.load_recordings(tmp_path)
 
 

@@ -409,13 +409,16 @@ def test_preprocess_channel_full_chain_shapes():
 def test_every_piped_channel_has_a_chain():
     assert set(dataio.CHANNEL_CATALOG) - set(CHAINS) == {"GSR"}
     assert set(CHAINS) <= set(dataio.CHANNEL_CATALOG)
+    # synth can draw exactly the channels the pipeline conditions
+    assert {ch for ch, row in dataio.CHANNEL_CATALOG.items()
+            if row.tone_hz is not None} == set(CHAINS)
 
 
 @settings(max_examples=40, deadline=None)
 @given(channel=st.sampled_from(sorted(CHAINS)), seed=_seeds, extra=st.floats(0.0, 1.0))
 def test_every_chain_gives_its_declared_shape(channel, seed, extra):
     chain = CHAINS[channel]
-    rate = dataio.synth_rate(channel)
+    rate = dataio.CHANNEL_CATALOG[channel].synth_hz
     # the shortest stream that still fills the tail at the working rate
     shortest = chain.tail if chain.rate_hz is None else int(
         np.ceil(chain.tail * rate / chain.rate_hz))
