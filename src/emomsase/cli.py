@@ -51,7 +51,7 @@ DEFAULTS = {
     "labels": "general",
     "boundary": "le4",
     "domains": [d.value for d in Domain],
-    "channels": {d.value: [ch for ch in BEST_CHANNELS if CHANNEL_CATALOG[ch][0] is d]
+    "channels": {d.value: [ch for ch in BEST_CHANNELS if CHANNEL_CATALOG[ch].domain is d]
                  for d in Domain},
     "split": "kfold5",
     "fusion": "modality",
@@ -125,17 +125,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     if _cast("seed", settings["seed"], int) < 0:
         raise UsageError(f"setting seed must be >= 0, not {settings['seed']!r}")
     settings["domains"] = _parse_domains(settings["domains"])
-    _check_channels(settings["channels"])
-    synth_channels = settings["synth"]["channels"]
-    if synth_channels is not None and not (isinstance(synth_channels, list) and synth_channels):
-        raise UsageError(f"setting synth.channels must be a non-empty list, "
-                         f"not {synth_channels!r}")
-    for i, ch in enumerate(synth_channels or []):
-        if not isinstance(ch, str) or ch not in preprocess.CHAINS:
-            raise UsageError(f"setting synth.channels names {ch!r}, "
-                             f"which has no conditioning chain")
-        if ch in synth_channels[:i]:
-            raise UsageError(f"setting synth.channels lists {ch!r} more than once")
+    _check_channels(settings["channels"], settings["synth"]["channels"])
     return settings
 
 
@@ -154,31 +144,29 @@ def _parse_domains(spec: str | list) -> list[str]:
     return [d for token, d in canon.items() if token in picked]
 
 
-def _check_channels(channels) -> None:
-    """Each ``channels`` entry lists conditioned channels of the domain it is keyed by."""
-    domains = [d.value for d in Domain]
-    lists = isinstance(channels, dict) and all(isinstance(v, list) for v in channels.values())
-    if not lists:
+def _check_channels(channels, synth_channels) -> None:
+    """``channels`` maps domains to lists and ``synth.channels`` is None or a
+    non-empty list; ``dataio.check_channels`` judges each list."""
+    if not (isinstance(channels, dict) and all(isinstance(v, list) for v in channels.values())):
         raise UsageError(f"setting channels must map domains to lists, not {channels!r}")
-    for domain, names in channels.items():
-        if domain not in domains:
+    if synth_channels is not None and not (isinstance(synth_channels, list) and synth_channels):
+        raise UsageError(f"setting synth.channels must be a non-empty list, "
+                         f"not {synth_channels!r}")
+    domains = [d.value for d in Domain]
+    checks = [("channels", names, domain) for domain, names in channels.items()]
+    for key, names, domain in checks + [("synth.channels", synth_channels or [], None)]:
+        if domain not in (None, *domains):
             raise UsageError(f"channels key {domain!r} is not a domain "
                              f"(choose from {', '.join(domains)})")
-        for i, ch in enumerate(names):
-            if not isinstance(ch, str) or CHANNEL_CATALOG.get(ch, (None,))[0] != domain:
-                raise UsageError(f"channel {ch!r} is not a {domain} channel")
-            if ch not in preprocess.CHAINS:
-                raise UsageError(f"channel {ch!r} has no conditioning chain")
-            if ch in names[:i]:
-                raise UsageError(f"channel {ch!r} is listed more than once")
+        try:
+            dataio.check_channels(names, domain)
+        except dataio.DataError as exc:
+            raise UsageError(f"setting {key}: {exc}") from None
 
 
 def _model_config(settings: dict) -> ModelConfig:
-    domain_channels = []
-    for domain in settings["domains"]:
-        channels = settings["channels"].get(domain, [])
-        if channels:
-            domain_channels.append((domain, tuple(channels)))
+    domain_channels = [(domain, tuple(settings["channels"][domain]))
+                       for domain in settings["domains"] if settings["channels"].get(domain)]
     if not domain_channels:
         raise UsageError("no channels configured for the selected domains")
     feature_sizes = {ch: preprocess.feature_size(ch)
@@ -222,10 +210,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if settings["out"] is None:
         raise UsageError("synth needs --out (or an \"out\" config entry)")
     synth = settings["synth"]
-    channels = synth["channels"]
-    if channels is None:
-        channels = [ch for d in settings["domains"]
-                    for ch in settings["channels"].get(d, [])]
+    channels = synth["channels"] or [ch for d in settings["domains"]
+                                     for ch in settings["channels"].get(d, [])]
     spec = dataio.SyntheticSpec(
         n_participants=_cast("participants", synth["participants"], int),
         seed=_cast("seed", settings["seed"], int),

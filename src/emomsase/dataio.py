@@ -1,5 +1,8 @@
 """Channel catalogue, recording and rating ingest, label derivation, synthetic data.
 
+A ``CHANNEL_CATALOG`` row holds a channel's domain, rates, synthetic tone and
+conditioning chain; ``check_channels`` decides whether a channel list is usable.
+
 File formats (all CSV with a header row and LF line ends; readers accept CRLF):
   sensor file   timestamp_ms,value          one file per participant/video/channel
   manifest      file,participant_id,video_id,domain,channel,sample_rate_hz
@@ -16,6 +19,7 @@ import csv
 import io
 import itertools
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,6 +41,14 @@ RATING_MAX = 7
 SYNTH_DURATION_S = 60.0
 SYNTH_EYE_SAMPLES = 2500
 SYNTH_NOISE_STD = 1.0
+
+TAIL_SECONDS = 40.0
+WINDOW_SECONDS = 2.0
+EYE_TAIL_SAMPLES = 2000
+EYE_WINDOW_SAMPLES = 200
+FILTER_ORDER = 4
+BAND_PASS = "bandpass"
+LOW_PASS = "lowpass"
 
 
 class DataError(ValueError):
@@ -68,42 +80,106 @@ class LabelCase(str, Enum):
     G2 = "g2"
 
 
+@dataclass(frozen=True)
+class FilterSpec:
+    """A Butterworth band-pass or low-pass filter of even order."""
+
+    kind: str
+    low_hz: float | None = None
+    high_hz: float | None = None
+    order: int = FILTER_ORDER
+
+    def __post_init__(self):
+        if self.kind not in (BAND_PASS, LOW_PASS):
+            raise DataError(f"unknown filter kind {self.kind!r}")
+        if self.high_hz is None or (self.kind == BAND_PASS and self.low_hz is None):
+            raise DataError("band-pass needs both cutoffs" if self.kind == BAND_PASS
+                            else "low-pass needs a cutoff")
+        if type(self.order) is not int or self.order < 2 or self.order % 2:
+            raise DataError(f"filter order must be an even integer >= 2, got {self.order!r}")
+
+
+@dataclass(frozen=True)
+class Chain:
+    """How one channel is conditioned before windowing.
+
+    ``rate_hz`` is the rate the stream is filtered and windowed at; slower
+    streams are upsampled to it.  None marks a sample-indexed eye trace,
+    whose declared rate is ignored.  ``tail`` and ``window`` count samples.
+    Its ``repr`` is part of every cache key of the channel's tensors.
+    """
+
+    rate_hz: float | None
+    filter: FilterSpec | None
+    smooth_len: int | None
+    tail: int
+    window: int
+
+
+def _sensor(rate_hz: float, spec: FilterSpec | None = None, smooth_len: int | None = None):
+    return Chain(rate_hz, spec, smooth_len, tail=int(round(TAIL_SECONDS * rate_hz)),
+                 window=int(round(WINDOW_SECONDS * rate_hz)))
+
+
+_MOTION = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=20.0)
+_ECG = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=45.0)
+_BVP = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=4.0)
+_EDA = FilterSpec(LOW_PASS, high_hz=0.5)
+_EYE = Chain(None, None, None, EYE_TAIL_SAMPLES, EYE_WINDOW_SAMPLES)
+
+
 class Channel(NamedTuple):
     """What the package knows of one channel, one row of ``CHANNEL_CATALOG``."""
 
     domain: Domain          # the domain of the device that records it
     rate_hz: float | None   # fixed by the hardware; None where the manifest declares it
     synth_hz: float         # the rate synthetic data is drawn at
-    tone_hz: float | None   # the High-class synthetic tone; None: no synthetic recipe
+    tone_hz: float | None   # the High-class synthetic tone; None for an unpiped channel
+    chain: Chain | None     # its conditioning; None: recorded, but the pipeline leaves it out
 
 
 # Each tone is chosen to survive its channel's conditioning chain: Hz, or cycles
 # per sample for the eye traces, which are unit-rate coordinate streams.
 CHANNEL_CATALOG: dict[str, Channel] = {
-    "ACC_X": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
-    "ACC_Y": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
-    "ACC_Z": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
-    "TEMP": Channel(Domain.PERIPHERAL, None, 4.0, 0.3),
-    "EDA": Channel(Domain.PERIPHERAL, 4.0, 4.0, 0.25),
-    "BVP": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0),
-    "ECG1": Channel(Domain.TRUNK, 256.0, 256.0, 5.0),
-    "ECG2": Channel(Domain.TRUNK, 256.0, 256.0, 5.0),
-    "LAT_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0),
-    "LONG_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0),
-    "VERT_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0),
-    "GSR": Channel(Domain.TRUNK, 256.0, 256.0, None),
-    "L_EP_X": Channel(Domain.HEAD, None, 1.0, 0.025),
-    "L_EP_Y": Channel(Domain.HEAD, None, 1.0, 0.025),
-    "L_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025),
-    "R_EP_X": Channel(Domain.HEAD, None, 1.0, 0.025),
-    "R_EP_Y": Channel(Domain.HEAD, None, 1.0, 0.025),
-    "R_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025),
+    "ACC_X": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0, _sensor(64.0, _MOTION)),
+    "ACC_Y": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0, _sensor(64.0, _MOTION)),
+    "ACC_Z": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0, _sensor(64.0, _MOTION)),
+    "TEMP": Channel(Domain.PERIPHERAL, None, 4.0, 0.3, _sensor(64.0, smooth_len=64)),  # 1 s mean
+    "EDA": Channel(Domain.PERIPHERAL, 4.0, 4.0, 0.25, _sensor(64.0, _EDA)),
+    "BVP": Channel(Domain.PERIPHERAL, 64.0, 64.0, 2.0, _sensor(64.0, _BVP)),
+    "ECG1": Channel(Domain.TRUNK, 256.0, 256.0, 5.0, _sensor(256.0, _ECG)),
+    "ECG2": Channel(Domain.TRUNK, 256.0, 256.0, 5.0, _sensor(256.0, _ECG)),
+    "LAT_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0, _sensor(256.0, _MOTION)),
+    "LONG_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0, _sensor(256.0, _MOTION)),
+    "VERT_ACC": Channel(Domain.TRUNK, 256.0, 256.0, 2.0, _sensor(256.0, _MOTION)),
+    "GSR": Channel(Domain.TRUNK, 256.0, 256.0, None, None),
+    "L_EP_X": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
+    "L_EP_Y": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
+    "L_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
+    "R_EP_X": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
+    "R_EP_Y": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
+    "R_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
 }
 
 EYE_CHANNELS = ("L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_X", "R_EP_Y", "R_EP_Z")
 # The paper's best channel combination, in domain order: what synth and run default to.
 BEST_CHANNELS = ("ACC_Z", "EDA", "TEMP", "LAT_ACC", "LONG_ACC",
                  "L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_Y", "R_EP_Z")
+
+
+def check_channels(names, domain: str | None = None) -> None:
+    """A DataError unless each of ``names`` is catalogued, has a conditioning
+    chain, belongs to ``domain`` when one is named, and appears once."""
+    for i, name in enumerate(names):
+        row = CHANNEL_CATALOG.get(name) if isinstance(name, str) else None
+        if row is None:
+            raise DataError(f"unknown channel {name!r}")
+        if row.chain is None:
+            raise DataError(f"channel {name!r} has no conditioning chain")
+        if domain is not None and row.domain != domain:
+            raise DataError(f"channel {name!r} is not a {domain} channel")
+        if name in names[:i]:
+            raise DataError(f"channel {name!r} is listed more than once")
 
 
 @dataclass
@@ -327,14 +403,7 @@ class SyntheticSpec:
                             f"not {self.class_separation}")
         if not self.channels:
             raise DataError("need at least one channel")
-        for i, ch in enumerate(self.channels):
-            if ch not in CHANNEL_CATALOG:
-                raise DataError(f"unknown channel {ch!r}")
-            if CHANNEL_CATALOG[ch].tone_hz is None:
-                raise DataError(f"no synthetic recipe for channel {ch!r}; the trunk unit "
-                                f"records it but the pipeline leaves it out")
-            if ch in self.channels[:i]:
-                raise DataError(f"channel {ch!r} is listed more than once")
+        check_channels(self.channels)
 
 
 def default_synth_channels(channels: list[str] | None = None) -> tuple[str, ...]:
@@ -368,21 +437,21 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[list[RawRecording], list[SamRat
         for v, vid in enumerate(videos):
             cls = video_class(v)
             for channel in spec.channels:
-                domain, _, rate, tone = CHANNEL_CATALOG[channel]
+                row = CHANNEL_CATALOG[channel]
                 n = (SYNTH_EYE_SAMPLES if channel in EYE_CHANNELS
-                     else int(round(SYNTH_DURATION_S * rate)))
-                t = np.arange(n, dtype=np.float64) / rate
+                     else int(round(SYNTH_DURATION_S * row.synth_hz)))
+                t = np.arange(n, dtype=np.float64) / row.synth_hz
                 x = rng.standard_normal(n) * SYNTH_NOISE_STD
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 if cls == HIGH:
-                    x = x + spec.class_separation * np.sin(2.0 * np.pi * tone * t + phase)
+                    x = x + spec.class_separation * np.sin(2.0 * np.pi * row.tone_hz * t + phase)
                 recordings.append(RawRecording(
                     participant_id=pid,
                     video_id=vid,
-                    domain=domain,
+                    domain=row.domain,
                     channel=channel,
-                    sample_rate_hz=rate,
-                    timestamps_ms=np.round(np.arange(n) * 1000.0 / rate).astype(np.int64),
+                    sample_rate_hz=row.synth_hz,
+                    timestamps_ms=np.round(np.arange(n) * 1000.0 / row.synth_hz).astype(np.int64),
                     values=x,
                 ))
             score = 6 if cls == HIGH else 2
@@ -394,11 +463,7 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[list[RawRecording], list[SamRat
 
 def synth_g2_table() -> dict[str, tuple[int, int]]:
     """Per-video group labels matching the synthetic class assignment."""
-    table = {}
-    for v, vid in enumerate(synth_video_ids()):
-        cls = video_class(v)
-        table[vid] = (cls, cls)
-    return table
+    return {vid: (video_class(v), video_class(v)) for v, vid in enumerate(synth_video_ids())}
 
 
 # ---------------------------------------------------------------------------
@@ -510,22 +575,27 @@ def _read_sensor_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
             data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
                               comments=None)  # no table has comments
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if data.size == 0:
-        raise DataError(f"{path}: no data rows")
-    if data.shape[1] != 2:
-        raise DataError(f"{path}: expected two columns ({','.join(SENSOR_COLUMNS)})")
-    finite = np.isfinite(data)
-    bad = ~finite.all(axis=1) | (data[:, 0] != np.trunc(data[:, 0]))
-    if bad.any():
+        # numpy counts data rows from 0 in a conversion error, from 1 in a column change
+        found = re.search(r" at row (\d+)", str(exc))
+        if found is None:
+            raise DataError(f"{path}: {exc}") from None
+        row, what = int(found[1]) - ("columns changed" in str(exc)), str(exc).replace(found[0], "")
+    else:
+        if data.size == 0:
+            raise DataError(f"{path}: no data rows")
+        if data.shape[1] != 2:
+            raise DataError(f"{path}: expected two columns ({','.join(SENSOR_COLUMNS)})")
+        finite = np.isfinite(data)
+        bad = ~finite.all(axis=1) | (data[:, 0] != np.trunc(data[:, 0]))
+        if not bad.any():
+            return data[:, 0].astype(np.int64), data[:, 1]
         row = int(np.argmax(bad))
-        with open(path) as fh:  # loadtxt skips blank lines, and the header is line 1
-            line = [n for n, text in enumerate(fh, 1) if n > 1 and text.strip()][row]
         col = int(np.argmin(finite[row]))  # 0 if both are finite: a fractional timestamp
-        what = "is not a whole number" if finite[row].all() else "is not finite"
-        raise DataError(f"{path} line {line}: {SENSOR_COLUMNS[col]} "
-                        f"{float(data[row, col])!r} {what}")
-    return data[:, 0].astype(np.int64), data[:, 1]
+        what = (f"{SENSOR_COLUMNS[col]} {float(data[row, col])!r} is not "
+                + ("a whole number" if finite[row].all() else "finite"))
+    with open(path) as fh:  # loadtxt skips empty lines, and the header is line 1
+        line = [n for n, text in enumerate(fh, 1) if n > 1 and text.strip("\r\n")][row]
+    raise DataError(f"{path} line {line}: {what}")
 
 
 def _load_recording(data_dir: Path, row: dict) -> RawRecording:
@@ -537,12 +607,12 @@ def _load_recording(data_dir: Path, row: dict) -> RawRecording:
         raise DataError(f"{fpath}: sample_rate_hz {raw_rate!r} is not a number") from None
     if channel not in CHANNEL_CATALOG:
         raise DataError(f"{fpath}: unknown channel {channel!r}")
-    domain, native_hz, _, _ = CHANNEL_CATALOG[channel]
-    if row["domain"] != domain.value:
+    entry = CHANNEL_CATALOG[channel]
+    if row["domain"] != entry.domain.value:
         raise DataError(f"{fpath}: {channel} belongs to domain "
-                        f"{domain.value}, manifest says {row['domain']!r}")
-    if native_hz is not None and rate != native_hz:
-        raise DataError(f"{fpath}: {channel} runs at {native_hz:g} Hz, "
+                        f"{entry.domain.value}, manifest says {row['domain']!r}")
+    if entry.rate_hz is not None and rate != entry.rate_hz:
+        raise DataError(f"{fpath}: {channel} runs at {entry.rate_hz:g} Hz, "
                         f"manifest declares {rate:g} Hz")
     if not fpath.is_file():
         raise DataError(f"recording not found: {fpath}")
@@ -550,7 +620,7 @@ def _load_recording(data_dir: Path, row: dict) -> RawRecording:
     rec = RawRecording(
         participant_id=row["participant_id"],
         video_id=row["video_id"],
-        domain=domain,
+        domain=entry.domain,
         channel=channel,
         sample_rate_hz=rate,
         timestamps_ms=ts,

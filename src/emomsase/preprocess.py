@@ -1,11 +1,12 @@
 """Signal conditioning: filtering, resampling, normalization, windowing.
 
-``CHAINS`` maps each piped channel to its conditioning chain, and
-``preprocess_channel`` runs every chain through the same steps: upsample
-to the working rate, Butterworth-filter or smooth, z-score over the full
-stream, keep the tail, then cut windows with 50% overlap.  Tensor shapes
-and the cache key are read from the same row.  Filters are 4th-order
-Butterworth applied forward and backward, so the net phase is zero.
+Each piped channel's conditioning chain is the ``chain`` column of its
+``dataio.CHANNEL_CATALOG`` row, and ``preprocess_channel`` runs every chain
+through the same steps: upsample to the working rate, Butterworth-filter or
+smooth, z-score over the full stream, keep the tail, then cut windows with
+50% overlap.  Tensor shapes and the cache key are read from the same row.
+Filters are 4th-order Butterworth applied forward and backward, so the net
+phase is zero.
 """
 
 from __future__ import annotations
@@ -20,44 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import EYE_CHANNELS, RawRecording, write_atomic
+# LOW_PASS and WINDOW_SECONDS are named here too, for callers that condition signals
+from .dataio import (BAND_PASS, CHANNEL_CATALOG, LOW_PASS, WINDOW_SECONDS, Chain, FilterSpec,
+                     RawRecording, write_atomic)
 
-TAIL_SECONDS = 40.0
-WINDOW_SECONDS = 2.0
 OVERLAP = 0.5
-EYE_TAIL_SAMPLES = 2000
-EYE_WINDOW_SAMPLES = 200
-FILTER_ORDER = 4
 # The FFT leaves room for the impulse response until |p|^i falls below this.
 POLE_TAIL_TOLERANCE = 2.0 ** -53  # float64 unit roundoff
-
-BAND_PASS = "bandpass"
-LOW_PASS = "lowpass"
 
 
 class PreprocessError(ValueError):
     """Base class for conditioning failures."""
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """A Butterworth band-pass or low-pass filter of even order."""
-
-    kind: str
-    low_hz: float | None = None
-    high_hz: float | None = None
-    order: int = FILTER_ORDER
-
-    def __post_init__(self):
-        if self.kind not in (BAND_PASS, LOW_PASS):
-            raise PreprocessError(f"unknown filter kind {self.kind!r}")
-        if self.kind == BAND_PASS and (self.low_hz is None or self.high_hz is None):
-            raise PreprocessError("band-pass needs both cutoffs")
-        if self.kind == LOW_PASS and self.high_hz is None:
-            raise PreprocessError("low-pass needs a cutoff")
-        if type(self.order) is not int or self.order < 2 or self.order % 2:
-            raise PreprocessError(f"filter order must be an even integer >= 2, "
-                                  f"got {self.order!r}")
 
 
 def butter_zpk(spec: FilterSpec, rate_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -243,55 +217,12 @@ def segment(signal: np.ndarray, window_samples: int,
     return WindowedTensor(values=np.ascontiguousarray(windows), source=source)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """How one channel is conditioned before windowing.
-
-    ``rate_hz`` is the rate the stream is filtered and windowed at; slower
-    streams are upsampled to it.  None marks a sample-indexed eye trace,
-    whose declared rate is ignored.  ``tail`` and ``window`` count samples.
-    """
-
-    rate_hz: float | None
-    filter: FilterSpec | None
-    smooth_len: int | None
-    tail: int
-    window: int
-
-
-def _sensor(rate_hz: float, spec: FilterSpec | None = None,
-            smooth_len: int | None = None) -> Chain:
-    return Chain(rate_hz, spec, smooth_len, tail=int(round(TAIL_SECONDS * rate_hz)),
-                 window=int(round(WINDOW_SECONDS * rate_hz)))
-
-
-_MOTION = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=20.0)
-_ECG = FilterSpec(BAND_PASS, low_hz=0.5, high_hz=45.0)
-
-CHAINS: dict[str, Chain] = {
-    "ACC_X": _sensor(64.0, _MOTION),
-    "ACC_Y": _sensor(64.0, _MOTION),
-    "ACC_Z": _sensor(64.0, _MOTION),
-    "BVP": _sensor(64.0, FilterSpec(BAND_PASS, low_hz=0.5, high_hz=4.0)),
-    "EDA": _sensor(64.0, FilterSpec(LOW_PASS, high_hz=0.5)),
-    "TEMP": _sensor(64.0, smooth_len=64),  # 1 s moving average
-    "LAT_ACC": _sensor(256.0, _MOTION),
-    "LONG_ACC": _sensor(256.0, _MOTION),
-    "VERT_ACC": _sensor(256.0, _MOTION),
-    "ECG1": _sensor(256.0, _ECG),
-    "ECG2": _sensor(256.0, _ECG),
-    **{ch: Chain(None, None, None, EYE_TAIL_SAMPLES, EYE_WINDOW_SAMPLES)
-       for ch in EYE_CHANNELS},
-}
-
-
 def chain_for(channel: str) -> Chain:
-    """The channel's row of ``CHAINS``; a PreprocessError if it has none."""
-    try:
-        return CHAINS[channel]
-    except KeyError:
-        raise PreprocessError(
-            f"no conditioning chain for channel {channel!r}") from None
+    """The chain of the channel's catalogue row; a PreprocessError if it has none."""
+    row = CHANNEL_CATALOG.get(channel)
+    if row is None or row.chain is None:
+        raise PreprocessError(f"no conditioning chain for channel {channel!r}")
+    return row.chain
 
 
 def feature_size(channel: str) -> int:

@@ -1,6 +1,8 @@
 """Command-line workflows: synth, preprocess, run, gradcheck, report."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emomsase
 from emomsase import autodiff as ad
@@ -86,9 +89,9 @@ def test_chain_edit_invalidates_the_cache(tmp_path, capsys, monkeypatch):
     main(["synth", "--config", cfg, "--out", str(data), "--participants", "3"])
     assert main(["preprocess", "--config", cfg, "--data", str(data),
                  "--cache", str(cache)]) == 0
-    row = preprocess.CHAINS["L_EP_Y"]
-    monkeypatch.setitem(preprocess.CHAINS, "L_EP_Y",
-                        dataclasses.replace(row, tail=row.tail + 100))
+    row = dataio.CHANNEL_CATALOG["L_EP_Y"]
+    monkeypatch.setitem(dataio.CHANNEL_CATALOG, "L_EP_Y", row._replace(
+        chain=dataclasses.replace(row.chain, tail=row.chain.tail + 100)))
     capsys.readouterr()
     assert main(["preprocess", "--config", cfg, "--data", str(data),
                  "--cache", str(cache)]) == 0
@@ -122,9 +125,9 @@ def test_pruning_keeps_foreign_files_and_unlisted_tensors(tmp_path, capsys, monk
                "other.bin": b"\0", "broken.json": b"{not json", "broken.bin": b""}
     for name, content in foreign.items():
         (cache / name).write_bytes(content)
-    row = preprocess.CHAINS["L_EP_Y"]
-    monkeypatch.setitem(preprocess.CHAINS, "L_EP_Y",
-                        dataclasses.replace(row, tail=row.tail + 100))
+    row = dataio.CHANNEL_CATALOG["L_EP_Y"]
+    monkeypatch.setitem(dataio.CHANNEL_CATALOG, "L_EP_Y", row._replace(
+        chain=dataclasses.replace(row.chain, tail=row.chain.tail + 100)))
     capsys.readouterr()
     assert main(["preprocess", "--config", cfg, "--data", str(data),
                  "--cache", str(cache)]) == 0
@@ -153,6 +156,57 @@ def test_unpiped_channel_writes_nothing(tmp_path, capsys):
                  "--cache", str(cache)]) == 1
     assert "no conditioning chain for channel 'GSR'" in capsys.readouterr().err
     assert list(cache.glob("*")) == []
+
+
+def _exit_and_error(argv):
+    """``main``'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_rule_judges_every_channel_list(tmp_path_factory, data):
+    # one domain's names, a misspelling, non-strings; repeats come by drawing
+    domain = data.draw(st.sampled_from([d.value for d in dataio.Domain]))
+    pool = [ch for ch, row in dataio.CHANNEL_CATALOG.items() if row.domain == domain]
+    names = data.draw(st.lists(st.sampled_from([*pool, "Hed", 3, ["EDA"]]),
+                               min_size=1, max_size=4))
+    rules = []
+    for owner_domain in (None, domain):
+        try:
+            dataio.check_channels(names, owner_domain)
+            rules.append(None)
+        except dataio.DataError as exc:
+            rules.append(str(exc))
+    rule = rules[0]
+    assert rules[1] == rule  # every name is of this domain or of none
+
+    try:
+        dataio.SyntheticSpec(n_participants=1, seed=0, class_separation=1.0,
+                             channels=tuple(names))
+        assert rule is None, names
+    except dataio.DataError as exc:
+        assert str(exc) == rule, names
+
+    tmp = tmp_path_factory.mktemp("channels")
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps({"synth": {"channels": names}}))
+    # an accepted list gets as far as the refused participant count
+    code, err = _exit_and_error(["synth", "--config", str(cfg), "--out", str(tmp / "data"),
+                                 "--participants", "0"])
+    assert (code, err) == ((2, f"error: setting synth.channels: {rule}\n") if rule
+                           else (1, "error: need at least one participant\n")), names
+    assert not (tmp / "data").exists()
+
+    cfg.write_text(json.dumps({"domains": [domain], "channels": {domain: names}}))
+    # an accepted list gets as far as the missing manifest
+    code, err = _exit_and_error(["preprocess", "--config", str(cfg), "--data", str(tmp),
+                                 "--cache", str(tmp / "cache")])
+    assert (code, err) == ((2, f"error: setting channels: {rule}\n") if rule
+                           else (1, f"error: manifest not found: {tmp / 'manifest.csv'}\n")), names
 
 
 def test_interrupted_sidecar_write_is_a_miss(tmp_path, capsys, monkeypatch):
@@ -513,26 +567,29 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (run, {"split": "holdout"}, "setting split must be one of"),
             (run, {"domains": ["peripheral", "knees"]}, "unknown domain 'knees'"),
             (run, {"domains": 3}, "setting domains must be a list"),
-            (run, {"channels": {"Head": ["ACC_Z"]}}, "channel 'ACC_Z' is not a Head channel"),
-            (run, {"channels": {"Head": ["BOGUS"]}}, "channel 'BOGUS' is not a Head channel"),
+            (run, {"channels": {"Head": ["ACC_Z"]}},
+             "setting channels: channel 'ACC_Z' is not a Head channel"),
+            (run, {"channels": {"Head": ["BOGUS"]}}, "setting channels: unknown channel 'BOGUS'"),
             (run, {"channels": {"Hed": ["ACC_Z"]}}, "channels key 'Hed' is not a domain"),
             (run, {"channels": {"Head": "L_EP_Y"}}, "setting channels must map"),
-            (run, {"channels": {"Trunk": ["GSR"]}}, "channel 'GSR' has no conditioning chain"),
+            (run, {"channels": {"Trunk": ["GSR"]}},
+             "setting channels: channel 'GSR' has no conditioning chain"),
             (run, {"domains": ["Head"], "channels": {"Head": ["L_EP_Y", "L_EP_Y"]}},
-             "channel 'L_EP_Y' is listed more than once"),
+             "setting channels: channel 'L_EP_Y' is listed more than once"),
             (run, {"fusion": "sum", "domains": ["Head"]},
              "decision fusion needs at least two domains"),
             (synth, {"synth": {"participants": None}}, "setting participants must be"),
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
             (synth, {"synth": {"participants": "6"}}, "setting participants must be of type int"),
             (synth, {"seed": None}, "setting seed must be"),
-            (synth, {"synth": {"channels": ["Hed"]}}, "setting synth.channels names"),
+            (synth, {"synth": {"channels": ["Hed"]}},
+             "setting synth.channels: unknown channel 'Hed'"),
             (synth, {"synth": {"channels": ["GSR"]}},
-             "setting synth.channels names 'GSR', which has no conditioning chain"),
+             "setting synth.channels: channel 'GSR' has no conditioning chain"),
             (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
             (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty"),
             (synth, {"synth": {"channels": ["EDA", "TEMP", "EDA"]}},
-             "setting synth.channels lists 'EDA' more than once"),
+             "setting synth.channels: channel 'EDA' is listed more than once"),
             (["synth"], {"out": 5}, "setting out must be a path string, not 5"),
             (["run"], {"cache": ["x"], "ratings": "r.csv", "out": "o"},
              "setting cache must be a path string, not ['x']"),

@@ -238,7 +238,7 @@ def test_synthetic_spec_validation():
     with pytest.raises(DataError):
         SyntheticSpec(n_participants=1, seed=0, class_separation=1.0, channels=())
     for channels, message in [(["EDA", "Hed"], "unknown channel 'Hed'"),
-                              (["GSR"], "no synthetic recipe for channel 'GSR'"),
+                              (["GSR"], "channel 'GSR' has no conditioning chain"),
                               (["EDA", "TEMP", "EDA"], "channel 'EDA' is listed more than once")]:
         with pytest.raises(DataError, match=f"^{message}"):
             SyntheticSpec(n_participants=1, seed=0, class_separation=1.0,
@@ -342,18 +342,23 @@ def test_manifest_refuses_a_repeated_recording(tmp_path):
         dataio.load_recordings(tmp_path)
 
 
-@pytest.mark.parametrize("rows, message", [
-    ("0,0.5\n250,abc\n", "'abc'"),
-    ("0,0.5\n# note\n250,nan\n", "columns changed"),  # a comment is no row
-    ("0,0.5\n250,2.0 # note\n", r"'2\.0 # note'"),
-], ids=["not-a-number", "comment-line", "trailing-comment"])
-def test_unparseable_sensor_value_names_its_file(tmp_path, rows, message):
+@pytest.mark.parametrize("rows, line, message", [
+    ("0,0.5\n250,abc\n", 3, "'abc'"),
+    ("0,0.5\n# note\n250,nan\n", 3, "columns changed"),  # a comment is no row
+    ("0,0.5\n250,2.0 # note\n", 3, r"'2\.0 # note'"),
+    ("0,0.5\n250,0.7\n500,abc\n", 4, "'abc'"),
+    ("0,0.5\n\n250,0.7\n500,0.9,1.1\n", 5, "columns changed from 2 to 3"),  # after a blank
+    ("0,0.5\n \n250,0.7\n", 3, "columns changed from 2 to 1"),  # spaces make a row
+], ids=["not-a-number", "comment-line", "trailing-comment", "third-row", "after-blank-line",
+        "whitespace-line"])
+def test_unparseable_sensor_value_names_its_file(tmp_path, rows, line, message):
     (tmp_path / "rec.csv").write_text("timestamp_ms,value\n" + rows)
     (tmp_path / "manifest.csv").write_text(
         "file,participant_id,video_id,domain,channel,sample_rate_hz\n"
         "rec.csv,p01,video01,Peripheral,EDA,4.0\n")
-    with pytest.raises(DataError, match=r"rec\.csv: .*" + message):
+    with pytest.raises(DataError, match=rf"rec\.csv line {line}: .*{message}") as exc:
         dataio.load_recordings(tmp_path)
+    assert " at row " not in str(exc.value)  # numpy's own count is gone
 
 
 @pytest.mark.filterwarnings("error")  # numpy's empty-input warning must not escape

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import signal as scipy_signal
 
 from emomsase import dataio, preprocess
-from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
+from emomsase.dataio import (CHANNEL_CATALOG, DataError, SyntheticSpec, default_synth_channels,
+                             make_synthetic)
 from emomsase.preprocess import (
-    BAND_PASS, CHAINS, LOW_PASS, FilterSpec, PreprocessError, butterworth_filter,
+    BAND_PASS, LOW_PASS, FilterSpec, PreprocessError, butterworth_filter, chain_for,
     expected_timesteps, feature_size, load_tensor, moving_average,
     preprocess_channel, save_tensor, segment, take_tail, tensor_cache_key,
     upsample, zscore,
@@ -28,6 +29,8 @@ from reference_impls import (
 )
 
 _seeds = st.integers(0, 2**32 - 1)
+# every channel the pipeline conditions: the catalogue rows with a chain
+PIPED = sorted(ch for ch, row in CHANNEL_CATALOG.items() if row.chain is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,9 @@ def test_filter_rejects_bad_cutoffs_and_short_signals():
         butterworth_filter(np.zeros(100), 64.0, FilterSpec(LOW_PASS, high_hz=32.0))
     with pytest.raises(PreprocessError, match="need more than 12 samples for order 4, got 12"):
         butterworth_filter(np.zeros(12), 64.0, FilterSpec(LOW_PASS, high_hz=0.5))
-    with pytest.raises(PreprocessError):
+    with pytest.raises(DataError, match="band-pass needs both cutoffs"):
         FilterSpec(BAND_PASS, low_hz=0.5)  # missing the upper cutoff
-    with pytest.raises(PreprocessError):
+    with pytest.raises(DataError, match="unknown filter kind 'highpass'"):
         FilterSpec("highpass", low_hz=0.5)
 
 
@@ -138,7 +141,7 @@ def test_conditioning_designs_each_filter_once(monkeypatch):
     assert designs and len(designs) == len(set(designs)), designs
 
 
-_DESIGNS = sorted({(c.filter, c.rate_hz) for c in CHAINS.values() if c.filter is not None},
+_DESIGNS = sorted({(c.filter, c.rate_hz) for c in map(chain_for, PIPED) if c.filter is not None},
                   key=repr)
 
 
@@ -197,17 +200,19 @@ def test_filter_matches_scipy_sosfiltfilt_at_any_length(design, n, seed, scale, 
 
 def test_filter_spec_refuses_odd_orders():
     for order in (3, 1, 0, 2.0):
-        with pytest.raises(PreprocessError, match="filter order must be an even integer"):
+        with pytest.raises(DataError, match="filter order must be an even integer"):
             FilterSpec(LOW_PASS, high_hz=0.5, order=order)
     assert FilterSpec(LOW_PASS, high_hz=0.5, order=2).order == 2
 
 
 _THREAD_SCRIPT = """
 import hashlib
-from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
-from emomsase.preprocess import CHAINS, preprocess_channel
+from emomsase.dataio import (CHANNEL_CATALOG, SyntheticSpec, default_synth_channels,
+                             make_synthetic)
+from emomsase.preprocess import preprocess_channel
+piped = [ch for ch, row in CHANNEL_CATALOG.items() if row.chain is not None]
 recs, _ = make_synthetic(SyntheticSpec(n_participants=1, seed=5, class_separation=1.0,
-                                       channels=default_synth_channels(list(CHAINS))))
+                                       channels=default_synth_channels(piped)))
 h = hashlib.sha256()
 for rec in recs:
     h.update(preprocess_channel(rec).values.tobytes())
@@ -392,6 +397,7 @@ def test_expected_shapes_per_channel():
 
 def test_preprocess_channel_full_chain_shapes():
     piped = sorted(set(dataio.CHANNEL_CATALOG) - {"GSR"})  # GSR is recorded but left out
+    assert piped == PIPED
     spec = SyntheticSpec(
         n_participants=1, seed=2, class_separation=1.0,
         channels=default_synth_channels(piped))
@@ -407,17 +413,15 @@ def test_preprocess_channel_full_chain_shapes():
 
 
 def test_every_piped_channel_has_a_chain():
-    assert set(dataio.CHANNEL_CATALOG) - set(CHAINS) == {"GSR"}
-    assert set(CHAINS) <= set(dataio.CHANNEL_CATALOG)
     # synth can draw exactly the channels the pipeline conditions
-    assert {ch for ch, row in dataio.CHANNEL_CATALOG.items()
-            if row.tone_hz is not None} == set(CHAINS)
+    for row in CHANNEL_CATALOG.values():
+        assert (row.tone_hz is None) == (row.chain is None), row
 
 
 @settings(max_examples=40, deadline=None)
-@given(channel=st.sampled_from(sorted(CHAINS)), seed=_seeds, extra=st.floats(0.0, 1.0))
+@given(channel=st.sampled_from(PIPED), seed=_seeds, extra=st.floats(0.0, 1.0))
 def test_every_chain_gives_its_declared_shape(channel, seed, extra):
-    chain = CHAINS[channel]
+    chain = chain_for(channel)
     rate = dataio.CHANNEL_CATALOG[channel].synth_hz
     # the shortest stream that still fills the tail at the working rate
     shortest = chain.tail if chain.rate_hz is None else int(
@@ -425,7 +429,7 @@ def test_every_chain_gives_its_declared_shape(channel, seed, extra):
     n = shortest + int(extra * shortest)
     rec = dataio.RawRecording(
         participant_id="p01", video_id="video01",
-        domain=dataio.CHANNEL_CATALOG[channel][0], channel=channel,
+        domain=dataio.CHANNEL_CATALOG[channel].domain, channel=channel,
         sample_rate_hz=rate,
         timestamps_ms=np.round(np.arange(n) * 1000.0 / rate).astype(np.int64),
         values=np.random.default_rng(seed).standard_normal(n))
@@ -500,7 +504,7 @@ def _key_from_copies(rec):
     """The cache key as it was built before it hashed the arrays' buffers."""
     h = hashlib.sha256()
     h.update(f"{rec.participant_id}|{rec.video_id}|{rec.channel}|"
-             f"{rec.sample_rate_hz!r}|v3|{CHAINS[rec.channel]!r}|{preprocess.OVERLAP!r}|"
+             f"{rec.sample_rate_hz!r}|v3|{chain_for(rec.channel)!r}|{preprocess.OVERLAP!r}|"
              .encode())
     h.update(rec.timestamps_ms.astype("<i8").tobytes())
     h.update(rec.values.astype("<f8").tobytes())
@@ -524,13 +528,34 @@ def test_cache_key_hashes_the_same_bytes_as_copies(n, seed, step, ts_dtype, valu
 def test_cache_key_follows_the_chain(monkeypatch):
     rec = _one_recording(channel="ACC_Z")
     key = tensor_cache_key(rec)
-    row = CHAINS["ACC_Z"]
-    monkeypatch.setitem(CHAINS, "ACC_Z", dataclasses.replace(
-        row, filter=dataclasses.replace(row.filter, low_hz=0.4)))
+    row = CHANNEL_CATALOG["ACC_Z"]
+    monkeypatch.setitem(CHANNEL_CATALOG, "ACC_Z", row._replace(chain=dataclasses.replace(
+        row.chain, filter=dataclasses.replace(row.chain.filter, low_hz=0.4))))
     assert tensor_cache_key(rec) != key
-    monkeypatch.setitem(CHAINS, "ACC_Z", dataclasses.replace(row, tail=row.tail - 64))
+    monkeypatch.setitem(CHANNEL_CATALOG, "ACC_Z", row._replace(
+        chain=dataclasses.replace(row.chain, tail=row.chain.tail - 64)))
     assert tensor_cache_key(rec) != key
-    monkeypatch.setitem(CHAINS, "ACC_Z", row)
+    monkeypatch.setitem(CHANNEL_CATALOG, "ACC_Z", row)
+    assert tensor_cache_key(rec) == key
+
+
+@pytest.mark.parametrize("channel, key", [
+    ("ACC_X", "5a9206566623d155f8f7"),    # motion band at 64 Hz
+    ("LAT_ACC", "598fbf036f0b03f1cbfa"),  # motion band at 256 Hz
+    ("ECG1", "d0b4cc03c3b9e4471dcd"),
+    ("BVP", "5c8d51399551d9130835"),
+    ("EDA", "5f063da99085d9890e36"),
+    ("TEMP", "3033ec14375dcc3f36c2"),
+    ("L_EP_X", "be2c44c2d7ab1b67d69f"),   # eye trace
+])
+def test_cache_keys_stay_pinned(channel, key):
+    # A chain whose repr changes re-keys, and so invalidates, every user's cached
+    # tensors of its channel; such a change must come with a new version token.
+    row = CHANNEL_CATALOG[channel]
+    rec = dataio.RawRecording(
+        participant_id="p01", video_id="video01", domain=row.domain, channel=channel,
+        sample_rate_hz=row.synth_hz, timestamps_ms=np.arange(4, dtype=np.int64) * 250,
+        values=np.array([0.5, -1.25, 2.0, 0.0]))
     assert tensor_cache_key(rec) == key
 
 
