@@ -10,7 +10,9 @@ that the one-call version, preprocess_channel, lands on the same tensor.
 import numpy as np
 
 from emomsase import preprocess
-from emomsase.dataio import SyntheticSpec, default_synth_channels, make_synthetic
+from emomsase.dataio import (
+    CHANNEL_CATALOG, SyntheticSpec, default_synth_channels, make_synthetic,
+)
 from emomsase.preprocess import (
     BAND_PASS, FilterSpec, butterworth_filter, segment, take_tail, zscore,
 )
@@ -57,5 +59,5 @@ print("\nshape chain per domain:")
 for channel in ("EDA", "ECG1", "L_EP_Y"):
     rec = next(r for r in recordings if r.channel == channel)
     t = preprocess.preprocess_channel(rec)
-    print(f"  {rec.domain.value:<10} {channel:<6} "
+    print(f"  {CHANNEL_CATALOG[channel].domain.value:<10} {channel:<6} "
           f"{t.values.shape[0]:>3} x {t.values.shape[1]}")

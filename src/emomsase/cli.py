@@ -57,10 +57,9 @@ DEFAULTS = {
     "fusion": "modality",
     "target": "both",
     "train": {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"},
-    "synth": {
+    "synth": {  # drawn for the channels that run reads
         "participants": 24,
         "separation": 2.0,
-        "channels": None,  # None -> every channel named under "channels"
     },
     "cache": None,
     "ratings": None,
@@ -125,7 +124,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     if _cast("seed", settings["seed"], int) < 0:
         raise UsageError(f"setting seed must be >= 0, not {settings['seed']!r}")
     settings["domains"] = _parse_domains(settings["domains"])
-    _check_channels(settings["channels"], settings["synth"]["channels"])
+    _check_channels(settings["channels"])
     return settings
 
 
@@ -144,31 +143,33 @@ def _parse_domains(spec: str | list) -> list[str]:
     return [d for token, d in canon.items() if token in picked]
 
 
-def _check_channels(channels, synth_channels) -> None:
-    """``channels`` maps domains to lists and ``synth.channels`` is None or a
-    non-empty list; ``dataio.check_channels`` judges each list."""
+def _check_channels(channels) -> None:
+    """``channels`` maps domains to lists, each of which ``dataio.check_channels`` judges."""
     if not (isinstance(channels, dict) and all(isinstance(v, list) for v in channels.values())):
         raise UsageError(f"setting channels must map domains to lists, not {channels!r}")
-    if synth_channels is not None and not (isinstance(synth_channels, list) and synth_channels):
-        raise UsageError(f"setting synth.channels must be a non-empty list, "
-                         f"not {synth_channels!r}")
     domains = [d.value for d in Domain]
-    checks = [("channels", names, domain) for domain, names in channels.items()]
-    for key, names, domain in checks + [("synth.channels", synth_channels or [], None)]:
-        if domain not in (None, *domains):
+    for domain, names in channels.items():
+        if domain not in domains:
             raise UsageError(f"channels key {domain!r} is not a domain "
                              f"(choose from {', '.join(domains)})")
         try:
             dataio.check_channels(names, domain)
         except dataio.DataError as exc:
-            raise UsageError(f"setting {key}: {exc}") from None
+            raise UsageError(f"setting channels: {exc}") from None
+
+
+def _layout(settings: dict) -> list[tuple[str, tuple[str, ...]]]:
+    """The (domain, channels) pairs that synth draws and run reads: each
+    selected domain that names channels, in ``Domain`` order."""
+    layout = [(domain, tuple(settings["channels"][domain]))
+              for domain in settings["domains"] if settings["channels"].get(domain)]
+    if not layout:
+        raise UsageError("no channels configured for the selected domains")
+    return layout
 
 
 def _model_config(settings: dict) -> ModelConfig:
-    domain_channels = [(domain, tuple(settings["channels"][domain]))
-                       for domain in settings["domains"] if settings["channels"].get(domain)]
-    if not domain_channels:
-        raise UsageError("no channels configured for the selected domains")
+    domain_channels = _layout(settings)
     feature_sizes = {ch: preprocess.feature_size(ch)
                      for _, chs in domain_channels for ch in chs}
     return _record(ModelConfig, settings, domain_channels=tuple(domain_channels),
@@ -210,13 +211,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if settings["out"] is None:
         raise UsageError("synth needs --out (or an \"out\" config entry)")
     synth = settings["synth"]
-    channels = synth["channels"] or [ch for d in settings["domains"]
-                                     for ch in settings["channels"].get(d, [])]
     spec = dataio.SyntheticSpec(
         n_participants=_cast("participants", synth["participants"], int),
         seed=_cast("seed", settings["seed"], int),
         class_separation=_cast("separation", synth["separation"], float),
-        channels=dataio.default_synth_channels(list(channels)),
+        channels=tuple(ch for _, chs in _layout(settings) for ch in chs),
     )
     recordings, ratings = dataio.make_synthetic(spec)
     out_dir = Path(settings["out"])
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="condition and window raw recordings")
-    _add_common(p)
+    p.add_argument("--config", help="JSON settings file")
     p.add_argument("--data", required=True, help="directory with manifest.csv")
     p.add_argument("--cache", help=f"tensor cache directory (default ${CACHE_ENV})")
     p.set_defaults(func=cmd_preprocess)

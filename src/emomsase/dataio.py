@@ -161,7 +161,7 @@ CHANNEL_CATALOG: dict[str, Channel] = {
     "R_EP_Z": Channel(Domain.HEAD, None, 1.0, 0.025, _EYE),
 }
 
-EYE_CHANNELS = ("L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_X", "R_EP_Y", "R_EP_Z")
+EYE_CHANNELS = tuple(name for name, row in CHANNEL_CATALOG.items() if row.chain is _EYE)
 # The paper's best channel combination, in domain order: what synth and run default to.
 BEST_CHANNELS = ("ACC_Z", "EDA", "TEMP", "LAT_ACC", "LONG_ACC",
                  "L_EP_X", "L_EP_Y", "L_EP_Z", "R_EP_Y", "R_EP_Z")
@@ -188,8 +188,7 @@ class RawRecording:
 
     participant_id: str
     video_id: str
-    domain: Domain
-    channel: str
+    channel: str  # its CHANNEL_CATALOG row holds its domain
     sample_rate_hz: float
     timestamps_ms: np.ndarray  # int64, strictly increasing
     values: np.ndarray         # float64
@@ -292,6 +291,9 @@ def derive_labels(
     video set expected to be covered (a missing one raises a DataError).
     G2 ignores the individual ratings and passes ``g2_table`` through.
     """
+    pool = ratings
+    if case is LabelCase.MALES_ONLY:
+        pool = [r for r in ratings if r.sex is Sex.MALE]
     if case is LabelCase.G2:
         if g2_table is None:
             raise DataError("G2 labels need the per-video group table")
@@ -299,16 +301,9 @@ def derive_labels(
             LabelAssignment(case=case, video_id=vid, valence=val, arousal=aro)
             for vid, (val, aro) in sorted(g2_table.items())
         ]
-        _check_video_cover([a.video_id for a in out], videos)
-        return out
-
-    pool = ratings
-    if case is LabelCase.MALES_ONLY:
-        pool = [r for r in ratings if r.sex is Sex.MALE]
-    if not pool:
+    elif not pool:
         raise DataError(f"no ratings available for label case {case.value!r}")
-
-    if case in (LabelCase.GENERAL, LabelCase.MALES_ONLY):
+    elif case in (LabelCase.GENERAL, LabelCase.MALES_ONLY):
         out = [
             LabelAssignment(
                 case=case,
@@ -318,10 +313,7 @@ def derive_labels(
             )
             for r in pool
         ]
-        _check_video_cover(sorted({a.video_id for a in out}), videos)
-        return out
-
-    if case is LabelCase.MAJORITY:
+    elif case is LabelCase.MAJORITY:
         by_video: dict[str, list[SamRating]] = {}
         for r in pool:
             by_video.setdefault(r.video_id, []).append(r)
@@ -332,18 +324,12 @@ def derive_labels(
             out.append(LabelAssignment(
                 case=case, video_id=vid, **{dim: v[0] for dim, v in votes.items()},
                 **{f"{dim}_fraction": v[1] for dim, v in votes.items()}))
-        _check_video_cover([a.video_id for a in out], videos)
-        return out
-
-    raise DataError(f"unknown label case {case!r}")
-
-
-def _check_video_cover(covered: list[str], videos: list[str] | None) -> None:
-    if videos is None:
-        return
-    missing = sorted(set(videos) - set(covered))
+    else:
+        raise DataError(f"unknown label case {case!r}")
+    missing = sorted(set(videos or ()) - {a.video_id for a in out})
     if missing:
         raise DataError(f"no ratings for video(s): {', '.join(missing)}")
+    return out
 
 
 class LabelLookup:
@@ -448,7 +434,6 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[list[RawRecording], list[SamRat
                 recordings.append(RawRecording(
                     participant_id=pid,
                     video_id=vid,
-                    domain=row.domain,
                     channel=channel,
                     sample_rate_hz=row.synth_hz,
                     timestamps_ms=np.round(np.arange(n) * 1000.0 / row.synth_hz).astype(np.int64),
@@ -554,7 +539,8 @@ def write_dataset(recordings: list[RawRecording], ratings: list[SamRating],
         fname = f"{rec.participant_id}_{rec.video_id}_{rec.channel}.csv"
         write_recording_csv(rec, out_dir / fname)
         manifest_rows.append((fname, rec.participant_id, rec.video_id,
-                              rec.domain.value, rec.channel, rec.sample_rate_hz))
+                              CHANNEL_CATALOG[rec.channel].domain.value, rec.channel,
+                              rec.sample_rate_hz))
     write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, manifest_rows)
     write_csv(out_dir / "ratings.csv", RATINGS_COLUMNS,
               [(r.participant_id, r.video_id, r.valence, r.arousal, r.sex.value)
@@ -620,7 +606,6 @@ def _load_recording(data_dir: Path, row: dict) -> RawRecording:
     rec = RawRecording(
         participant_id=row["participant_id"],
         video_id=row["video_id"],
-        domain=entry.domain,
         channel=channel,
         sample_rate_hz=rate,
         timestamps_ms=ts,

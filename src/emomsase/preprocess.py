@@ -237,24 +237,27 @@ def expected_timesteps(channel: str) -> int:
 
 
 def preprocess_channel(rec: RawRecording) -> WindowedTensor:
-    """Run one recording through its channel's full conditioning chain."""
-    chain = chain_for(rec.channel)
-    x = np.asarray(rec.values, dtype=np.float64)
-    if chain.rate_hz is not None and rec.sample_rate_hz != chain.rate_hz:
-        if rec.sample_rate_hz > chain.rate_hz:
-            raise PreprocessError(
-                f"{rec.participant_id}/{rec.video_id}/{rec.channel}: cannot downsample "
-                f"{rec.sample_rate_hz:g} Hz to the {chain.rate_hz:g} Hz working rate")
-        x = upsample(x, float(rec.sample_rate_hz), chain.rate_hz)
-    if chain.filter is not None:
-        x = butterworth_filter(x, chain.rate_hz, chain.filter)
-    if chain.smooth_len is not None:
-        x = moving_average(x, chain.smooth_len)
-    x = take_tail(zscore(x), chain.tail)
-    tensor = segment(x, chain.window, source=(rec.participant_id, rec.video_id, rec.channel))
-    if not np.all(np.isfinite(tensor.values)):
-        raise PreprocessError(f"{rec.participant_id}/{rec.video_id}/{rec.channel}: "
-                              f"non-finite values after conditioning")
+    """Run one recording through its channel's full conditioning chain; a
+    PreprocessError from any step names the recording."""
+    source = (rec.participant_id, rec.video_id, rec.channel)
+    try:
+        chain = chain_for(rec.channel)
+        x = np.asarray(rec.values, dtype=np.float64)
+        if chain.rate_hz is not None and rec.sample_rate_hz != chain.rate_hz:
+            if rec.sample_rate_hz > chain.rate_hz:
+                raise PreprocessError(f"cannot downsample {rec.sample_rate_hz:g} Hz to the "
+                                      f"{chain.rate_hz:g} Hz working rate")
+            x = upsample(x, float(rec.sample_rate_hz), chain.rate_hz)
+        if chain.filter is not None:
+            x = butterworth_filter(x, chain.rate_hz, chain.filter)
+        if chain.smooth_len is not None:
+            x = moving_average(x, chain.smooth_len)
+        x = take_tail(zscore(x), chain.tail)
+        tensor = segment(x, chain.window, source=source)
+        if not np.all(np.isfinite(tensor.values)):
+            raise PreprocessError("non-finite values after conditioning")
+    except PreprocessError as exc:
+        raise PreprocessError(f"{'/'.join(source)}: {exc}") from None
     return tensor
 
 

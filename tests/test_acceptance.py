@@ -275,9 +275,7 @@ def test_criterion_09_run_determinism(tmp_path):
     single model and for decision fusion over two domains."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "domains": ["Head"],
-        "channels": {"Head": ["L_EP_Y"], "Peripheral": ["EDA"]},
-        "synth": {"channels": ["EDA", "L_EP_Y"]},
+        "channels": {"Peripheral": ["EDA"], "Trunk": [], "Head": ["L_EP_Y"]},
         "hidden_size": 8,
         "target": "valence",
         "split": "kfold5",
@@ -301,7 +299,8 @@ def test_criterion_09_run_determinism(tmp_path):
              "--participants", "6")
     emomsase("preprocess", "--config", str(config), "--data", str(data),
              "--cache", str(cache))
-    for pair, extra in enumerate(([], ["--domains", "peripheral,head", "--fusion", "sum"])):
+    for pair, extra in enumerate((["--domains", "head"],
+                                  ["--domains", "peripheral,head", "--fusion", "sum"])):
         outs = [tmp_path / f"pair{pair}_run{i}" for i in (1, 2)]
         for out in outs:
             emomsase("run", "--config", str(config), "--seed", "7", *extra,
@@ -310,7 +309,7 @@ def test_criterion_09_run_determinism(tmp_path):
         first, second = (written(out) for out in outs)
         logs = [name for name in first if name.startswith("logs/")]
         assert {"results.csv", "report.json"} <= set(first)
-        assert len(logs) == 5 * (2 if extra else 1)
+        assert len(logs) == 5 * (pair + 1)
         assert first == second
     print("\ncriterion 9: two seed-7 runs produced byte-identical results.csv, "
           "report.json and logs/, for one model and for sum fusion of two")

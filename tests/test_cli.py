@@ -144,8 +144,7 @@ def test_unpiped_channel_writes_nothing(tmp_path, capsys):
     main(["synth", "--config", cfg, "--out", str(data), "--participants", "1"])
     n = 512  # 2 s of GSR, which the trunk unit records but no chain conditions
     gsr = dataio.RawRecording(
-        participant_id="p01", video_id="video01", domain=dataio.Domain.TRUNK,
-        channel="GSR", sample_rate_hz=256.0,
+        participant_id="p01", video_id="video01", channel="GSR", sample_rate_hz=256.0,
         timestamps_ms=np.round(np.arange(n) * 1000.0 / 256.0).astype(np.int64),
         values=np.zeros(n))
     dataio.write_recording_csv(gsr, data / "gsr.csv")
@@ -193,15 +192,14 @@ def test_one_rule_judges_every_channel_list(tmp_path_factory, data):
 
     tmp = tmp_path_factory.mktemp("channels")
     cfg = tmp / "config.json"
-    cfg.write_text(json.dumps({"synth": {"channels": names}}))
+    cfg.write_text(json.dumps({"domains": [domain], "channels": {domain: names}}))
     # an accepted list gets as far as the refused participant count
     code, err = _exit_and_error(["synth", "--config", str(cfg), "--out", str(tmp / "data"),
                                  "--participants", "0"])
-    assert (code, err) == ((2, f"error: setting synth.channels: {rule}\n") if rule
+    assert (code, err) == ((2, f"error: setting channels: {rule}\n") if rule
                            else (1, "error: need at least one participant\n")), names
     assert not (tmp / "data").exists()
 
-    cfg.write_text(json.dumps({"domains": [domain], "channels": {domain: names}}))
     # an accepted list gets as far as the missing manifest
     code, err = _exit_and_error(["preprocess", "--config", str(cfg), "--data", str(tmp),
                                  "--cache", str(tmp / "cache")])
@@ -503,7 +501,8 @@ def test_preprocess_refuses_a_non_finite_sample_rate(tmp_path, capsys, channel):
     tensor is written: neither the TEMP chain, which resamples by the rate,
     nor the eye chain, which ignores it, gets to run."""
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"synth": {"channels": ["TEMP", "L_EP_Y"]}}))
+    cfg.write_text(json.dumps({"channels": {"Peripheral": ["TEMP"], "Trunk": [],
+                                            "Head": ["L_EP_Y"]}}))
     data, cache = tmp_path / "data", tmp_path / "cache"
     assert main(["synth", "--config", str(cfg), "--out", str(data),
                  "--participants", "1"]) == 0
@@ -517,6 +516,20 @@ def test_preprocess_refuses_a_non_finite_sample_rate(tmp_path, capsys, channel):
     err = capsys.readouterr().err
     assert f"error: p01/video02/{channel}: sample rate must be finite and > 0, not nan" in err
     assert not list(cache.glob("*.bin"))
+
+
+def test_preprocess_names_the_recording_it_cannot_condition(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domains": ["Peripheral"], "channels": {"Peripheral": ["TEMP"]}}))
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    assert main(["synth", "--config", str(cfg), "--out", str(data),
+                 "--participants", "1", "--seed", "3"]) == 0
+    flat = data / "p01_video02_TEMP.csv"
+    header, *rows = flat.read_text().splitlines()
+    flat.write_text("\n".join([header, *(row.split(",")[0] + ",33.5" for row in rows)]) + "\n")
+    capsys.readouterr()
+    assert main(["preprocess", "--data", str(data), "--cache", str(cache)]) == 1
+    assert capsys.readouterr().err == "error: p01/video02/TEMP: constant signal has no z-score\n"
 
 
 def test_gradcheck_refuses_flags_that_check_nothing(monkeypatch, capsys):
@@ -582,14 +595,15 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (synth, {"synth": {"separation": "wide"}}, "setting separation must be"),
             (synth, {"synth": {"participants": "6"}}, "setting participants must be of type int"),
             (synth, {"seed": None}, "setting seed must be"),
-            (synth, {"synth": {"channels": ["Hed"]}},
-             "setting synth.channels: unknown channel 'Hed'"),
-            (synth, {"synth": {"channels": ["GSR"]}},
-             "setting synth.channels: channel 'GSR' has no conditioning chain"),
-            (synth, {"synth": {"channels": "EDA"}}, "setting synth.channels must be a non-empty"),
-            (synth, {"synth": {"channels": []}}, "setting synth.channels must be a non-empty"),
-            (synth, {"synth": {"channels": ["EDA", "TEMP", "EDA"]}},
-             "setting synth.channels: channel 'EDA' is listed more than once"),
+            (synth, {"channels": {"Head": ["Hed"]}}, "setting channels: unknown channel 'Hed'"),
+            (synth, {"channels": {"Trunk": ["GSR"]}},
+             "setting channels: channel 'GSR' has no conditioning chain"),
+            (synth, {"channels": {"Peripheral": "EDA"}}, "setting channels must map"),
+            (synth, {"domains": ["Peripheral"], "channels": {"Peripheral": []}},
+             "no channels configured for the selected domains"),
+            (synth, {"channels": {"Peripheral": ["EDA", "TEMP", "EDA"]}},
+             "setting channels: channel 'EDA' is listed more than once"),
+            (synth, {"synth": {"channels": ["EDA"]}}, "unknown synth config key(s): channels"),
             (["synth"], {"out": 5}, "setting out must be a path string, not 5"),
             (["run"], {"cache": ["x"], "ratings": "r.csv", "out": "o"},
              "setting cache must be a path string, not ['x']"),
@@ -696,9 +710,10 @@ def test_runtime_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert "x.csv: sample_rate_hz 'fast' is not a number" in capsys.readouterr().err
     # a diverging step turns the activations non-finite
     huge_lr = _write_config(tmp_path, {"train": {"learning_rate": 1e200}})
-    assert main(["run", "--config", huge_lr, "--cache", str(cache),
-                 "--ratings", str(data / "ratings.csv"),
-                 "--out", str(tmp_path / "out")]) == 1
+    with pytest.warns(RuntimeWarning):  # the weights overflow before the activations do
+        assert main(["run", "--config", huge_lr, "--cache", str(cache),
+                     "--ratings", str(data / "ratings.csv"),
+                     "--out", str(tmp_path / "out")]) == 1
     assert "error: non-finite" in capsys.readouterr().err
     # a replayed (or inference) tape is a runtime error, not a traceback
     def replayed(tape, out, seed=1.0):

@@ -1,5 +1,6 @@
 """Ingest, rating binarization, label derivation and synthetic data tests."""
 
+import csv
 import itertools
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from emomsase import dataio
 from emomsase.dataio import (
-    HIGH, LOW, BoundaryPolicy, DataError, Domain, LabelCase, LabelLookup,
+    HIGH, LOW, BoundaryPolicy, DataError, LabelCase, LabelLookup,
     RawRecording, SamRating, Sex, SyntheticSpec, binarize_rating,
     derive_labels, make_synthetic, synth_video_ids, video_class,
 )
@@ -121,6 +122,15 @@ def test_g2_passthrough_and_video_cover():
         derive_labels([], LabelCase.G2, g2_table=table, videos=["v1", "v2", "v3"])
 
 
+@pytest.mark.parametrize("case", list(LabelCase))
+def test_every_label_case_refuses_an_unrated_video(case):
+    ratings = [_rating(6, 2, pid="a"), _rating(2, 6, pid="b", vid="video02")]
+    table = {"video01": (HIGH, LOW), "video02": (LOW, HIGH)}
+    assert derive_labels(ratings, case, g2_table=table, videos=["video01", "video02"])
+    with pytest.raises(DataError, match=r"no ratings for video\(s\): video03$"):
+        derive_labels(ratings, case, g2_table=table, videos=["video01", "video02", "video03"])
+
+
 def test_label_lookup_pair_and_video_fallback():
     per_rater = derive_labels([_rating(6, 2, pid="a"), _rating(2, 6, pid="b")],
                               LabelCase.GENERAL)
@@ -147,8 +157,7 @@ def test_label_lookup_pair_and_video_fallback():
 
 def _recording(ts, values, rate=64.0):
     return RawRecording(
-        participant_id="p01", video_id="v01", domain=Domain.PERIPHERAL,
-        channel="ACC_Z", sample_rate_hz=rate,
+        participant_id="p01", video_id="v01", channel="ACC_Z", sample_rate_hz=rate,
         timestamps_ms=np.asarray(ts, dtype=np.int64),
         values=np.asarray(values, dtype=np.float64))
 
@@ -280,11 +289,15 @@ def test_dataset_round_trip(tmp_path):
     loaded = dataio.load_recordings(tmp_path)
     assert len(loaded) == len(recs)
     by_key = {(r.participant_id, r.video_id, r.channel): r for r in loaded}
+    with open(tmp_path / "manifest.csv", newline="") as fh:
+        domains = {(row["participant_id"], row["video_id"], row["channel"]): row["domain"]
+                   for row in csv.DictReader(fh)}
     for rec in recs:
-        back = by_key[(rec.participant_id, rec.video_id, rec.channel)]
+        key = (rec.participant_id, rec.video_id, rec.channel)
+        back = by_key[key]
         npt.assert_array_equal(back.timestamps_ms, rec.timestamps_ms)
         npt.assert_array_equal(back.values, rec.values)  # repr round trip is exact
-        assert back.domain == rec.domain
+        assert domains[key] == dataio.CHANNEL_CATALOG[rec.channel].domain.value
         assert back.sample_rate_hz == rec.sample_rate_hz
 
     assert dataio.load_ratings(tmp_path / "ratings.csv") == ratings

@@ -428,9 +428,7 @@ def test_every_chain_gives_its_declared_shape(channel, seed, extra):
         np.ceil(chain.tail * rate / chain.rate_hz))
     n = shortest + int(extra * shortest)
     rec = dataio.RawRecording(
-        participant_id="p01", video_id="video01",
-        domain=dataio.CHANNEL_CATALOG[channel].domain, channel=channel,
-        sample_rate_hz=rate,
+        participant_id="p01", video_id="video01", channel=channel, sample_rate_hz=rate,
         timestamps_ms=np.round(np.arange(n) * 1000.0 / rate).astype(np.int64),
         values=np.random.default_rng(seed).standard_normal(n))
     tensor = preprocess_channel(rec)
@@ -442,7 +440,7 @@ def test_temp_faster_than_working_rate_is_refused():
     # windows over a 20 s tail under the usual 39x128 shape
     n = 60 * 128
     rec = dataio.RawRecording(
-        participant_id="p01", video_id="video01", domain=dataio.Domain.PERIPHERAL,
+        participant_id="p01", video_id="video01",
         channel="TEMP", sample_rate_hz=128.0,
         timestamps_ms=np.round(np.arange(n) * 1000.0 / 128.0).astype(np.int64),
         values=np.random.default_rng(0).standard_normal(n))
@@ -455,7 +453,7 @@ def test_non_finite_conditioning_names_its_recording():
     values = np.random.default_rng(0).standard_normal(2500)
     values[7] = np.nan
     rec = dataio.RawRecording(
-        participant_id="p01", video_id="video01", domain=dataio.Domain.HEAD,
+        participant_id="p01", video_id="video01",
         channel="L_EP_Y", sample_rate_hz=1.0,
         timestamps_ms=np.arange(2500, dtype=np.int64) * 1000, values=values)
     with pytest.raises(PreprocessError,
@@ -463,9 +461,23 @@ def test_non_finite_conditioning_names_its_recording():
         preprocess_channel(rec)
 
 
+@pytest.mark.parametrize("video, channel, rate, values, message", [
+    ("video02", "TEMP", 4.0, np.full(240, 33.5), "constant signal has no z-score"),
+    ("video03", "L_EP_Y", 1.0, np.arange(1499.0), "need 2000 samples, got 1499"),
+    ("video04", "ACC_Z", 64.0, np.arange(12.0), "need more than 12 samples for order 4, got 12"),
+])
+def test_every_conditioning_failure_names_its_recording(video, channel, rate, values, message):
+    rec = dataio.RawRecording(
+        participant_id="p01", video_id=video, channel=channel, sample_rate_hz=rate,
+        timestamps_ms=np.round(np.arange(values.size) * 1000.0 / rate).astype(np.int64),
+        values=values)
+    with pytest.raises(PreprocessError, match=f"^p01/{video}/{channel}: {message}$"):
+        preprocess_channel(rec)
+
+
 def test_preprocess_channel_rejects_unknown_channel():
     rec = dataio.RawRecording(
-        participant_id="p01", video_id="v01", domain=dataio.Domain.HEAD,
+        participant_id="p01", video_id="v01",
         channel="MYSTERY", sample_rate_hz=64.0,
         timestamps_ms=np.arange(100, dtype=np.int64),
         values=np.zeros(100))
@@ -494,7 +506,7 @@ def test_cache_key_depends_on_content_and_identity():
     assert tensor_cache_key(other) != key
 
     renamed = dataio.RawRecording(
-        participant_id="p99", video_id=rec.video_id, domain=rec.domain,
+        participant_id="p99", video_id=rec.video_id,
         channel=rec.channel, sample_rate_hz=rec.sample_rate_hz,
         timestamps_ms=rec.timestamps_ms, values=rec.values)
     assert tensor_cache_key(renamed) != key
@@ -520,7 +532,7 @@ def test_cache_key_hashes_the_same_bytes_as_copies(n, seed, step, ts_dtype, valu
     ts = np.cumsum(rng.integers(1, 100, n * step)).astype(ts_dtype)[::step]
     values = rng.standard_normal(n * step).astype(value_dtype)[::step]
     rec = dataio.RawRecording(
-        participant_id="p01", video_id="video01", domain=dataio.Domain.PERIPHERAL,
+        participant_id="p01", video_id="video01",
         channel="EDA", sample_rate_hz=64.0, timestamps_ms=ts, values=values)
     assert tensor_cache_key(rec) == _key_from_copies(rec)
 
@@ -553,7 +565,7 @@ def test_cache_keys_stay_pinned(channel, key):
     # tensors of its channel; such a change must come with a new version token.
     row = CHANNEL_CATALOG[channel]
     rec = dataio.RawRecording(
-        participant_id="p01", video_id="video01", domain=row.domain, channel=channel,
+        participant_id="p01", video_id="video01", channel=channel,
         sample_rate_hz=row.synth_hz, timestamps_ms=np.arange(4, dtype=np.int64) * 250,
         values=np.array([0.5, -1.25, 2.0, 0.0]))
     assert tensor_cache_key(rec) == key
