@@ -14,8 +14,7 @@ from emomsase.dataio import (
     derive_labels, make_synthetic,
 )
 from emomsase.evaluate import (
-    Sample, fuse_decisions, group_kfold, loso, report_dict, results_rows,
-    run_experiment,
+    Sample, fuse_decisions, group_kfold, loso, results_rows, run_experiment,
 )
 from emomsase.model import ModelConfig
 from emomsase.train import TrainConfig
@@ -62,11 +61,11 @@ config = ModelConfig(
 train_config = TrainConfig(max_epochs=4, patience=4, seed=3)
 
 for fusion in ("modality", "sum"):
-    result = run_experiment(samples, labels, config, plan, fusion=fusion,
-                            train_config=train_config)
-    print(f"{fusion:>8} fusion: mean accuracy {result.mean_accuracy:.3f}, "
-          f"mean recall {result.mean_recall:.3f}")
+    result, _ = run_experiment(samples, labels, config, plan, fusion=fusion,
+                               train_config=train_config)
+    print(f"{fusion:>8} fusion: mean accuracy {result['mean_accuracy']:.3f}, "
+          f"mean recall {result['mean_recall']:.3f}")
 
 print("\nsummary rows as written to results.csv:")
-for row in results_rows(report_dict([result])["experiments"]):
+for row in results_rows([result]):
     print(f"  {row}")

@@ -117,6 +117,9 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key in ("cache", "ratings", "g2", "out"):
         if not (settings[key] is None or isinstance(settings[key], str)):
             raise UsageError(f"setting {key} must be a path string, not {settings[key]!r}")
+    for key in ("cache", "out"):  # the directory settings
+        if settings[key] is not None and Path(settings[key]).is_file():
+            raise UsageError(f"setting {key} names a file, not a directory: {settings[key]}")
     for key, choices in CHOICES.items():
         if settings[key] not in choices:
             raise UsageError(f"setting {key} must be one of {', '.join(choices)}, "
@@ -262,7 +265,8 @@ def _load_samples(cache_dir: Path, channels=None) -> list[evaluate.Sample]:
     """Each (float64) cached tensor cast to ``DTYPE``, one sample per participant
     and video; ``run`` holds these tensors once, and every fold references them.
 
-    Given ``channels``, entries of other channels are skipped unread.  A tensor
+    Given ``channels``, entries of other channels are skipped unread, and a
+    cache holding none of them is refused naming them.  A tensor
     not of its chain's shape fails here, naming its entry, before any training.
     """
     cache_dir = Path(cache_dir)
@@ -287,7 +291,8 @@ def _load_samples(cache_dir: Path, channels=None) -> list[evaluate.Sample]:
                 f"clear the cache and re-run preprocessing")
         sample.tensors[channel] = tensor.values.astype(DTYPE)
     if not by_pair:
-        raise UsageError(f"cache {cache_dir} holds no tensors")
+        wanted = "" if channels is None else f" of channels {', '.join(channels)}"
+        raise UsageError(f"cache {cache_dir} holds no tensors{wanted}")
     return [by_pair[k] for k in sorted(by_pair)]
 
 
@@ -321,7 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     dimensions = DIMENSIONS if settings["target"] == "both" else (settings["target"],)
 
-    results = []
+    experiments, logs = [], {}
     for dimension in dimensions:
         lookup = LabelLookup(assignments, dimension)
         covered = lookup.participants()
@@ -329,26 +334,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         if covered:  # per-rater cases restrict the participant pool
             pids = [p for p in pids if p in covered]
         split = SPLITS[settings["split"]](pids, train_cfg.seed)
-        result = evaluate.run_experiment(
+        entry, fold_logs = evaluate.run_experiment(
             samples, lookup, model_cfg, split,
             fusion=settings["fusion"], train_config=train_cfg)
-        results.append(result)
+        experiments.append(entry)
+        for fold, members in zip(entry["folds"], fold_logs):
+            for name, log in members.items():
+                logs[f"{entry['dimension']}_fold{fold['fold']}_{name}.csv"] = log
 
     out_dir = Path(settings["out"])
-    evaluate.write_results_csv(out_dir / "results.csv", results)
-    evaluate.write_report_json(out_dir / "report.json", results)
-    for result in results:
-        for f in result.fold_results:
-            for name, log in f.train_logs.items():
-                dataio.write_csv(
-                    out_dir / "logs" / f"{result.dimension}_fold{f.fold.index}_{name}.csv",
-                    ("epoch", "train_loss", "val_loss", "val_accuracy"),
-                    [(e + 1, *epoch) for e, epoch in enumerate(
-                        zip(log.train_loss, log.val_loss, log.val_accuracy))])
-    for result in results:
-        print(f"{result.combination} [{result.label_case}/{result.dimension}] "
-              f"{result.scheme}/{result.fusion}: "
-              f"accuracy {result.mean_accuracy:.4f}, recall {result.mean_recall:.4f}")
+    evaluate.write_results_csv(out_dir / "results.csv", experiments)
+    evaluate.write_report_json(out_dir / "report.json", experiments)
+    for name, log in logs.items():
+        dataio.write_csv(out_dir / "logs" / name,
+                         ("epoch", "train_loss", "val_loss", "val_accuracy"),
+                         [(e + 1, *epoch) for e, epoch in enumerate(
+                             zip(log.train_loss, log.val_loss, log.val_accuracy))])
+    for e in experiments:
+        print(f"{e['combination']} [{e['label_case']}/{e['dimension']}] "
+              f"{e['scheme']}/{e['fusion']}: "
+              f"accuracy {e['mean_accuracy']:.4f}, recall {e['mean_recall']:.4f}")
     print(f"results written to {out_dir}")
     return 0
 

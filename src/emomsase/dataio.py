@@ -617,10 +617,13 @@ def _load_recording(data_dir: Path, row: dict) -> RawRecording:
 
 def load_recordings(data_dir: Path) -> list[RawRecording]:
     """Load and validate every recording named by ``data_dir``/manifest.csv."""
-    data_dir = Path(data_dir)
-    return read_csv(data_dir / "manifest.csv", "manifest", MANIFEST_COLUMNS,
-                    lambda row: _load_recording(data_dir, row),
-                    key=("participant_id", "video_id", "channel"))
+    manifest = Path(data_dir) / "manifest.csv"
+    recordings = read_csv(manifest, "manifest", MANIFEST_COLUMNS,
+                          lambda row: _load_recording(manifest.parent, row),
+                          key=("participant_id", "video_id", "channel"))
+    if not recordings:
+        raise DataError(f"{manifest}: no data rows")
+    return recordings
 
 
 def _score(text: str) -> int:

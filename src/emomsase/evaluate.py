@@ -5,6 +5,10 @@ appear on two sides of a fold.  Metrics treat High (class 1) as the
 positive class.  Decision fusion works on arrays: it combines each domain
 model's (N, C) test probabilities, either by summing them or by trusting
 the single largest probability, into N classes and N tie flags.
+
+An experiment's result is one record, the dict that ``report.json`` holds
+under ``experiments``: ``run_experiment`` returns it, ``fold_report`` builds
+each fold's part, and the writers take a list of them.
 """
 
 from __future__ import annotations
@@ -96,31 +100,29 @@ def loso(participants: list[str]) -> SplitPlan:
     return _rotate("loso", participants, [(pid,) for pid in participants])
 
 
-@dataclass
-class FoldResult:
-    fold: Fold
-    accuracy: float
-    recall: float
-    n_test_samples: int
-    confusion: np.ndarray  # rows true class, columns predicted class
-    train_logs: dict[str, TrainLog]  # keyed by member name
-
-
-def _result_from_classes(fold: Fold, predicted: np.ndarray, true: np.ndarray,
-                         logs: dict[str, TrainLog]) -> FoldResult:
-    """Accuracy, High-class recall and confusion counts of one fold's test classes."""
+def fold_report(fold: Fold, predicted: np.ndarray, true: np.ndarray,
+                logs: dict[str, TrainLog]) -> dict:
+    """One fold's report entry: accuracy, High-class recall and confusion counts
+    (rows true class, columns predicted) of its test classes, its sides, and
+    each member's training summary."""
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
     np.add.at(confusion, (true, predicted), 1)
     positives = confusion[HIGH, :].sum()
-    recall = confusion[HIGH, HIGH] / positives if positives else 0.0
-    return FoldResult(
-        fold=fold,
-        accuracy=float((predicted == true).mean()),
-        recall=float(recall),
-        n_test_samples=int(true.shape[0]),
-        confusion=confusion,
-        train_logs=logs,
-    )
+    return {
+        "fold": fold.index,
+        "accuracy": float((predicted == true).mean()),
+        "recall": float(confusion[HIGH, HIGH] / positives if positives else 0.0),
+        "n_test_samples": int(true.shape[0]),
+        "confusion": confusion.tolist(),
+        "train_participants": list(fold.train),
+        "val_participants": list(fold.val),
+        "test_participants": list(fold.test),
+        "training": {name: {
+            "best_epoch": log.best_epoch,
+            "stopped_epoch": log.n_epochs(),
+            "final_val_loss": log.val_loss[log.best_epoch - 1] if log.best_epoch else None,
+        } for name, log in logs.items()},
+    }
 
 
 def fuse_decisions(member_probs: list[np.ndarray], rule: str) -> tuple[np.ndarray, np.ndarray]:
@@ -153,25 +155,6 @@ class Sample:
     participant_id: str
     video_id: str
     tensors: dict[str, np.ndarray]  # channel -> (T, F)
-
-
-@dataclass
-class ExperimentResult:
-    combination: str
-    label_case: str
-    dimension: str
-    variant: str
-    fusion: str
-    scheme: str
-    fold_results: list[FoldResult]
-
-    @property
-    def mean_accuracy(self) -> float:
-        return float(np.mean([f.accuracy for f in self.fold_results]))
-
-    @property
-    def mean_recall(self) -> float:
-        return float(np.mean([f.recall for f in self.fold_results]))
 
 
 def build_labeled_set(samples: list[Sample], labels: LabelLookup,
@@ -227,86 +210,51 @@ def fit_member(samples: list[Sample], labels: LabelLookup, fold: Fold,
 
 def run_experiment(samples: list[Sample], labels: LabelLookup,
                    model_config: ModelConfig, split: SplitPlan,
-                   fusion: str = FUSION_MODALITY,
-                   train_config: TrainConfig = TrainConfig()) -> ExperimentResult:
+                   fusion: str = FUSION_MODALITY, train_config: TrainConfig = TrainConfig()
+                   ) -> tuple[dict, list[dict[str, TrainLog]]]:
     """Train and score one model configuration across every fold of a split:
-    each fold fits the members of ``member_plan`` one after another and
-    fuses their test probabilities."""
+    each fold fits the members of ``member_plan`` one after another and fuses
+    their test probabilities.  Returns the experiment's ``report.json`` entry
+    and, for each fold in order, its members' logs by member name."""
     members, rule = member_plan(model_config, fusion)
     missing = set(split.participants) - {s.participant_id for s in samples}
     if missing:
         raise EvaluateError(f"split names unknown participants: {sorted(missing)}")
 
-    fold_results = []
+    folds, fold_logs = [], []
     for fold in split.folds:
         fold.check_disjoint()  # before any training; perfbench times a fold from here
         probs, true, logs = zip(*[fit_member(samples, labels, fold, cfg, train_config)
                                   for cfg in members.values()])
         predicted, _ = fuse_decisions(list(probs), rule)
-        fold_results.append(
-            _result_from_classes(fold, predicted, true[0], dict(zip(members, logs))))
+        fold_logs.append(dict(zip(members, logs)))
+        folds.append(fold_report(fold, predicted, true[0], fold_logs[-1]))
 
-    return ExperimentResult(
-        combination="+".join(d for d, _ in model_config.domain_channels),
-        label_case=labels.case_name,
-        dimension=labels.dimension,
-        variant=model_config.variant,
-        fusion=fusion,
-        scheme=split.scheme,
-        fold_results=fold_results,
-    )
+    return {
+        "combination": "+".join(d for d, _ in model_config.domain_channels),
+        "label_case": labels.case_name,
+        "dimension": labels.dimension,
+        "variant": model_config.variant,
+        "fusion": fusion,
+        "scheme": split.scheme,
+        **{f"mean_{stat}": float(np.mean([f[stat] for f in folds]))
+           for stat in ("accuracy", "recall")},
+        "folds": folds,
+    }, fold_logs
 
 
 def results_rows(experiments: list[dict]) -> list[tuple[str, str, str, float]]:
-    """Flatten ``report_dict`` experiments into (combination, label_case,
+    """Flatten ``run_experiment`` entries into (combination, label_case,
     metric, value) rows."""
     return [(exp["combination"], exp["label_case"], f"{exp['dimension']}_{stat}",
              exp[f"mean_{stat}"])
             for exp in experiments for stat in ("accuracy", "recall")]
 
 
-def write_results_csv(path, results: list[ExperimentResult]) -> None:
-    write_csv(path, RESULTS_COLUMNS, results_rows(report_dict(results)["experiments"]))
+def write_results_csv(path, experiments: list[dict]) -> None:
+    write_csv(path, RESULTS_COLUMNS, results_rows(experiments))
 
 
-def report_dict(results: list[ExperimentResult]) -> dict:
-    """JSON-ready report with per-fold detail."""
-    out = []
-    for r in results:
-        folds = []
-        for f in r.fold_results:
-            folds.append({
-                "fold": f.fold.index,
-                "accuracy": f.accuracy,
-                "recall": f.recall,
-                "n_test_samples": f.n_test_samples,
-                "confusion": f.confusion.tolist(),
-                "train_participants": list(f.fold.train),
-                "val_participants": list(f.fold.val),
-                "test_participants": list(f.fold.test),
-                "training": {
-                    name: {
-                        "best_epoch": log.best_epoch,
-                        "stopped_epoch": log.n_epochs(),
-                        "final_val_loss": log.val_loss[log.best_epoch - 1]
-                        if log.best_epoch else None,
-                    } for name, log in f.train_logs.items()
-                },
-            })
-        out.append({
-            "combination": r.combination,
-            "label_case": r.label_case,
-            "dimension": r.dimension,
-            "variant": r.variant,
-            "fusion": r.fusion,
-            "scheme": r.scheme,
-            "mean_accuracy": r.mean_accuracy,
-            "mean_recall": r.mean_recall,
-            "folds": folds,
-        })
-    return {"experiments": out}
-
-
-def write_report_json(path, results: list[ExperimentResult]) -> None:
-    write_atomic(path, (json.dumps(report_dict(results), indent=2, sort_keys=True)
+def write_report_json(path, experiments: list[dict]) -> None:
+    write_atomic(path, (json.dumps({"experiments": experiments}, indent=2, sort_keys=True)
                         + "\n").encode())

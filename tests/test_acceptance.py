@@ -171,25 +171,25 @@ def test_criterion_05_synthetic_learnability():
     split = group_kfold(sorted({s.participant_id for s in samples}), k=5,
                         seed=11)
     fused = run_experiment(samples, labels, config, split, fusion="modality",
-                           train_config=train_config)
+                           train_config=train_config)[0]["mean_accuracy"]
     singles = {}
     for domain, _ in _C5_DOMAINS:
         singles[domain] = run_experiment(
             samples, labels, config.restrict([domain]), split,
-            fusion="modality", train_config=train_config).mean_accuracy
+            fusion="modality", train_config=train_config)[0]["mean_accuracy"]
 
-    assert fused.mean_accuracy >= 0.85
+    assert fused >= 0.85
     for domain, acc in singles.items():
-        assert fused.mean_accuracy >= acc - 0.02, (domain, acc)
+        assert fused >= acc - 0.02, (domain, acc)
 
     flat_samples, flat_labels = _c5_dataset(0.0)
     flat = run_experiment(flat_samples, flat_labels, config, split,
-                          fusion="modality", train_config=train_config)
-    assert 0.35 <= flat.mean_accuracy <= 0.65
+                          fusion="modality", train_config=train_config)[0]["mean_accuracy"]
+    assert 0.35 <= flat <= 0.65
 
     detail = ", ".join(f"{d} {a:.3f}" for d, a in singles.items())
-    print(f"\ncriterion 5: fused {fused.mean_accuracy:.3f} "
-          f"(singles {detail}); separation 0 gave {flat.mean_accuracy:.3f}")
+    print(f"\ncriterion 5: fused {fused:.3f} "
+          f"(singles {detail}); separation 0 gave {flat:.3f}")
 
 
 # ---------------------------------------------------------------------------

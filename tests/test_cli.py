@@ -267,9 +267,11 @@ G2_HEADER = "video_id,g2_valence,g2_arousal\n"
     ("g2_table.csv", G2_HEADER + "video01,HV,HA\nvideo01,LV,LA\n", 3),
     ("g2_table.csv", G2_HEADER + "video01,HA,HA\n", 2),
     ("ratings.csv", RATINGS_HEADER + "p01,video01,9,2,Male\n", 2),
+    ("manifest.csv", MANIFEST_HEADER, None),
 ], ids=["manifest-no-rate-column", "ratings-no-sex-column", "ratings-not-a-number",
         "g2-unknown-code", "g2-short-row", "ratings-long-row", "ratings-repeated-pair",
-        "g2-repeated-video", "g2-arousal-code-for-valence", "ratings-out-of-scale"])
+        "g2-repeated-video", "g2-arousal-code-for-valence", "ratings-out-of-scale",
+        "manifest-no-rows"])
 def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, capsys,
                                                       table, text, line):
     path = tmp_path / table
@@ -285,6 +287,7 @@ def test_malformed_table_exits_1_naming_file_and_line(small_cache, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}" + (f" line {line}: " if line else ": "))
     assert "Traceback" not in err
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("row, line, message", [
@@ -307,6 +310,19 @@ def test_bad_sensor_row_exits_1_naming_file_and_line(tmp_path, capsys, row, line
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {path} line {line}: {message}\n"
     assert list(cache.glob("*.bin")) == []
+
+
+def test_run_names_the_channels_a_cache_lacks(small_cache, tmp_path, capsys):
+    """An eye-only cache read for peripheral channels is refused, naming them."""
+    cfg = _write_config(tmp_path, {"domains": ["Peripheral"],
+                                   "channels": {"Peripheral": ["EDA", "TEMP"]}})
+    argv = _run_argv(small_cache, tmp_path / "out")
+    argv[argv.index("--config") + 1] = cfg
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cache {small_cache / 'cache'} holds no tensors of channels EDA, TEMP\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_skips_foreign_cache_files_and_names_a_corrupt_tensor(small_cache, tmp_path,
@@ -562,7 +578,15 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     run = ["run", "--cache", str(tmp_path / "nope"), "--ratings", "r.csv",
            "--out", str(tmp_path / "o")]
     synth = ["synth", "--out", str(tmp_path / "x")]
+    taken = tmp_path / "taken"  # a file where a directory setting points
+    taken.write_text("")
     for command, cfg, message in [
+            (["synth", "--out", str(taken)], {},
+             f"setting out names a file, not a directory: {taken}"),
+            (["preprocess", "--data", str(tmp_path), "--cache", str(taken)], {},
+             f"setting cache names a file, not a directory: {taken}"),
+            (["run", "--cache", str(tmp_path), "--ratings", "r.csv", "--out", str(taken)], {},
+             f"setting out names a file, not a directory: {taken}"),
             (run, {"train": {"learning_rate": None}}, "setting learning_rate must be"),
             (run, {"hidden_size": [8]}, "setting hidden_size must be"),
             (run, {"hidden_size": "big"}, "setting hidden_size must be"),

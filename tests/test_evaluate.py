@@ -1,6 +1,7 @@
 """Split plans, leakage guards, metrics, decision fusion and experiments."""
 
 import gc
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -17,9 +18,9 @@ from emomsase.dataio import (
     derive_labels, make_synthetic,
 )
 from emomsase.evaluate import (
-    EvaluateError, Fold, Sample, SplitPlan, _result_from_classes, build_labeled_set,
-    fuse_decisions, group_kfold, loso, report_dict, results_rows,
-    run_experiment, write_results_csv,
+    EvaluateError, Fold, Sample, SplitPlan, build_labeled_set, fold_report,
+    fuse_decisions, group_kfold, loso, results_rows, run_experiment,
+    write_report_json, write_results_csv,
 )
 from emomsase.model import ModelConfig
 from emomsase.train import TrainConfig, TrainLog
@@ -126,18 +127,20 @@ def test_metrics_counts():
         [0.7, 0.3],    # missed positive
         [0.4, 0.6],    # false positive
     ])
-    r = _result_from_classes(FOLD, probs.argmax(axis=1), np.array([LOW, HIGH, HIGH, LOW]), {})
-    npt.assert_allclose(r.accuracy, 0.5)
-    npt.assert_allclose(r.recall, 0.5)
-    npt.assert_array_equal(r.confusion, [[1, 1], [1, 1]])
-    assert r.n_test_samples == 4
-    assert r.fold is FOLD
+    r = fold_report(FOLD, probs.argmax(axis=1), np.array([LOW, HIGH, HIGH, LOW]), {})
+    npt.assert_allclose(r["accuracy"], 0.5)
+    npt.assert_allclose(r["recall"], 0.5)
+    npt.assert_array_equal(r["confusion"], [[1, 1], [1, 1]])
+    assert r["n_test_samples"] == 4
+    assert r["fold"] == FOLD.index
+    assert (r["train_participants"], r["val_participants"], r["test_participants"]) == \
+        (list(FOLD.train), list(FOLD.val), list(FOLD.test))
 
 
 def test_metrics_recall_without_positives_is_zero():
-    r = _result_from_classes(FOLD, np.array([LOW, LOW]), np.array([LOW, LOW]), {})
-    npt.assert_allclose(r.accuracy, 1.0)
-    assert r.recall == 0.0
+    r = fold_report(FOLD, np.array([LOW, LOW]), np.array([LOW, LOW]), {})
+    npt.assert_allclose(r["accuracy"], 1.0)
+    assert r["recall"] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,12 +149,12 @@ def test_metrics_recall_without_positives_is_zero():
 def test_metrics_count_like_a_loop(pairs):
     """Rows of the confusion matrix are true classes, columns predicted ones."""
     true, predicted = (np.array(side) for side in zip(*pairs))
-    r = _result_from_classes(FOLD, predicted, true, {})
+    r = fold_report(FOLD, predicted, true, {})
     expected = np.zeros((2, 2), dtype=int)
     for t, p in pairs:
         expected[t, p] += 1
-    npt.assert_array_equal(r.confusion, expected)
-    assert r.accuracy == np.mean(true == predicted)
+    npt.assert_array_equal(r["confusion"], expected)
+    assert r["accuracy"] == np.mean(true == predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -311,30 +314,32 @@ def test_run_experiment_modality_fusion():
     samples, labels, config, tc = _experiment_pieces(
         (("Head", ("L_EP_Y",)),))
     split = group_kfold(_pids(6), k=3, seed=0)
-    result = run_experiment(samples, labels, config, split, fusion="modality",
-                            train_config=tc)
-    assert len(result.fold_results) == 3
-    assert result.combination == "Head"
-    assert result.scheme == "kfold3"
-    assert result.label_case == "general"
-    assert 0.0 <= result.mean_accuracy <= 1.0
-    for fold, f in zip(split.folds, result.fold_results):
-        assert f.fold == fold
-        assert f.n_test_samples == 13 * len(fold.test)
-        assert f.confusion.sum() == f.n_test_samples
-        assert "model" in f.train_logs
+    result, logs = run_experiment(samples, labels, config, split, fusion="modality",
+                                  train_config=tc)
+    assert len(result["folds"]) == len(logs) == 3
+    assert result["combination"] == "Head"
+    assert result["scheme"] == "kfold3"
+    assert result["label_case"] == "general"
+    assert 0.0 <= result["mean_accuracy"] <= 1.0
+    for fold, f, members in zip(split.folds, result["folds"], logs):
+        assert f["fold"] == fold.index
+        assert (f["train_participants"], f["val_participants"], f["test_participants"]) == \
+            (list(fold.train), list(fold.val), list(fold.test))
+        assert f["n_test_samples"] == 13 * len(fold.test)
+        assert np.sum(f["confusion"]) == f["n_test_samples"]
+        assert set(members) == set(f["training"]) == {"model"}
 
 
 def test_run_experiment_decision_fusion_two_domains():
     samples, labels, config, tc = _experiment_pieces(
         (("Peripheral", ("EDA",)), ("Head", ("L_EP_Y",))))
     split = group_kfold(_pids(6), k=3, seed=1)
-    result = run_experiment(samples, labels, config, split, fusion="sum",
-                            train_config=tc)
-    assert result.fusion == "sum"
-    assert result.combination == "Peripheral+Head"
-    for f in result.fold_results:
-        assert set(f.train_logs) == {"Peripheral", "Head"}
+    result, logs = run_experiment(samples, labels, config, split, fusion="sum",
+                                  train_config=tc)
+    assert result["fusion"] == "sum"
+    assert result["combination"] == "Peripheral+Head"
+    for f, members in zip(result["folds"], logs, strict=True):
+        assert set(members) == set(f["training"]) == {"Peripheral", "Head"}
 
     single = ModelConfig(
         domain_channels=(("Head", ("L_EP_Y",)),),
@@ -379,19 +384,49 @@ def test_run_experiment_fuses_each_members_test_probabilities(monkeypatch, fusio
     monkeypatch.setattr(evaluate, "fit",
                         lambda model, *args: (_StubModel(model.config), TrainLog()))
     split = group_kfold(_pids(3), k=3, seed=0)
-    result = run_experiment(samples, labels, config, split, fusion=fusion, train_config=tc)
+    result, _ = run_experiment(samples, labels, config, split, fusion=fusion, train_config=tc)
 
     members = ([[d for d, _ in domain_channels]] if fusion == "modality"
                else [[d] for d, _ in domain_channels])
     rule = "sum" if fusion == "modality" else fusion
-    for fold, got in zip(split.folds, result.fold_results):
+    for fold, got in zip(split.folds, result["folds"]):
         true = build_labeled_set(samples, labels, config.channels, fold.test).labels
         probs = [_stub_probs(domains, len(true)) for domains in members]
         expected = np.zeros((2, 2), dtype=int)
         for i, t in enumerate(true):
             expected[t, fuse_brute_force([p[i] for p in probs], rule)[0]] += 1
-        npt.assert_array_equal(got.confusion, expected)
-        assert got.accuracy == np.trace(expected) / len(true)
+        npt.assert_array_equal(got["confusion"], expected)
+        assert got["accuracy"] == np.trace(expected) / len(true)
+
+
+# sha256 of results.csv and report.json written for the three entries of
+# test_result_bytes_stay_pinned
+RESULT_DIGESTS = (
+    "6712b40b27f8f9ccc62663eb4df2353ac798054833a91253c396a78055af1ece",
+    "b01c963756b55f164ac028f05763e1b75619d9eefc0c544c94cfc6bbb9c879ed",
+)
+
+
+def test_result_bytes_stay_pinned(monkeypatch, tmp_path):
+    """The writers' bytes, for one stubbed experiment per fusion mode: every
+    field of the report and every summary row."""
+    domain_channels = (("Peripheral", ("EDA",)), ("Trunk", ("LAT_ACC",)),
+                       ("Head", ("L_EP_Y",)))
+    samples, labels, config, tc = _experiment_pieces(domain_channels, n_participants=3)
+    log = TrainLog(train_loss=[0.7, 0.6, 0.65], val_loss=[0.69, 0.61, 0.64],
+                   val_accuracy=[0.5, 0.625, 0.6], best_epoch=2)
+
+    def stub_fit(model, *args):  # the Head member never improves: no best epoch
+        stub = _StubModel(model.config)
+        return stub, TrainLog() if stub.domains == ["Head"] else log
+    monkeypatch.setattr(evaluate, "fit", stub_fit)
+    split = group_kfold(_pids(3), k=3, seed=0)
+    entries = [run_experiment(samples, labels, config, split, fusion=fusion,
+                              train_config=tc)[0] for fusion in ("modality", "sum", "max")]
+    write_results_csv(tmp_path / "results.csv", entries)
+    write_report_json(tmp_path / "report.json", entries)
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("results.csv", "report.json")) == RESULT_DIGESTS
 
 
 @pytest.mark.parametrize("fusion", ["modality", "sum"])
@@ -481,9 +516,9 @@ def test_run_experiment_input_validation():
 def test_results_serialization(tmp_path):
     samples, labels, config, tc = _experiment_pieces((("Head", ("L_EP_Y",)),))
     split = group_kfold(_pids(6), k=3, seed=2)
-    result = run_experiment(samples, labels, config, split, train_config=tc)
+    result, _ = run_experiment(samples, labels, config, split, train_config=tc)
 
-    rows = results_rows(report_dict([result])["experiments"])
+    rows = results_rows([result])
     assert [r[2] for r in rows] == ["valence_accuracy", "valence_recall"]
 
     path = tmp_path / "results.csv"
@@ -494,9 +529,8 @@ def test_results_serialization(tmp_path):
     write_results_csv(tmp_path / "again.csv", [result])
     assert (tmp_path / "again.csv").read_text() == text  # deterministic bytes
 
-    report = report_dict([result])
-    blob = json.dumps(report, sort_keys=True)
-    parsed = json.loads(blob)
+    write_report_json(tmp_path / "report.json", [result])
+    parsed = json.loads((tmp_path / "report.json").read_text())
     exp = parsed["experiments"][0]
     assert exp["scheme"] == "kfold3"
     assert len(exp["folds"]) == 3
