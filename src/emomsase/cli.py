@@ -117,9 +117,11 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key in ("cache", "ratings", "g2", "out"):
         if not (settings[key] is None or isinstance(settings[key], str)):
             raise UsageError(f"setting {key} must be a path string, not {settings[key]!r}")
-    for key in ("cache", "out"):  # the directory settings
-        if settings[key] is not None and Path(settings[key]).is_file():
-            raise UsageError(f"setting {key} names a file, not a directory: {settings[key]}")
+    for key in ("cache", "out"):  # the directory settings: no file on their way
+        path = Path(settings[key] or ".")
+        nearest = next((p for p in (path, *path.parents) if p.exists()), path)
+        if nearest.is_file():
+            raise UsageError(f"setting {key} names a file, not a directory: {nearest}")
     for key, choices in CHOICES.items():
         if settings[key] not in choices:
             raise UsageError(f"setting {key} must be one of {', '.join(choices)}, "

@@ -9,11 +9,22 @@ the single largest probability, into N classes and N tie flags.
 An experiment's result is one record, the dict that ``report.json`` holds
 under ``experiments``: ``run_experiment`` returns it, ``fold_report`` builds
 each fold's part, and the writers take a list of them.
+
+Folds are independent fits, so ``run_experiment`` runs them on every CPU the
+process may use: the parent runs folds i = 0 (mod P) and P - 1 children,
+forked after the samples are loaded, run the others and send back each
+fold's result through a pipe.  Every process uses one BLAS thread, so the
+output bytes depend on neither P nor the host's BLAS thread count.  This is
+the only module that starts processes, so one ``finally`` reaps them all.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,6 +219,86 @@ def fit_member(samples: list[Sample], labels: LabelLookup, fold: Fold,
     return model.predict(te.inputs), te.labels, log
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> tuple | None:
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or None
+    on another BLAS.  They act on the whole process, not on one thread."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # its BLAS is a dependency
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _child(body, folds: tuple[Fold, ...], source, write: int) -> None:
+    """Run ``body`` over ``folds`` in a forked child and pickle the list of
+    results, or the exception that stopped it, into the pipe's ``write`` end;
+    never returns.  The exit status is 0 only once the whole payload is written."""
+    status = 1
+    try:
+        source.close()
+        try:
+            payload = [body(fold) for fold in folds]
+        except BaseException as exc:  # re-raised by the parent, interrupts too
+            payload = exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_folds(body, folds: tuple[Fold, ...], processes: int) -> list:
+    """``body(fold)`` for each fold, in fold order.  The parent runs folds
+    i = 0 (mod ``processes``) itself, and each forked child the folds of its
+    own residue.  A child's exception is raised here, and no child outlives
+    the call, whether it succeeds, fails or is interrupted."""
+    children = {}  # pid -> (the read end of its pipe, the positions of its folds)
+    try:
+        for first in range(1, processes):
+            read, write = os.pipe()
+            source = os.fdopen(read, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(body, folds[first::processes], source, write)
+            finally:
+                os.close(write)
+            children[pid] = (source, range(first, len(folds), processes))
+        results = [None] * len(folds)
+        for i in range(0, len(folds), processes):
+            results[i] = body(folds[i])
+        for pid, (source, positions) in list(children.items()):
+            with source:
+                data = source.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise EvaluateError(f"the worker for folds {[folds[i].index for i in positions]} "
+                                    f"ended without a result (exit code {status})")
+            payload = pickle.loads(data)  # bytes our own child wrote
+            if isinstance(payload, BaseException):
+                raise payload
+            for i, result in zip(positions, payload, strict=True):
+                results[i] = result
+        return results
+    finally:
+        for pid, (source, _) in children.items():
+            source.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_experiment(samples: list[Sample], labels: LabelLookup,
                    model_config: ModelConfig, split: SplitPlan,
                    fusion: str = FUSION_MODALITY, train_config: TrainConfig = TrainConfig()
@@ -215,17 +306,36 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
     """Train and score one model configuration across every fold of a split:
     each fold fits the members of ``member_plan`` one after another and fuses
     their test probabilities.  Returns the experiment's ``report.json`` entry
-    and, for each fold in order, its members' logs by member name."""
+    and, for each fold in order, its members' logs by member name.
+
+    The folds run on min(folds, ``usable_cpus()``) processes, each with one
+    BLAS thread; the parent's thread count is restored on return.  Without
+    ``os.fork`` or numpy's bundled OpenBLAS they run in this process, and the
+    thread count is left alone."""
     members, rule = member_plan(model_config, fusion)
     missing = set(split.participants) - {s.participant_id for s in samples}
     if missing:
         raise EvaluateError(f"split names unknown participants: {sorted(missing)}")
 
-    folds, fold_logs = [], []
-    for fold in split.folds:
+    def fold_fits(fold: Fold) -> list[tuple]:
         fold.check_disjoint()  # before any training; perfbench times a fold from here
-        probs, true, logs = zip(*[fit_member(samples, labels, fold, cfg, train_config)
-                                  for cfg in members.values()])
+        return [fit_member(samples, labels, fold, cfg, train_config) for cfg in members.values()]
+
+    blas = blas_threads()
+    processes = max(1, min(len(split.folds), usable_cpus())) if blas and hasattr(os, "fork") else 1
+    if blas:
+        get, put = blas
+        threads = get()
+        put(1)
+    try:
+        fits = _map_folds(fold_fits, split.folds, processes)
+    finally:
+        if blas:
+            put(threads)
+
+    folds, fold_logs = [], []
+    for fold, member_fits in zip(split.folds, fits):
+        probs, true, logs = zip(*member_fits)
         predicted, _ = fuse_decisions(list(probs), rule)
         fold_logs.append(dict(zip(members, logs)))
         folds.append(fold_report(fold, predicted, true[0], fold_logs[-1]))

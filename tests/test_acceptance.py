@@ -6,6 +6,7 @@ per criterion; each test also prints the measured numbers it judged.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -272,22 +273,28 @@ def test_criterion_08_majority_labels():
 
 def test_criterion_09_run_determinism(tmp_path):
     """Two identical seeded runs write byte-identical results and logs, for a
-    single model and for decision fusion over two domains."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
+    single model and for decision fusion over two domains; so do runs under
+    one and under two BLAS threads."""
+    settings = {
         "channels": {"Peripheral": ["EDA"], "Trunk": [], "Head": ["L_EP_Y"]},
         "hidden_size": 8,
         "target": "valence",
         "split": "kfold5",
         "train": {"max_epochs": 2, "patience": 2, "batch_size": 8},
-    }))
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    # B=16 products are large enough for OpenBLAS to thread, which moves bytes unless pinned
+    threads_config = tmp_path / "threads.json"
+    threads_config.write_text(json.dumps({**settings, "train": {**settings["train"],
+                                                                "batch_size": 16}}))
     data = tmp_path / "data"
     cache = tmp_path / "cache"
 
-    def emomsase(*args):
+    def emomsase(*args, env=None):
         proc = subprocess.run(
             [sys.executable, "-m", "emomsase", *args],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -311,8 +318,15 @@ def test_criterion_09_run_determinism(tmp_path):
         assert {"results.csv", "report.json"} <= set(first)
         assert len(logs) == 5 * (pair + 1)
         assert first == second
+        outs = [tmp_path / f"pair{pair}_threads{n}" for n in (1, 2)]
+        for n, out in enumerate(outs, start=1):
+            emomsase("run", "--config", str(threads_config), "--seed", "7", *extra,
+                     "--cache", str(cache), "--ratings", str(data / "ratings.csv"),
+                     "--out", str(out), env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)})
+        assert written(outs[0]) == written(outs[1])
     print("\ncriterion 9: two seed-7 runs produced byte-identical results.csv, "
-          "report.json and logs/, for one model and for sum fusion of two")
+          "report.json and logs/, for one model and for sum fusion of two, "
+          "and so did runs under OPENBLAS_NUM_THREADS=1 and =2")
 
 
 # ---------------------------------------------------------------------------

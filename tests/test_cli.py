@@ -403,6 +403,32 @@ def test_run_skips_channels_its_model_does_not_read(small_cache, tmp_path, monke
     assert any(p.parts[0] == "logs" for p in clean) and clean == extra
 
 
+@pytest.mark.parametrize("fusion", ["modality", "sum"])
+def test_run_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, fusion):
+    """One process or two, ``run`` writes the same results.csv, report.json
+    and logs/, byte for byte."""
+    cfg = _write_config(tmp_path, {
+        "domains": ["Peripheral", "Head"],
+        "channels": {"Peripheral": ["EDA"], "Trunk": [], "Head": ["L_EP_Y"]},
+        "hidden_size": 8, "target": "valence", "split": "loso", "fusion": fusion,
+        "train": {"max_epochs": 2, "patience": 2, "batch_size": 8},
+    })
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    assert main(["synth", "--config", cfg, "--out", str(data), "--participants", "3"]) == 0
+    assert main(["preprocess", "--config", cfg, "--data", str(data), "--cache", str(cache)]) == 0
+    written = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("emomsase.evaluate.usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"out{cpus}"
+        assert main(["run", "--config", cfg, "--cache", str(cache),
+                     "--ratings", str(data / "ratings.csv"), "--out", str(out)]) == 0
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    members = 1 if fusion == "modality" else 2
+    assert len([p for p in written[0] if p.parts[0] == "logs"]) == 3 * members
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("target", ["results.csv", "report.json"])
 def test_interrupted_output_write_leaves_no_partial_file(small_cache, tmp_path, capsys,
                                                          monkeypatch, target):
@@ -586,6 +612,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             (["preprocess", "--data", str(tmp_path), "--cache", str(taken)], {},
              f"setting cache names a file, not a directory: {taken}"),
             (["run", "--cache", str(tmp_path), "--ratings", "r.csv", "--out", str(taken)], {},
+             f"setting out names a file, not a directory: {taken}"),
+            (["synth", "--out", str(taken / "sub")], {},  # a file on the way to the directory
+             f"setting out names a file, not a directory: {taken}"),
+            (["preprocess", "--data", str(tmp_path), "--cache", str(taken / "sub")], {},
+             f"setting cache names a file, not a directory: {taken}"),
+            (["run", "--cache", str(tmp_path), "--ratings", "r.csv",
+              "--out", str(taken / "sub" / "deeper")], {},
              f"setting out names a file, not a directory: {taken}"),
             (run, {"train": {"learning_rate": None}}, "setting learning_rate must be"),
             (run, {"hidden_size": [8]}, "setting hidden_size must be"),

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import tracemalloc
 import weakref
 
@@ -23,7 +24,7 @@ from emomsase.evaluate import (
     write_report_json, write_results_csv,
 )
 from emomsase.model import ModelConfig
-from emomsase.train import TrainConfig, TrainLog
+from emomsase.train import TrainConfig, TrainError, TrainLog
 
 from reference_impls import fuse_brute_force
 
@@ -432,7 +433,8 @@ def test_result_bytes_stay_pinned(monkeypatch, tmp_path):
 @pytest.mark.parametrize("fusion", ["modality", "sum"])
 def test_run_experiment_holds_one_model_at_a_time(monkeypatch, fusion):
     """Each fit starts once the last member's weights are freed, so peak
-    memory holds one model, not two."""
+    memory holds one model, not two, in the parent and in its worker (whose
+    failed assertion the parent raises)."""
     samples, labels, config, tc = _experiment_pieces(
         (("Peripheral", ("EDA",)), ("Head", ("L_EP_Y",))))
     split = group_kfold(_pids(6), k=3, seed=1)
@@ -445,30 +447,92 @@ def test_run_experiment_holds_one_model_at_a_time(monkeypatch, fusion):
         assert len(alive) == 1
         return real_fit(model, *args)
     monkeypatch.setattr(evaluate, "fit", counting_fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
     run_experiment(samples, labels, config, split, fusion=fusion, train_config=tc)
 
 
-def test_run_experiment_marks_each_fold_before_its_fits(monkeypatch):
-    """Each fold calls ``check_disjoint`` once, before its members' fits: the
-    benchmark times a fold from its marker to the next one."""
+def test_run_experiment_marks_each_fold_before_its_fits(monkeypatch, tmp_path):
+    """Each fold calls ``check_disjoint`` once, before its members' fits, in
+    the process that fits it: the benchmark times a fold from its marker to
+    the next one.  Each process runs its folds in order."""
     samples, labels, config, tc = _experiment_pieces(
         (("Peripheral", ("EDA",)), ("Head", ("L_EP_Y",))))
     split = group_kfold(_pids(6), k=3, seed=1)  # before the spies: SplitPlan checks too
-    calls = []
+    journal = tmp_path / "calls.txt"
     real_check, real_fit = Fold.check_disjoint, evaluate.fit
 
+    def note(step, fold):
+        with journal.open("a") as fh:
+            fh.write(f"{os.getpid()} {step} {fold}\n")
+
     def marking_check(fold):
-        calls.append(("check", fold.index))
+        note("check", fold.index)
         return real_check(fold)
 
     def marking_fit(model, train, val, config):
-        calls.append(("fit", (config.seed - tc.seed) // 1000 - 1))  # fold of its seed
+        note("fit", (config.seed - tc.seed) // 1000 - 1)  # fold of its seed
         return real_fit(model, train, val, config)
     monkeypatch.setattr(evaluate.Fold, "check_disjoint", marking_check)
     monkeypatch.setattr(evaluate, "fit", marking_fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
     run_experiment(samples, labels, config, split, fusion="sum", train_config=tc)
-    assert calls == [(step, fold.index) for fold in split.folds
-                     for step in ("check", "fit", "fit")]
+    by_pid = {}
+    for line in journal.read_text().splitlines():
+        pid, step, fold = line.split()
+        by_pid.setdefault(int(pid), []).append((step, int(fold)))
+    folds = {pid: sorted({fold for _, fold in calls}) for pid, calls in by_pid.items()}
+    assert folds[os.getpid()] == ([0, 2] if evaluate.blas_threads() else [0, 1, 2])
+    assert len(by_pid) == (2 if evaluate.blas_threads() else 1)
+    assert sorted(f for mine in folds.values() for f in mine) == \
+        [fold.index for fold in split.folds]  # every fold in exactly one process
+    for pid, calls in by_pid.items():
+        assert calls == [(step, fold) for fold in folds[pid] for step in ("check", "fit", "fit")]
+
+
+def _stub_fit_failing(where, tc):
+    """A fast stub of ``evaluate.fit`` that fails on fold 1 (a worker's) or 2
+    (the parent's), or makes fold 1's worker die without a word."""
+    def stub_fit(model, train, val, config):
+        fold = (config.seed - tc.seed) // 1000 - 1
+        if where == "worker" and fold == 1 or where == "parent" and fold == 2:
+            raise TrainError(f"fold {fold} diverged")
+        if where == "worker dies" and fold == 1:
+            os._exit(3)
+        return _StubModel(model.config), TrainLog()
+    return stub_fit
+
+
+@pytest.mark.parametrize("where", [None, "worker", "parent", "worker dies"])
+def test_run_experiment_reaps_its_workers_and_restores_blas_threads(monkeypatch, where):
+    """A worker's exception reaches the caller with its type and message, a
+    worker that dies unheard is named by its folds, and afterwards no child
+    is left and the BLAS thread count is what it was."""
+    blas = evaluate.blas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    samples, labels, config, tc = _experiment_pieces(
+        (("Peripheral", ("EDA",)), ("Head", ("L_EP_Y",))), n_participants=3)
+    split = group_kfold(_pids(3), k=3, seed=0)
+    monkeypatch.setattr(evaluate, "fit", _stub_fit_failing(where, tc))
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    get, put = blas
+    before = get()
+    put(2)
+    try:
+        if where is None:
+            run_experiment(samples, labels, config, split, fusion="sum", train_config=tc)
+        else:
+            error, message = ((EvaluateError, r"the worker for folds \[1\] ended without a result")
+                              if where == "worker dies"
+                              else (TrainError, f"^fold {2 if where == 'parent' else 1} diverged$"))
+            with pytest.raises(error, match=message) as raised:
+                run_experiment(samples, labels, config, split, fusion="sum", train_config=tc)
+            assert type(raised.value) is error
+        assert get() == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        put(before)
 
 
 def test_fit_member_is_pure(monkeypatch):

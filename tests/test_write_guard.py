@@ -1,7 +1,8 @@
 """One writer: only ``dataio.write_atomic`` writes file bytes, and only ``dataio``
 makes a ``csv.writer``, so a second write path in the package fails this test.
 One cache layout: only ``preprocess`` names a tensor cache suffix, in a
-``with_suffix`` call or a ``glob`` pattern."""
+``with_suffix`` call or a ``glob`` pattern.  One process owner: only
+``evaluate`` starts processes, so one ``finally`` there reaps every child."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "emomsase"
 WRITER = ("dataio.py", "write_atomic")
 WRITE_METHODS = {"write_text", "write_bytes"}
 CACHE_SUFFIXES = (".bin", ".json")
+SPAWNER = "evaluate.py"
+PROCESS_MODULES = ("multiprocessing", "subprocess", "concurrent.futures")
+PROCESS_CALLS = {f"os.{name}" for name in
+                 ("fork", "forkpty", "system", "popen", "posix_spawn", "posix_spawnp")}
 
 
 def _mode(call: ast.Call, position: int) -> str | None:
@@ -33,6 +38,20 @@ def _cache_suffix(call: ast.Call) -> str | None:
     arg = call.args[0].value
     named = arg in CACHE_SUFFIXES if fn.attr == "with_suffix" else arg.endswith(CACHE_SUFFIXES)
     return f"{fn.attr}({arg!r})" if named else None
+
+
+def _process_start(node: ast.AST) -> str | None:
+    """The module or ``os`` call through which ``node`` can start a process."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [f"{node.value.id}.{node.attr}"]
+    else:
+        return None
+    return next((name for name in names if name in PROCESS_CALLS or any(
+        name == m or name.startswith(m + ".") for m in PROCESS_MODULES)), None)
 
 
 def _offence(call: ast.Call) -> str | None:
@@ -69,6 +88,9 @@ def offences(source: str, filename: str) -> list[str]:
             what = _cache_suffix(node)
             if what is not None and filename != "preprocess.py":
                 found.append(f"{filename}:{function}: {what}")
+        what = _process_start(node)
+        if what is not None and filename != SPAWNER:
+            found.append(f"{filename}:{function}: starts a process ({what})")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -77,6 +99,7 @@ def offences(source: str, filename: str) -> list[str]:
 
 
 def test_only_write_atomic_writes_files():
+    """Every rule above, over every module of the package."""
     found = [o for path in sorted(PACKAGE.glob("*.py"))
              for o in offences(path.read_text(), path.name)]
     assert found == []
@@ -102,4 +125,22 @@ def test_only_write_atomic_writes_files():
     ("preprocess.py", "def f(s, d):\n    s.with_suffix('.json'); d.glob('*.bin')\n", []),
 ])
 def test_the_guard_sees_each_write_path(filename, source, expected):
+    assert offences(source, filename) == expected
+
+
+@pytest.mark.parametrize("filename, source, expected", [
+    ("cli.py", "import subprocess\n", ["cli.py:<module>: starts a process (subprocess)"]),
+    ("train.py", "import multiprocessing.pool\n",
+     ["train.py:<module>: starts a process (multiprocessing.pool)"]),
+    ("model.py", "from concurrent import futures\n",
+     ["model.py:<module>: starts a process (concurrent.futures)"]),
+    ("dataio.py", "from concurrent.futures import ProcessPoolExecutor\n",
+     ["dataio.py:<module>: starts a process (concurrent.futures)"]),
+    ("preprocess.py", "import os\ndef f():\n    os.fork()\n",
+     ["preprocess.py:f: starts a process (os.fork)"]),
+    ("cli.py", "from os import system\n", ["cli.py:<module>: starts a process (os.system)"]),
+    ("evaluate.py", "import os, subprocess\ndef f():\n    os.fork()\n", []),
+    ("cli.py", "import os, concurrent\ndef f():\n    os.getpid(); os.cpu_count()\n", []),
+])
+def test_the_guard_sees_each_process_start(filename, source, expected):
     assert offences(source, filename) == expected
