@@ -12,16 +12,17 @@ import time
 from emomsase.gradcheck import grad_check, micro_config
 
 started = time.time()
-report = grad_check(micro_config(), tolerance=1e-3, epsilon=1e-4, seed=0)
+errors = grad_check(micro_config(), epsilon=1e-4, seed=0)
 elapsed = time.time() - started
 
-for entry in report.entries:
-    print(f"{entry.name}: max rel err {entry.max_rel_error:.3e}")
+for name, error in errors.items():
+    print(f"{name}: max rel err {error:.3e}")
+passed = all(error < 1e-3 for error in errors.values())
 print(f"\nchecked in {elapsed:.1f}s; worst relative error "
-      f"{report.max_rel_error:.3e} ({'PASS' if report.passed else 'FAIL'})")
+      f"{max(errors.values()):.3e} ({'PASS' if passed else 'FAIL'})")
 
 # the residual error collapses as the step shrinks, the signature of
 # finite-difference truncation rather than a wrong derivative
 for eps in (1e-4, 1e-5):
-    r = grad_check(micro_config(), tolerance=1e-3, epsilon=eps, seed=0)
-    print(f"epsilon {eps:.0e}: worst relative error {r.max_rel_error:.3e}")
+    worst = max(grad_check(micro_config(), epsilon=eps, seed=0).values())
+    print(f"epsilon {eps:.0e}: worst relative error {worst:.3e}")

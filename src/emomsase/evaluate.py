@@ -11,20 +11,20 @@ under ``experiments``: ``run_experiment`` returns it, ``fold_report`` builds
 each fold's part, and the writers take a list of them.
 
 Folds are independent fits, so ``run_experiment`` runs them on every CPU the
-process may use: the parent runs folds i = 0 (mod P) and P - 1 children,
-forked after the samples are loaded, run the others and send back each
-fold's result through a pipe.  Every process uses one BLAS thread, so the
-output bytes depend on neither P nor the host's BLAS thread count.  This is
-the only module that starts processes, so one ``finally`` reaps them all.
+process may use: the parent runs folds i = 0 (mod P) and P - 1 workers,
+multiprocessing's fork processes started after the samples are loaded, run
+the others and send back their folds' results through a pipe.  Every process
+uses one BLAS thread, so the output bytes depend on neither P nor the host's
+BLAS thread count.  This is the only module that starts processes, so one
+``finally`` reaps them all.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
+import multiprocessing
 import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,63 +240,48 @@ def blas_threads() -> tuple | None:
     return get, put
 
 
-def _child(body, folds: tuple[Fold, ...], source, write: int) -> None:
-    """Run ``body`` over ``folds`` in a forked child and pickle the list of
-    results, or the exception that stopped it, into the pipe's ``write`` end;
-    never returns.  The exit status is 0 only once the whole payload is written."""
-    status = 1
-    try:
-        source.close()
-        try:
-            payload = [body(fold) for fold in folds]
-        except BaseException as exc:  # re-raised by the parent, interrupts too
-            payload = exc
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _map_folds(body, folds: tuple[Fold, ...], processes: int) -> list:
     """``body(fold)`` for each fold, in fold order.  The parent runs folds
-    i = 0 (mod ``processes``) itself, and each forked child the folds of its
-    own residue.  A child's exception is raised here, and no child outlives
-    the call, whether it succeeds, fails or is interrupted."""
-    children = {}  # pid -> (the read end of its pipe, the positions of its folds)
+    i = 0 (mod ``processes``) itself, and each forked worker the folds of its
+    own residue.  A worker's exception is raised here, a worker prints nothing,
+    and no worker outlives the call, whether it succeeds, fails or is interrupted."""
+    def work(positions: range, write) -> None:
+        try:
+            payload = [body(folds[i]) for i in positions]
+        except BaseException as exc:  # re-raised by the parent, interrupts too
+            payload = exc
+        write.send(payload)
+
+    workers = []  # (the worker, the read end of its pipe, the positions of its folds)
     try:
         for first in range(1, processes):
-            read, write = os.pipe()
-            source = os.fdopen(read, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(body, folds[first::processes], source, write)
-            finally:
-                os.close(write)
-            children[pid] = (source, range(first, len(folds), processes))
+            read, write = multiprocessing.Pipe(duplex=False)
+            positions = range(first, len(folds), processes)
+            worker = multiprocessing.get_context("fork").Process(target=work,
+                                                                 args=(positions, write))
+            with write:
+                worker.start()
+            workers.append((worker, read, positions))
         results = [None] * len(folds)
         for i in range(0, len(folds), processes):
             results[i] = body(folds[i])
-        for pid, (source, positions) in list(children.items()):
-            with source:
-                data = source.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if status != 0:
-                raise EvaluateError(f"the worker for folds {[folds[i].index for i in positions]} "
-                                    f"ended without a result (exit code {status})")
-            payload = pickle.loads(data)  # bytes our own child wrote
+        for worker, read, positions in workers:
+            try:
+                payload = read.recv()
+            except EOFError:  # it ended before sending
+                worker.join()
+                payload = EvaluateError(f"the worker for folds {[folds[i].index for i in positions]}"
+                                        f" ended without a result (exit code {worker.exitcode})")
             if isinstance(payload, BaseException):
                 raise payload
             for i, result in zip(positions, payload, strict=True):
                 results[i] = result
         return results
     finally:
-        for pid, (source, _) in children.items():
-            source.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for worker, read, _ in workers:
+            worker.kill()
+            worker.join()
+            read.close()
 
 
 def run_experiment(samples: list[Sample], labels: LabelLookup,
@@ -310,7 +295,7 @@ def run_experiment(samples: list[Sample], labels: LabelLookup,
 
     The folds run on min(folds, ``usable_cpus()``) processes, each with one
     BLAS thread; the parent's thread count is restored on return.  Without
-    ``os.fork`` or numpy's bundled OpenBLAS they run in this process, and the
+    a fork call or numpy's bundled OpenBLAS they run in this process, and the
     thread count is left alone."""
     members, rule = member_plan(model_config, fusion)
     missing = set(split.participants) - {s.participant_id for s in samples}

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import emomsase
 from emomsase import autodiff as ad
-from emomsase import dataio, preprocess
+from emomsase import dataio, evaluate, preprocess
 from emomsase.cli import (DEFAULTS, _load_samples, _model_config, _train_config,
                           build_parser, main, resolve_settings)
 from emomsase.model import VARIANTS, ModelConfig
@@ -405,8 +405,8 @@ def test_run_skips_channels_its_model_does_not_read(small_cache, tmp_path, monke
 
 @pytest.mark.parametrize("fusion", ["modality", "sum"])
 def test_run_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, fusion):
-    """One process or two, ``run`` writes the same results.csv, report.json
-    and logs/, byte for byte."""
+    """One process, two or three, ``run`` writes the same results.csv,
+    report.json and logs/, byte for byte."""
     cfg = _write_config(tmp_path, {
         "domains": ["Peripheral", "Head"],
         "channels": {"Peripheral": ["EDA"], "Trunk": [], "Head": ["L_EP_Y"]},
@@ -417,7 +417,7 @@ def test_run_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, fus
     assert main(["synth", "--config", cfg, "--out", str(data), "--participants", "3"]) == 0
     assert main(["preprocess", "--config", cfg, "--data", str(data), "--cache", str(cache)]) == 0
     written = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr("emomsase.evaluate.usable_cpus", lambda cpus=cpus: cpus)
         out = tmp_path / f"out{cpus}"
         assert main(["run", "--config", cfg, "--cache", str(cache),
@@ -426,7 +426,29 @@ def test_run_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, fus
                         for p in sorted(out.rglob("*")) if p.is_file()})
     members = 1 if fusion == "modality" else 2
     assert len([p for p in written[0] if p.parts[0] == "logs"]) == 3 * members
-    assert written[0] == written[1]
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_run_interrupted_exits_130_without_a_traceback(small_cache, tmp_path, capfd,
+                                                       monkeypatch, where):
+    """Ctrl-C in the parent's fold or in a worker's ends ``run`` with exit 130
+    and one line on stderr, and leaves no process behind."""
+    if evaluate.blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded, so no worker starts")
+    parent, real_fit = os.getpid(), evaluate.fit
+
+    def interrupted_fit(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise KeyboardInterrupt
+        return real_fit(*args)
+    monkeypatch.setattr(evaluate, "fit", interrupted_fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    capfd.readouterr()
+    assert main(_run_argv(small_cache, tmp_path / "out")) == 130
+    assert capfd.readouterr().err == "interrupted\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("target", ["results.csv", "report.json"])

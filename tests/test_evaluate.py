@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import tracemalloc
 import weakref
@@ -503,10 +504,10 @@ def _stub_fit_failing(where, tc):
 
 
 @pytest.mark.parametrize("where", [None, "worker", "parent", "worker dies"])
-def test_run_experiment_reaps_its_workers_and_restores_blas_threads(monkeypatch, where):
+def test_run_experiment_reaps_its_workers_and_restores_blas_threads(monkeypatch, capfd, where):
     """A worker's exception reaches the caller with its type and message, a
-    worker that dies unheard is named by its folds, and afterwards no child
-    is left and the BLAS thread count is what it was."""
+    worker that dies unheard is named by its folds, no worker prints, and
+    afterwards no child is left and the BLAS thread count is what it was."""
     blas = evaluate.blas_threads()
     if blas is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
@@ -531,6 +532,9 @@ def test_run_experiment_reaps_its_workers_and_restores_blas_threads(monkeypatch,
         assert get() == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Process " not in err, err
     finally:
         put(before)
 

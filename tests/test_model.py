@@ -352,9 +352,8 @@ def test_float32_tape_gradients_track_float64(seed, variant):
 @pytest.mark.parametrize("variant", ["lstmsa", "lstmmsa"])
 def test_grad_check_ablation_variants(variant):
     for seed in range(3):
-        report = grad_check(micro_config(variant=variant, seed=seed),
-                            tolerance=1e-3, epsilon=1e-4, seed=seed)
-        assert report.passed, report.failures()
+        errors = grad_check(micro_config(variant=variant, seed=seed), epsilon=1e-4, seed=seed)
+        assert all(error < 1e-3 for error in errors.values()), errors
 
 
 def test_predict_chunking_matches_single_pass():
