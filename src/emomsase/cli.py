@@ -25,8 +25,8 @@ from .autodiff import NonFiniteActivationError, TapeConsumedError
 from .dataio import (BEST_CHANNELS, CHANNEL_CATALOG, DIMENSIONS, BoundaryPolicy, Domain,
                      LabelCase, LabelLookup)
 from .gradcheck import grad_check, micro_config
-from .model import ModelConfig, VARIANTS
-from .train import DTYPE, TrainConfig
+from .model import DTYPE, VARIANTS, ModelConfig
+from .train import TrainConfig
 
 CACHE_ENV = "EMOMSASE_CACHE"
 

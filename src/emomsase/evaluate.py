@@ -142,9 +142,9 @@ def fuse_decisions(member_probs: list[np.ndarray], rule: str) -> tuple[np.ndarra
 
     ``sum`` adds the members' probabilities and takes the largest total;
     ``max`` takes the class holding the single largest probability of any
-    member.  The members are stacked in float64 before the reduction, since a
-    float32 sum can move an argmax or a tie.  Exact ties go to the lower class
-    index and are flagged.
+    member.  ``EmoMsase.predict`` already returns float64 rows; the members
+    are stacked in float64 all the same, since a float32 sum can move an
+    argmax or a tie.  Exact ties go to the lower class index and are flagged.
     """
     if not member_probs or len({np.shape(p) for p in member_probs}) > 1:
         raise EvaluateError("fusion needs members whose probabilities share one shape")
@@ -161,7 +161,7 @@ def fuse_decisions(member_probs: list[np.ndarray], rule: str) -> tuple[np.ndarra
 @dataclass
 class Sample:
     """All channel tensors for one participant watching one video; ``run``
-    holds them in the training dtype, ``train.DTYPE``, from load on."""
+    holds them in the training dtype, ``model.DTYPE``, from load on."""
 
     participant_id: str
     video_id: str

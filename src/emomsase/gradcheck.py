@@ -42,7 +42,8 @@ def grad_check(config: ModelConfig, *, epsilon: float = 1e-4,
     central finite-difference gradients, by name in ``parameters()`` order.
 
     The batch, 2 samples of 6 windows and their labels, is drawn from
-    ``seed``; the model's own weights come from the config seed.  Relative
+    ``seed``; the model's own weights come from the config seed, cast to
+    float64 so that the gradients checked are float64.  Relative
     error per entry is |analytic - fd| / max(|analytic|, |fd|, 1e-4); entries
     where both routes are below 1e-10 count as exact zeros with error 0.
 
@@ -52,6 +53,7 @@ def grad_check(config: ModelConfig, *, epsilon: float = 1e-4,
     recomputed per probe.
     """
     model = EmoMsase(config)
+    model.cast(np.float64)  # central differences at epsilon 1e-4 need float64
     rng = np.random.default_rng(seed)
     batch = {ch: rng.standard_normal((2, 6, config.feature_sizes[ch]))
              for ch in config.channels}

@@ -8,6 +8,10 @@ Per domain, modality CAVs stack into an (M, 3H) block that a
 squeeze-and-excitation gate recalibrates; all blocks then flatten into a
 softmax classifier.
 
+Weights are drawn in float64 and stored in ``DTYPE``, float32, so every
+LSTM and attention op, the logits and the training loss run in float32;
+only the final softmax to probabilities runs in float64.
+
 Variants (``VARIANT_SPECS``) differ only in the attention scales they pool
 and whether they recalibrate; each builds just the parameters it uses:
   lstmsa     single-scale attention only, CAV length H, no recalibration
@@ -30,6 +34,7 @@ N_CLASSES = 2  # every label is Low or High
 # Attention scales, finest first: name -> timestep merge factor.
 SCALES = (("short", 1), ("medium", 2), ("long", 3))
 PREDICT_BATCH = 128  # rows per inference tape
+DTYPE = np.float32  # the training dtype: weights from birth, gradients, moments and run's data
 
 
 class VariantSpec(NamedTuple):
@@ -190,8 +195,8 @@ class EmoMsase:
         # <domain>/se/{w1,w2} and head/{w,b}, in draw order
         self.params: dict[str, Param] = {}
 
-        def add(name: str, value: np.ndarray) -> None:
-            self.params[name] = Param(name, value)
+        def add(name: str, value: np.ndarray) -> None:  # drawn in float64, kept in DTYPE
+            self.params[name] = Param(name, value.astype(DTYPE))
 
         for domain, channels in config.domain_channels:
             for ch in channels:
@@ -263,12 +268,14 @@ class EmoMsase:
     def forward(self, batch: dict[str, np.ndarray],
                 labels: np.ndarray | None = None) -> tuple[Var, Tape]:
         """Class probabilities (B, C) of per-channel tensors on a new recording
-        tape; given ``labels``, the mean cross-entropy: the training loss."""
+        tape; given ``labels``, the mean cross-entropy: the training loss, in
+        the weights' dtype.  Probabilities are the float64 softmax of a leaf of
+        the logits: nothing in the program backpropagates through them."""
         tape = Tape()
         logits = self.logits(tape, batch)
         if labels is not None:
             return ad.softmax_cross_entropy(tape, logits, labels), tape
-        return ad.softmax(tape, logits), tape
+        return ad.softmax(tape, ad.leaf(logits.value.astype(np.float64))), tape
 
     def _chunks(self, inputs: dict[str, np.ndarray], batch_size: int):
         """Stacked inputs in slices of ``batch_size`` rows, once both check out."""
@@ -290,7 +297,7 @@ class EmoMsase:
 
     def predict(self, inputs: dict[str, np.ndarray],
                 batch_size: int = PREDICT_BATCH) -> np.ndarray:
-        """Row softmax of ``predict_logits``, equal bit for bit to ``forward``
-        on the same chunks; zero samples give an empty (0, C) array."""
-        logits = self.predict_logits(inputs, batch_size)
+        """Float64 row softmax of ``predict_logits``, equal bit for bit to
+        ``forward`` on the same chunks; zero samples give an empty (0, C) array."""
+        logits = self.predict_logits(inputs, batch_size).astype(np.float64)
         return ad.softmax(Tape(recording=False), ad.leaf(logits)).value

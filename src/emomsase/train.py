@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .model import EmoMsase
+from .model import DTYPE, EmoMsase
 
 # AdamW moment decay rates and denominator guard
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-DTYPE = np.float32  # the training dtype: weights, gradients, moments, steps and run's data
 
 
 class TrainError(ValueError):
@@ -155,9 +153,10 @@ def fit(model: EmoMsase, train_set: LabeledSet, val_set: LabeledSet,
         config: TrainConfig = TrainConfig()) -> tuple[EmoMsase, TrainLog]:
     """Train in place and return the model restored to its best-epoch weights.
 
-    Training is in ``DTYPE``: the weights are cast first, so steps, validation
-    and the returned model's predictions are float32.  Each step consumes the
-    gradients its backward made, so the returned weights hold none.
+    Training is in ``model.DTYPE``: the weights are cast first (a no-op on a
+    fresh model, which is born in it), so steps, validation logits and the
+    returned model's logits are float32, and its probabilities float64.  Each
+    step consumes the gradients its backward made, so the returned weights hold none.
     Batches come from a seeded shuffle each epoch, keeping a short last one.
     Stops once validation loss goes more than ``patience`` epochs without improving.
     """

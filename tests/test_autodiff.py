@@ -556,7 +556,7 @@ _FLOAT_DTYPES = st.sampled_from([np.float32, np.float64])
 def test_a_branch_computes_in_its_weights_dtype(seed, bsz, t_len, f_in, h, x_dtype, w_dtype):
     """LSTM, merge and attention pooling over input of either dtype compute
     in the weights' dtype, bit for bit as over the input cast to it first:
-    the case of an untrained float64 model predicting on float32 data."""
+    the case of a model cast to float64 predicting on ``run``'s float32 data."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((bsz, t_len, f_in)).astype(x_dtype)
     values = {name: 0.5 * rng.standard_normal(shape) for name, shape in

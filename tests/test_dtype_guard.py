@@ -1,4 +1,4 @@
-"""One owner for the training dtype: ``train.DTYPE`` names float32 for every
+"""One owner for the training dtype: ``model.DTYPE`` names float32 for every
 weight, gradient, moment and the data ``run`` loads, and ``autodiff.COMPUTE_DTYPES``
 lists the dtypes a ``Var`` keeps.  Any other ``float32`` in the package fails
 this test."""
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "emomsase"
-OWNERS = {("train.py", "DTYPE"), ("autodiff.py", "COMPUTE_DTYPES")}
+OWNERS = {("model.py", "DTYPE"), ("autodiff.py", "COMPUTE_DTYPES")}
 
 
 def offences(source: str, filename: str) -> list[str]:
@@ -44,11 +44,12 @@ def test_only_the_owners_name_float32():
      ["cli.py:f: float32"]),
     ("model.py", "import numpy\nWIDTH = numpy.float32\n", ["model.py:WIDTH: float32"]),
     ("evaluate.py", "from numpy import float32\n", ["evaluate.py:<module>: float32"]),
-    ("train.py", "import numpy as np\nDTYPE = np.float32\n", []),
+    ("train.py", "import numpy as np\nDTYPE = np.float32\n", ["train.py:DTYPE: float32"]),
     ("train.py", "def fit(m):\n    m.cast(np.float32)\n", ["train.py:fit: float32"]),
     ("autodiff.py", "COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))\n", []),
     ("autodiff.py", "class Tape:\n    dtype = np.float32\n", ["autodiff.py:dtype: float32"]),
     ("cli.py", "from .train import DTYPE\ndef f(x):\n    return x.astype(DTYPE)\n", []),
+    ("model.py", "import numpy as np\nDTYPE = np.float32\n", []),
 ])
 def test_the_guard_sees_each_float32(filename, source, expected):
     assert offences(source, filename) == expected

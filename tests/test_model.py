@@ -8,13 +8,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emomsase import autodiff as ad
+from emomsase import autodiff as ad, cli
 from emomsase.autodiff import Param, ShapeMismatchError, Tape, Var
 from emomsase.gradcheck import grad_check, micro_config
 from emomsase.model import (
-    N_CLASSES, SCALES, EmoMsase, ModelConfig, VARIANTS, fuse_and_classify,
+    DTYPE, N_CLASSES, SCALES, EmoMsase, ModelConfig, VARIANTS, fuse_and_classify,
     lstm_features, msa, scale_attention, se_recalibrate,
 )
+from emomsase.preprocess import expected_timesteps
 
 from reference_impls import (
     attention_reference, lstm_sequence_reference, merge_timesteps_reference,
@@ -103,7 +104,9 @@ def test_lstm_params_forget_bias_and_fan_in():
 
 def test_lstm_features_matches_stacked_reference():
     rng = np.random.default_rng(1)
-    stack = _stack(EmoMsase(_micro_config(seed=1)), "EDA")
+    model = EmoMsase(_micro_config(seed=1))
+    model.cast(np.float64)  # the float64 reference holds to 1e-12 only in float64
+    stack = _stack(model, "EDA")
     x = rng.standard_normal((2, 6, 3))
     out = lstm_features(Tape(), Var(x), stack)
     l1 = lstm_sequence_reference(x, *(p.value for p in stack[0]))
@@ -222,9 +225,10 @@ def test_parameter_census_and_determinism():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_params_are_keyed_by_name_in_draw_order(variant):
-    """Replaying the seed's draws over ``parameters()`` rebuilds every weight
-    bit for bit: each drawn weight is uniform within 1/sqrt(fan-in), its
-    first axis, and only the biases are not drawn."""
+    """Replaying the seed's float64 draws over ``parameters()`` and storing
+    them in ``DTYPE`` rebuilds every weight bit for bit: each drawn weight is
+    uniform within 1/sqrt(fan-in), its first axis, and only the biases are
+    not drawn."""
     model = EmoMsase(_micro_config(variant=variant, seed=3))
     assert all(key == p.name for key, p in model.params.items())
     assert model.parameters() == list(model.params.values())
@@ -233,7 +237,8 @@ def test_params_are_keyed_by_name_in_draw_order(variant):
         if p.name.endswith("/b"):
             continue
         bound = 1.0 / np.sqrt(p.value.shape[0])
-        assert np.array_equal(p.value, rng.uniform(-bound, bound, p.value.shape)), p.name
+        drawn = rng.uniform(-bound, bound, p.value.shape).astype(DTYPE)
+        assert p.value.dtype == DTYPE and np.array_equal(p.value, drawn), p.name
 
 
 @pytest.mark.parametrize("variant,scales,se", [
@@ -379,16 +384,49 @@ def _inputs(cfg, n, seed, timesteps=6):
 @given(n=st.integers(1, 11), batch_size=st.integers(1, 5))
 def test_predict_is_forward_bit_for_bit(variant, n, batch_size):
     """The inference tape runs the training graph on the same chunks, in the
-    weights' dtype."""
+    weights' dtype, and both end in the same float64 softmax."""
     model = EmoMsase(_micro_config(variant=variant))
     inputs = _inputs(model.config, n, seed=n)
-    for dtype in (np.float64, np.float32):  # float64 first: the cast rounds the weights
+    for dtype in (np.float64, np.float32):  # the born float32 weights, widened, then narrowed back
         model.cast(dtype)
         expected = np.concatenate([
             model.forward({ch: x[s:s + batch_size] for ch, x in inputs.items()})[0].value
             for s in range(0, n, batch_size)])
         probs = model.predict(inputs, batch_size=batch_size)
-        assert probs.dtype == dtype and np.array_equal(probs, expected)
+        assert probs.dtype == np.float64 and np.array_equal(probs, expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 11), batch_size=st.integers(1, 5))
+def test_probabilities_are_float64_rows_of_dtype_logits(seed, n, batch_size):
+    """Logits stay in ``DTYPE``; ``predict`` and the label-free ``forward``
+    return float64 rows that sum to 1 and pick the logits' class."""
+    model = EmoMsase(_micro_config(seed=seed))
+    inputs = {ch: x.astype(DTYPE) for ch, x in _inputs(model.config, n, seed=seed).items()}
+    logits = model.predict_logits(inputs, batch_size=batch_size)
+    probs = model.predict(inputs, batch_size=batch_size)
+    forward = model.forward({ch: x[:batch_size] for ch, x in inputs.items()})[0].value
+    assert logits.dtype == DTYPE
+    for rows in (probs, forward):
+        assert rows.dtype == np.float64
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.array_equal(probs.argmax(axis=1), logits.argmax(axis=1))
+
+
+def test_default_model_predicts_at_128_as_forward_does_at_16():
+    """The infer workload's gate at the default layout: ``predict`` in one
+    chunk of 32 agrees with ``forward`` on chunks of 16 within 1e-9."""
+    config = cli._model_config(cli.DEFAULTS)
+    model = EmoMsase(config)
+    rng = np.random.default_rng(35)
+    inputs = {ch: rng.standard_normal((32, expected_timesteps(ch), config.feature_sizes[ch]))
+              .astype(DTYPE) for ch in config.channels}
+    probs = model.predict(inputs, batch_size=128)
+    forward = np.concatenate([
+        model.forward({ch: x[s:s + 16] for ch, x in inputs.items()})[0].value
+        for s in (0, 16)])
+    assert np.max(np.abs(probs - forward)) <= 1e-9
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
 
 
 def test_predict_leaves_gradients_and_tape_empty():

@@ -308,9 +308,10 @@ def test_fit_trains_in_float32_and_predicts_in_float32(monkeypatch):
         assert p.value.dtype == np.float32 and p.grad is None, p.name
     for moment in opt._m + opt._v:
         assert moment.dtype == np.float32
-    # inference computes in the weights' dtype: one chunk equals a float32 forward
+    # inference computes in the weights' dtype: one chunk equals a float32 forward,
+    # whose logits end in a float64 softmax
     probs, logits = model.predict(train_set.inputs), model.predict_logits(train_set.inputs)
-    assert probs.dtype == np.float32 and logits.dtype == np.float32
+    assert probs.dtype == np.float64 and logits.dtype == np.float32
     assert np.array_equal(probs, forward(train_set.inputs)[0].value)
     assert np.array_equal(logits, model.logits(ad.Tape(), train_set.inputs).value)
     val = evaluate_loss(model, train_set)
